@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import sys
 
@@ -42,6 +43,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+_DATA_ERRORS = (OSError, ParseError, CalendarError, GapError, RangeError)
 
 _NUMERICAL_ERRORS = (
     NotPositiveDefiniteError,
@@ -225,6 +228,21 @@ def _fail(kind, err, code) -> int:
     return code
 
 
+def _data_command(command):
+    """Map data errors to exit 3 and numerical failures to exit 4, one stderr line each."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except _DATA_ERRORS as err:
+            return _fail("data error", err, EXIT_DATA)
+        except _NUMERICAL_ERRORS as err:
+            return _fail("numerical failure", err, EXIT_NUMERICAL)
+
+    return run
+
+
 # ----------------------------------------------------------------------
 # data loading
 
@@ -320,23 +338,13 @@ def _residual_stats(rows):
 # commands
 
 
+@_data_command
 def cmd_fit(args) -> int:
     errors, model, profile, start, end = _common_config(args)
     if errors:
         return _fail_config(errors)
-    try:
-        series, _ = _load_series(args, start, end)
-    except OSError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except (ParseError, CalendarError, GapError, RangeError) as err:
-        return _fail("data error", err, EXIT_DATA)
-
-    try:
-        est, rows = _run_fit(profile, model, series, args, cond_every=args.cond_every)
-    except RangeError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except _NUMERICAL_ERRORS as err:
-        return _fail("numerical failure", err, EXIT_NUMERICAL)
+    series, _ = _load_series(args, start, end)
+    est, rows = _run_fit(profile, model, series, args, cond_every=args.cond_every)
 
     _, rmse, res_mean, res_std = _residual_stats(rows)
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
@@ -358,6 +366,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@_data_command
 def cmd_compare(args) -> int:
     errors, model, fitted, start, end = _common_config(args)
     baseline_lam = args.baseline_lambda if args.baseline_lambda is not None else args.lam
@@ -369,20 +378,9 @@ def cmd_compare(args) -> int:
     if errors:
         return _fail_config(errors)
 
-    try:
-        series, _ = _load_series(args, start, end)
-    except OSError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except (ParseError, CalendarError, GapError, RangeError) as err:
-        return _fail("data error", err, EXIT_DATA)
-
-    try:
-        _, rows_fit = _run_fit(fitted, model, series, args)
-        _, rows_base = _run_fit(baseline, model, series, args)
-    except RangeError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except _NUMERICAL_ERRORS as err:
-        return _fail("numerical failure", err, EXIT_NUMERICAL)
+    series, _ = _load_series(args, start, end)
+    _, rows_fit = _run_fit(fitted, model, series, args)
+    _, rows_base = _run_fit(baseline, model, series, args)
 
     res_fit, rmse_fit, _, std_fit = _residual_stats(rows_fit)
     res_base, rmse_base, _, std_base = _residual_stats(rows_base)
@@ -420,24 +418,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@_data_command
 def cmd_forecast(args) -> int:
     errors, model, profile, start, end = _common_config(args)
     if errors:
         return _fail_config(errors)
-    try:
-        series, records = _load_series(args, start, end)
-    except OSError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except (ParseError, CalendarError, GapError, RangeError) as err:
-        return _fail("data error", err, EXIT_DATA)
-
-    try:
-        est, _ = _run_fit(profile, model, series, args)
-        band = est.forecast(args.horizon)
-    except RangeError as err:
-        return _fail("data error", err, EXIT_DATA)
-    except _NUMERICAL_ERRORS as err:
-        return _fail("numerical failure", err, EXIT_NUMERICAL)
+    series, records = _load_series(args, start, end)
+    est, _ = _run_fit(profile, model, series, args)
+    band = est.forecast(args.horizon)
 
     observed_by_date = {r.date: r.value for r in records}
     out = ["k,date,mean,lower,upper,observed,in_band"]

@@ -34,7 +34,7 @@ class DimensionError(SegrlsError):
 
 
 class SingularUpdateError(SegrlsError):
-    """A pivoted factorization met a pivot below tolerance."""
+    """A low-rank update's capacitance matrix is singular or ill-conditioned."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -68,7 +68,7 @@ class ParseError(SegrlsError):
 
 
 class CalendarError(SegrlsError):
-    """Invalid calendar date in an input record."""
+    """Invalid calendar date, or records not strictly increasing by date."""
 
 
 class GapError(SegrlsError):

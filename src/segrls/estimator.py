@@ -3,8 +3,9 @@
 The estimator is initialized by a batch solve over the first window and then
 advanced one sample at a time.  Each step applies the profile's update
 template as a single signed low-rank correction: the gain matrix (inverse of
-the weighted information matrix) and the parameter vector are updated through
-one small pivoted solve, never by refactoring the full matrix.
+the weighted information matrix) and the parameter vector are updated together
+by ``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of
+the small r x r capacitance matrix, never by refactoring the full matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ class ForecastBand(NamedTuple):
 def weight_vector(profile: ForgettingProfile, count: int) -> np.ndarray:
     """Weights f(0..count-1), newest lag first."""
     return np.array([weight(profile, j) for j in range(count)])
+
+
+def information_matrix(profile, model, k: int, count: int, y=None):
+    """Directly weighted normal equations over the ``count`` indices ending at k.
+
+    Returns A = sum_j f(j) phi_{k-j} phi_{k-j}^T.  Given the window values
+    ``y`` (oldest first), returns (A, b) with b = sum_j f(j) phi_{k-j} y_{k-j}.
+    """
+    phi = regressor_matrix(model, np.arange(k - count + 1, k + 1))
+    wphi = phi * weight_vector(profile, count)[::-1, None]  # oldest row first
+    a = linalg.symmetrize(wphi.T @ phi)
+    if y is None:
+        return a
+    return a, wphi.T @ np.asarray(y, dtype=float)
 
 
 def _check_consecutive(samples: Sequence[Sample]) -> None:
@@ -145,7 +160,7 @@ class RlsEstimator:
         est._first_index = samples[0].k
         est._y = [s.y for s in samples]
 
-        a, b = est._assemble_normal_equations(est.k, window, est._y)
+        a, b = information_matrix(profile, model, est.k, window, est._y)
         if est.diagonal_loading > 0.0:
             a = a + est.diagonal_loading * np.eye(model.dim)
             est.loading_applied = True
@@ -156,55 +171,42 @@ class RlsEstimator:
             est._record_residual(sample.k, sample.y)
         return est
 
-    def _assemble_normal_equations(self, k: int, count: int, y_window):
-        """Directly weighted normal equations over the trailing ``count`` samples."""
-        indices = np.arange(k - count + 1, k + 1)
-        phi = regressor_matrix(self.model, indices)
-        weights = weight_vector(self.profile, count)[::-1]  # oldest row first
-        wphi = phi * weights[:, None]
-        a = linalg.symmetrize(wphi.T @ phi)
-        b = wphi.T @ np.asarray(y_window[-count:], dtype=float)
-        return a, b
-
     # ------------------------------------------------------------------
     # streaming
 
     def step(self, sample: Sample) -> None:
-        """Consume the next sample (index state.k + 1) and update theta, gamma."""
+        """Consume the next sample (index state.k + 1) and update theta, gamma.
+
+        A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
+        as B^{-1}.  Nothing is changed when the update raises.
+        """
         if self.gamma is None:
             raise RuntimeError("estimator is not initialized; call init() first")
         k = int(sample[0])
+        y = float(sample[1])
         if k != self.k + 1:
             raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
-        self._y.append(float(sample[1]))
 
-        lam = self.profile.decay
         q = regressor_matrix(self.model, k - self._lags).T * self._scales[None, :]
+        # lag 0 is the incoming sample; _y[-lag] is sample k - lag
         y_aug = self._scales * np.array(
-            [self._y[-1 - lag] for lag in self._lags]
+            [self._y[-lag] if lag else y for lag in self._lags]
         )
-
-        g = self.gamma @ q
-        s = q.T @ g
-        s[np.diag_indices_from(s)] += lam * self._signs
-
-        rhs = np.column_stack([q.T @ self.theta - y_aug, g.T])
         try:
-            sol = linalg.solve_indefinite(s, rhs)
+            gamma, theta = linalg.batch_inverse_update(
+                self.gamma / self.profile.decay, q, self._signs, self.theta, y_aug
+            )
         except SingularUpdateError as err:
             raise SingularUpdateError(
                 f"update solve failed at index {k}: {err}", index=k
             ) from err
 
-        # theta first (uses the pre-update gain), then the gain itself
-        self.theta = self.theta - g @ sol[:, 0]
-        self.gamma = linalg.symmetrize((self.gamma - g @ sol[:, 1:]) / lam)
-
-        self.k = k
+        self.gamma, self.theta, self.k = gamma, theta, k
         self._steps += 1
+        self._y.append(y)
         if len(self._y) > self.window:
             del self._y[: len(self._y) - self.window]
-        self._record_residual(k, float(sample[1]))
+        self._record_residual(k, y)
 
         if self.reinit_period and self._steps % self.reinit_period == 0:
             self.gamma = linalg.spd_inverse(self.info_matrix())
@@ -218,12 +220,12 @@ class RlsEstimator:
     # ------------------------------------------------------------------
     # residuals and diagnostics
 
-    def approximation_residual(self, sample: Sample) -> float:
-        """y - phi^T theta with the current (post-update) parameters."""
-        return float(sample[1]) - predict(self.model, self.theta, int(sample[0]))
+    def residual(self, sample: Sample) -> float:
+        """y - phi^T theta with the current parameters.
 
-    def prediction_residual(self, sample: Sample) -> float:
-        """One-step-ahead residual: call before stepping past the sample."""
+        Called before stepping past the sample it is the one-step-ahead
+        prediction residual; after, the approximation residual.
+        """
         return float(sample[1]) - predict(self.model, self.theta, int(sample[0]))
 
     def moving_variance(self) -> float:
@@ -260,8 +262,7 @@ class RlsEstimator:
         """
         span = self.k - self._first_index + 1
         count = span if self._unbounded_window() else min(span, self.window)
-        a, _ = self._assemble_normal_equations(self.k, count, [0.0] * count)
-        return a
+        return information_matrix(self.profile, self.model, self.k, count)
 
     def _unbounded_window(self) -> bool:
         return isinstance(self.profile, ExponentialProfile) and self.profile.unbounded

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -72,12 +73,7 @@ def parse_stockholm(text: str, value_column: int = 3) -> list[SeriesRecord]:
             when = datetime.date(year, month, day)
         except ValueError as err:
             raise CalendarError(f"line {line_no}: {err}: {tokens[:3]!r}") from None
-        try:
-            value = float(tokens[value_column])
-        except ValueError:
-            raise ParseError(
-                f"non-numeric value {tokens[value_column]!r}", line_number=line_no
-            ) from None
+        value = _parse_value(tokens[value_column], line_no)
         records.append(SeriesRecord(date=when, value=value))
     return records
 
@@ -113,14 +109,20 @@ def parse_csv(text: str) -> list[SeriesRecord]:
             if _looks_like_iso_date(date_text):
                 raise CalendarError(f"line {line_no}: {err}: {date_text!r}") from None
             raise ParseError(f"invalid ISO date {date_text!r}", line_number=line_no) from None
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise ParseError(
-                f"non-numeric value {value_text!r}", line_number=line_no
-            ) from None
+        value = _parse_value(value_text, line_no)
         records.append(SeriesRecord(date=when, value=value))
     return records
+
+
+def _parse_value(text: str, line_no: int) -> float:
+    """A finite float; nan and inf would poison every later estimate."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"non-numeric value {text!r}", line_number=line_no) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {text!r}", line_number=line_no)
+    return value
 
 
 def _looks_like_iso_date(text: str) -> bool:
@@ -139,7 +141,7 @@ def to_indexed(
     Missing days are handled per ``gap_policy``: 'fail' raises GapError,
     'interpolate' fills linearly between the neighboring records, 'previous'
     holds the last observed value.  Every filled date is listed in the
-    returned metadata.
+    returned metadata.  Duplicate or out-of-order dates raise CalendarError.
     """
     if gap_policy not in GAP_POLICIES:
         raise ValueError(f"gap_policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
@@ -148,7 +150,9 @@ def to_indexed(
     dates = [r.date for r in records]
     for prev, cur in zip(dates, dates[1:]):
         if cur <= prev:
-            raise ValueError(f"records must be strictly increasing by date; got {prev} then {cur}")
+            raise CalendarError(
+                f"records must be strictly increasing by date; got {prev} then {cur}"
+            )
     start = start or dates[0]
     end = end or dates[-1]
     if start > end:

@@ -1,8 +1,12 @@
-"""Minimal dense symmetric linear algebra for the windowed estimator.
+"""Dense symmetric linear algebra for the windowed estimator.
 
-Everything here is written against plain float64 numpy arrays and assumes
-symmetric input where documented.  The verification suite checks these
-kernels against numpy.linalg, which shares no code with this module.
+Factorizations, inverses and eigenvalues come from LAPACK through
+numpy.linalg.  What this module adds is the one signed low-rank update the
+estimator runs on, with an explicit conditioning check on its capacitance
+matrix, and the chained rank-one comparator it is measured against.  The
+verification oracles stay independent of this path through their algorithm,
+not their library: they assemble the weighted normal equations directly
+instead of recursively, and invert in long double by Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ from .errors import (
     SingularUpdateError,
 )
 
-# Relative pivot threshold for the symmetric-indefinite factorization.
+# Relative tolerance of the update checks: a capacitance condition estimate
+# above 1/PIVOT_RTOL, or a rank-one denominator below PIVOT_RTOL, is singular.
 PIVOT_RTOL = 1e-12
-
-# Off-diagonal Frobenius tolerance (relative) for the Jacobi eigenvalue sweep.
-JACOBI_TOL = 1e-10
 
 # Below this eigenvalue magnitude a matrix is reported as numerically singular.
 SINGULAR_FLOOR = 1e-300
@@ -39,15 +41,22 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def batch_inverse_update(b_inv, q, signs) -> np.ndarray:
-    """Inverse of A = B + Q diag(signs) Q^T from B^{-1}, in a single pass.
+def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
+    """Inverse of A = B + Q D Q^T from B^{-1}, D = diag(signs), in one pass.
 
     ``q`` holds the correction columns (n x r), ``signs`` the +/-1 signature.
-    The r x r capacitance matrix diag(signs) + Q^T B^{-1} Q is factored once
-    with symmetric pivoting; no per-column iteration takes place.
+    By the matrix inversion lemma A^{-1} = B^{-1} - V U^{-1} V^T with
+    V = B^{-1} Q and the r x r capacitance matrix U = D + Q^T V, which is
+    inverted once; no per-column iteration takes place.
 
-    Raises SingularUpdateError when that factorization meets a pivot below
-    tolerance (rank collapse or an invalid window transition).
+    Given ``theta`` (the solution of B theta = b) and ``y`` (the r values
+    entering with the columns), returns (A^{-1}, theta') instead, where
+    theta' = theta + V U^{-1} (y - Q^T theta) solves A theta' = b + Q D y.
+
+    Raises SingularUpdateError when U is singular or its condition estimate
+    ||U^{-1}||_1 (||D||_1 + ||Q^T V||_1) exceeds 1/PIVOT_RTOL: rank collapse,
+    or an invalid window transition.  Measuring against the size of both
+    terms of U, not U itself, catches cancellation between them.
     """
     b_inv = _as_square(b_inv)
     q = np.asarray(q, dtype=float)
@@ -60,12 +69,24 @@ def batch_inverse_update(b_inv, q, signs) -> np.ndarray:
         raise ValueError("one signature entry is required per column")
     if not np.all(np.abs(signs) == 1.0):
         raise ValueError("signature entries must be +1 or -1")
+    if (theta is None) != (y is None):
+        raise ValueError("theta and y must be given together")
 
     v = b_inv @ q                                   # B^{-1} Q
-    u = q.T @ v
-    u[np.diag_indices_from(u)] += signs             # U = D + Q^T B^{-1} Q
-    x = solve_indefinite(u, v.T)
-    return symmetrize(b_inv - v @ x)
+    w = q.T @ v
+    try:
+        u_inv = np.linalg.inv(w + np.diag(signs))   # U = D + Q^T B^{-1} Q
+    except np.linalg.LinAlgError:
+        raise SingularUpdateError("capacitance matrix is singular") from None
+    cond = np.linalg.norm(u_inv, 1) * (1.0 + np.linalg.norm(w, 1))
+    if not cond <= 1.0 / PIVOT_RTOL:
+        raise SingularUpdateError(
+            f"capacitance condition estimate {cond:.3e} above {1.0 / PIVOT_RTOL:.0e}"
+        )
+    gamma = symmetrize(b_inv - v @ (u_inv @ v.T))
+    if theta is None:
+        return gamma
+    return gamma, theta + v @ (u_inv @ (y - q.T @ theta))
 
 
 def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
@@ -95,249 +116,26 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
     return symmetrize(a_inv)
 
 
-def _factor_indefinite(s: np.ndarray):
-    """Bunch-Kaufman LDL^T with partial pivoting, lower storage.
-
-    Returns (packed, ipiv) where ``packed`` carries the unit lower factor
-    below the diagonal and the 1x1 / 2x2 blocks of D on it, LAPACK style.
-    """
-    a = s.copy()
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    tol = PIVOT_RTOL * scale
-    if n and scale == 0.0:
-        raise SingularUpdateError("zero matrix passed to the indefinite factorization")
-    alpha = (1.0 + math.sqrt(17.0)) / 8.0
-    ipiv = np.zeros(n, dtype=int)
-
-    k = 0
-    while k < n:
-        k_step = 1
-        absakk = abs(a[k, k])
-        if k + 1 < n:
-            imax = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-            colmax = abs(a[imax, k])
-        else:
-            imax = k
-            colmax = 0.0
-        if max(absakk, colmax) <= tol:
-            raise SingularUpdateError(
-                f"pivot column {k} below tolerance {tol:.3e}", index=k
-            )
-        if absakk >= alpha * colmax:
-            kp = k
-        else:
-            rowmax = float(np.max(np.abs(a[imax, k:imax]))) if imax > k else 0.0
-            if imax + 1 < n:
-                rowmax = max(rowmax, float(np.max(np.abs(a[imax + 1:, imax]))))
-            if absakk * rowmax >= alpha * colmax * colmax:
-                kp = k
-            elif abs(a[imax, imax]) >= alpha * rowmax:
-                kp = imax
-            else:
-                kp = imax
-                k_step = 2
-
-        kk = k + k_step - 1
-        if kp != kk:
-            # symmetric row/column interchange in the trailing block
-            if kp + 1 < n:
-                a[[kk, kp], kp + 1:] = a[[kp, kk], kp + 1:]
-                a[kp + 1:, [kk, kp]] = a[kp + 1:, [kp, kk]]
-            cols = np.arange(kk + 1, kp)
-            tmp = a[kp, cols].copy()
-            a[kp, cols] = a[cols, kk]
-            a[cols, kk] = tmp
-            a[kp, kp], a[kk, kk] = a[kk, kk], a[kp, kp]
-            if k_step == 2:
-                a[kk, k], a[kp, k] = a[kp, k], a[kk, k]
-
-        if k_step == 1:
-            pivot = a[k, k]
-            if abs(pivot) <= tol:
-                raise SingularUpdateError(
-                    f"1x1 pivot {pivot:.3e} below tolerance at step {k}", index=k
-                )
-            r1 = 1.0 / pivot
-            col = a[k + 1:, k].copy()
-            a[k + 1:, k + 1:] -= r1 * np.outer(col, col)
-            a[k + 1:, k] = col * r1
-        else:
-            d21 = a[k + 1, k]
-            det = a[k, k] * a[k + 1, k + 1] - d21 * d21
-            block_scale = max(abs(a[k, k]), abs(a[k + 1, k + 1]), abs(d21))
-            if abs(det) <= tol * block_scale:
-                raise SingularUpdateError(
-                    f"2x2 pivot block singular at step {k}", index=k
-                )
-            if k + 2 < n:
-                d11 = a[k + 1, k + 1] / d21
-                d22 = a[k, k] / d21
-                t = 1.0 / (d11 * d22 - 1.0)
-                d21inv = t / d21
-                colk = a[k + 2:, k].copy()
-                colk1 = a[k + 2:, k + 1].copy()
-                wk = d21inv * (d11 * colk - colk1)
-                wkp1 = d21inv * (d22 * colk1 - colk)
-                a[k + 2:, k + 2:] -= np.outer(colk, wk) + np.outer(colk1, wkp1)
-                a[k + 2:, k] = wk
-                a[k + 2:, k + 1] = wkp1
-
-        if k_step == 1:
-            ipiv[k] = kp
-        else:
-            ipiv[k] = -kp
-            ipiv[k + 1] = -kp
-        k += k_step
-    return a, ipiv
-
-
-def solve_indefinite(s, rhs) -> np.ndarray:
-    """Solve S X = rhs for symmetric (possibly indefinite) S.
-
-    Uses the pivoted LDL^T factorization above; suitable for the small
-    mixed-sign capacitance matrices of the low-rank updates.
-    """
-    s = _as_square(s)
-    b = np.asarray(rhs, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    if b.shape[0] != s.shape[0]:
-        raise ValueError("right-hand side does not match the matrix order")
-    ld, ipiv = _factor_indefinite(s)
-    n = s.shape[0]
-    x = b.copy()
-
-    # forward pass: P L D y = b
-    k = 0
-    while k < n:
-        if ipiv[k] >= 0:
-            kp = ipiv[k]
-            if kp != k:
-                x[[k, kp]] = x[[kp, k]]
-            x[k + 1:] -= np.outer(ld[k + 1:, k], x[k])
-            x[k] /= ld[k, k]
-            k += 1
-        else:
-            kp = -ipiv[k]
-            if kp != k + 1:
-                x[[k + 1, kp]] = x[[kp, k + 1]]
-            x[k + 2:] -= np.outer(ld[k + 2:, k], x[k])
-            x[k + 2:] -= np.outer(ld[k + 2:, k + 1], x[k + 1])
-            akm1k = ld[k + 1, k]
-            akm1 = ld[k, k] / akm1k
-            ak = ld[k + 1, k + 1] / akm1k
-            denom = akm1 * ak - 1.0
-            bkm1 = x[k] / akm1k
-            bk = x[k + 1] / akm1k
-            x[k] = (ak * bkm1 - bk) / denom
-            x[k + 1] = (akm1 * bk - bkm1) / denom
-            k += 2
-
-    # backward pass: L^T P^T x = y
-    k = n - 1
-    while k >= 0:
-        if ipiv[k] >= 0:
-            x[k] -= ld[k + 1:, k] @ x[k + 1:]
-            kp = ipiv[k]
-            if kp != k:
-                x[[k, kp]] = x[[kp, k]]
-            k -= 1
-        else:
-            x[k] -= ld[k + 1:, k] @ x[k + 1:]
-            x[k - 1] -= ld[k + 1:, k - 1] @ x[k + 1:]
-            kp = -ipiv[k]
-            if kp != k:
-                x[[k, kp]] = x[[kp, k]]
-            k -= 2
-
-    return x[:, 0] if vector_rhs else x
-
-
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises NotPositiveDefiniteError on pivot <= 0."""
-    a = _as_square(a)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0 or not math.isfinite(d):
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {d:.3e} at column {j}; matrix is not SPD"
-            )
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
 def spd_inverse(a) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    a = _as_square(a)
-    low = cholesky_lower(a)
-    n = a.shape[0]
-    # forward: L Y = I, then backward: L^T X = Y
-    y = np.zeros_like(a)
-    eye = np.eye(n)
-    for i in range(n):
-        y[i] = (eye[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros_like(a)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
-    return symmetrize(x)
+    """Inverse of a symmetric positive definite matrix via Cholesky.
 
-
-def jacobi_eigenvalues(a, tol: float = JACOBI_TOL, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol`` relative
-    to the full Frobenius norm.  Convergence is quadratic; max_sweeps is a
-    safety stop far beyond what n <= a few hundred ever needs.
+    Raises NotPositiveDefiniteError when the factorization meets a
+    non-positive pivot.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    w = symmetrize(a).copy()
-    norm = math.sqrt(float(np.sum(w * w)))
-    if norm == 0.0:
-        return np.zeros(n)
-    stop = tol * norm
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(w * w)) - float(np.sum(w.diagonal() ** 2))))
-        if off <= stop:
-            break
-        skip = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = w[p, p], w[q, q]
-                # rotate rows/columns p and q, then pin the 2x2 block exactly
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                newp = c * colp - s * colq
-                newq = s * colp + c * colq
-                w[:, p] = newp
-                w[p, :] = newp
-                w[:, q] = newq
-                w[q, :] = newq
-                w[p, p] = app - t * apq
-                w[q, q] = aqq + t * apq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-    return w.diagonal().copy()
+    try:
+        low_inv = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {err}") from None
+    return symmetrize(low_inv.T @ low_inv)
 
 
 def condition_number(a) -> float:
-    """Ratio of extreme eigenvalue magnitudes; +inf for numerically singular input."""
-    eigs = np.abs(jacobi_eigenvalues(a))
+    """Ratio of extreme eigenvalue magnitudes; +inf for numerically singular input.
+
+    Eigenvalues come from the symmetric solver, which reads the lower triangle.
+    """
+    eigs = np.abs(np.linalg.eigvalsh(_as_square(a)))
     amin = float(np.min(eigs))
     amax = float(np.max(eigs))
     if amin < SINGULAR_FLOOR:

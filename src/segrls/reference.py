@@ -1,8 +1,9 @@
 """Brute-force reference paths and synthetic data for verification.
 
-Nothing in this module reuses the package's factorizations: every solve and
-inversion here goes through numpy.linalg, and every weighted sum is assembled
-from scratch, so agreement with the recursive estimator is meaningful.
+The oracles here differ from the estimator in algorithm, not library: every
+weighted sum is assembled from scratch instead of updated recursively, and
+the round-off reference inverts in long double by Gauss-Jordan, so agreement
+with the recursive estimator is meaningful.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .estimator import RlsEstimator, Sample, weight_vector
-from .harmonic import HarmonicModel, make_harmonic_model, regressor_matrix
+from .estimator import RlsEstimator, Sample, information_matrix
+from .harmonic import HarmonicModel, make_harmonic_model
 from .profile import (
     ExponentialProfile,
     SegmentedProfile,
@@ -250,13 +250,6 @@ def criterion_a5(seed: int = DEFAULT_SEED, steps: int = 100) -> CriterionResult:
 # A7: condition-number ordering of the information matrix
 
 
-def information_matrix(profile, model: HarmonicModel, k: int, window: int) -> np.ndarray:
-    indices = np.arange(k - window + 1, k + 1)
-    phi = regressor_matrix(model, indices)
-    weights = weight_vector(profile, window)[::-1]
-    return linalg.symmetrize((phi * weights[:, None]).T @ phi)
-
-
 def condition_ordering(beta: float, lam: float, m: int, p: int, w: int):
     """cond(A) under the pure-fast, segmented and pure-slow laws, same span."""
     model = standard_model()
@@ -339,7 +332,7 @@ def fit_residuals(profile, model: HarmonicModel, samples: Sequence[Sample], wind
     residuals = []
     for sample in samples[window:]:
         est.step(sample)
-        residuals.append(est.approximation_residual(sample))
+        residuals.append(est.residual(sample))
     return est, np.asarray(residuals)
 
 

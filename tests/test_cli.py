@@ -124,6 +124,25 @@ class TestFit:
                     "--output", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("defect", ["nan", "inf", "duplicate-date", "out-of-order"])
+    def test_bad_records_exit_3_with_one_line(self, tmp_path, capsys, defect):
+        path = synth_file(tmp_path)
+        rows = path.read_text().splitlines()
+        i = rows.index("date,value") + 100
+        if defect in ("nan", "inf"):
+            rows[i] = rows[i].split(",")[0] + "," + defect
+        elif defect == "duplicate-date":
+            rows.insert(i, rows[i])
+        else:
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = run(["fit", "--input", str(path), *FIT_FLAGS,
+                    "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
     def test_span_shorter_than_window_exit_3(self, tmp_path):
         data = synth_file(tmp_path, "short.csv", length=50)
         code = run(["fit", "--input", str(data), *FIT_FLAGS,

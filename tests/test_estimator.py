@@ -9,6 +9,7 @@ from segrls.errors import (
     InsufficientDataError,
     NotPositiveDefiniteError,
     RangeError,
+    SingularUpdateError,
     WindowTooSmallError,
 )
 from segrls.estimator import RlsEstimator, Sample
@@ -151,9 +152,32 @@ class TestStep:
         g = est.gamma @ q
         s = q.T @ g
         s[np.diag_indices_from(s)] += PROFILE.lam * signs
-        raw = (est.gamma - g @ linalg.solve_indefinite(s, g.T)) / PROFILE.lam
+        raw = (est.gamma - g @ np.linalg.solve(s, g.T)) / PROFILE.lam
         asym = np.max(np.abs(raw - raw.T)) / np.max(np.abs(raw))
         assert asym <= 1e-12
+
+    def test_singular_update_leaves_state_unchanged(self):
+        from segrls.harmonic import regressor_matrix
+
+        series = make_series(1.0)
+        est = init_on(series)
+        for sample in series[PROFILE.w : PROFILE.w + 5]:
+            est.step(sample)
+        k = est.k + 1
+        lags = np.array(est.template.lags)
+        scales = np.array(est.template.scales)
+        signs = np.array(est.template.signs, dtype=float)
+        p = np.linalg.pinv(regressor_matrix(MODEL, k - lags).T * scales)
+        # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
+        est.gamma = -PROFILE.lam * p.T @ np.diag(signs) @ p
+        before = (est.k, est.theta.copy(), est.gamma.copy(), list(est._y))
+        with pytest.raises(SingularUpdateError) as err:
+            est.step(series[k - 1])
+        assert err.value.index == k
+        assert est.k == before[0]
+        assert np.array_equal(est.theta, before[1])
+        assert np.array_equal(est.gamma, before[2])
+        assert est._y == before[3]
 
     def test_periodic_reinit_keeps_oracle_agreement(self):
         series = make_series(1.0)
@@ -172,22 +196,22 @@ class TestResiduals:
         est = init_on(series)
         for sample in series[PROFILE.w :]:
             est.step(sample)
-            assert abs(est.approximation_residual(sample)) <= 1e-8
+            assert abs(est.residual(sample)) <= 1e-8
 
     def test_zero_theta_returns_measurement(self):
         series = make_series(1.0)
         est = init_on(series)
         est.theta = np.zeros(MODEL.dim)
         sample = series[PROFILE.w]
-        assert est.approximation_residual(sample) == sample.y
+        assert est.residual(sample) == sample.y
 
     def test_one_step_ahead_uses_current_parameters(self):
         series = make_series(1.0)
         est = init_on(series)
         incoming = series[PROFILE.w]
-        ahead = est.prediction_residual(incoming)
+        ahead = est.residual(incoming)
         est.step(incoming)
-        post = est.approximation_residual(incoming)
+        post = est.residual(incoming)
         assert ahead != post  # parameters moved on the update
 
     def test_noisy_residual_std_tracks_noise_level(self):
@@ -199,7 +223,7 @@ class TestResiduals:
         residuals = []
         for sample in series[200:]:
             est.step(sample)
-            residuals.append(est.approximation_residual(sample))
+            residuals.append(est.residual(sample))
         assert np.std(residuals) == pytest.approx(sigma, rel=0.15)
 
 

@@ -41,6 +41,12 @@ class TestParseStockholm:
             parse_stockholm("1756 1 1 -1.2\n1756 1 2\n")
         assert err.value.line_number == 2
 
+    def test_non_finite_value_reports_line_number(self):
+        for text in ("nan", "-inf"):
+            with pytest.raises(ParseError) as err:
+                parse_stockholm(f"1756 1 1 -1.2\n1756 1 2 {text} 0.0\n")
+            assert err.value.line_number == 2
+
     def test_non_numeric_fields(self):
         with pytest.raises(ParseError):
             parse_stockholm("1756 1 1 abc")
@@ -63,6 +69,12 @@ class TestParseCsv:
         with pytest.raises(ParseError) as err:
             parse_csv("date,value\n2000-01-01,3.5\n2000-01-02,oops\n")
         assert err.value.line_number == 3
+
+    def test_non_finite_value_reports_line_number(self):
+        for text in ("nan", "inf", "-Infinity"):
+            with pytest.raises(ParseError) as err:
+                parse_csv(f"date,value\n2000-01-01,3.5\n2000-01-02,{text}\n")
+            assert err.value.line_number == 3
 
     def test_bad_iso_date(self):
         with pytest.raises(ParseError):
@@ -139,7 +151,10 @@ class TestToIndexed:
 
     def test_unsorted_input_rejected(self):
         records = make_records(["2000-01-02", "2000-01-01"], [1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(CalendarError):
+            to_indexed(records)
+        records = make_records(["2000-01-01", "2000-01-01"], [1.0, 2.0])
+        with pytest.raises(CalendarError):
             to_indexed(records)
 
     def test_empty_input(self):
