@@ -41,7 +41,7 @@ from .profile import (
     drop_ratio,
     make_segmented,
     update_template,
-    weight,
+    weights,
 )
 from .reference import (
     SyntheticSpec,
@@ -91,5 +91,5 @@ __all__ = [
     "regressor_matrix",
     "synth_generate",
     "update_template",
-    "weight",
+    "weights",
 ]

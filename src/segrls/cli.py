@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window length (also the init length for --profile infinite)")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="diagonal loading added to the initial information matrix")
-        p.add_argument("--reinit", type=int, default=0,
-                       help="rebuild the gain matrix every N steps (0 = never)")
 
     def add_data_flags(p):
         p.add_argument("--input", required=True, help="input series file")
@@ -207,8 +205,6 @@ def _common_config(args):
         )
     if args.epsilon < 0.0:
         errors.append("--epsilon must be >= 0")
-    if args.reinit < 0:
-        errors.append("--reinit must be >= 0")
     if getattr(args, "horizon", 1) < 1:
         errors.append("--horizon must be >= 1")
     if getattr(args, "cond_every", 0) < 0:
@@ -304,11 +300,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
             f"span has {len(samples)} samples; need more than the window {window}"
         )
     est = RlsEstimator.init(
-        profile,
-        model,
-        samples[:window],
-        diagonal_loading=args.epsilon,
-        reinit_period=args.reinit,
+        profile, model, samples[:window], diagonal_loading=args.epsilon
     )
     rows = []
 

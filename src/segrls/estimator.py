@@ -33,7 +33,7 @@ from .profile import (
     ExponentialProfile,
     ForgettingProfile,
     update_template,
-    weight,
+    weights,
 )
 
 
@@ -58,11 +58,6 @@ class ForecastBand(NamedTuple):
     sigma: float
 
 
-def weight_vector(profile: ForgettingProfile, count: int) -> np.ndarray:
-    """Weights f(0..count-1), newest lag first."""
-    return np.array([weight(profile, j) for j in range(count)])
-
-
 def information_matrix(profile, model, k: int, count: int, y=None):
     """Directly weighted normal equations over the ``count`` indices ending at k.
 
@@ -70,11 +65,16 @@ def information_matrix(profile, model, k: int, count: int, y=None):
     ``y`` (oldest first), returns (A, b) with b = sum_j f(j) phi_{k-j} y_{k-j}.
     """
     phi = regressor_matrix(model, np.arange(k - count + 1, k + 1))
-    wphi = phi * weight_vector(profile, count)[::-1, None]  # oldest row first
+    wphi = phi * weights(profile, count)[::-1, None]  # oldest row first
     a = linalg.symmetrize(wphi.T @ phi)
     if y is None:
         return a
     return a, wphi.T @ np.asarray(y, dtype=float)
+
+
+def _check_finite(k: int, y: float) -> None:
+    if not math.isfinite(y):
+        raise RangeError(f"non-finite value {y!r} at index {k}")
 
 
 def _check_consecutive(samples: Sequence[Sample]) -> None:
@@ -88,17 +88,14 @@ def _check_consecutive(samples: Sequence[Sample]) -> None:
 class RlsEstimator:
     """Windowed RLS engine; single-owner, advance with step() in index order."""
 
-    def __init__(self, profile, model, *, diagonal_loading=0.0, reinit_period=0):
+    def __init__(self, profile, model, *, diagonal_loading=0.0):
         if diagonal_loading < 0.0:
             raise RangeError("diagonal loading must be >= 0")
-        if reinit_period < 0:
-            raise RangeError("reinit period must be >= 0")
         self.profile: ForgettingProfile = profile
         self.model: HarmonicModel = model
         self.template = update_template(profile)
         self.diagonal_loading = float(diagonal_loading)
         self.loading_applied = False
-        self.reinit_period = int(reinit_period)
         self.gamma: np.ndarray | None = None
         self.theta: np.ndarray | None = None
         self.k: int = 0
@@ -106,7 +103,6 @@ class RlsEstimator:
         self._first_index: int = 0
         self._y: list[float] = []
         self._residuals: list[float] = []
-        self._steps = 0
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
         self._lags = np.array(self.template.lags, dtype=int)
         self._scales = np.array(self.template.scales)
@@ -123,7 +119,6 @@ class RlsEstimator:
         samples: Iterable[Sample],
         *,
         diagonal_loading: float = 0.0,
-        reinit_period: int = 0,
     ) -> "RlsEstimator":
         """Batch-initialize over the first window.
 
@@ -134,15 +129,12 @@ class RlsEstimator:
         NotPositiveDefiniteError when the initial information matrix is not
         SPD (insufficient excitation); a positive ``diagonal_loading`` adds
         eps*I to the initial matrix instead, and the choice is recorded on
-        ``loading_applied``.
+        ``loading_applied``.  A non-finite value raises RangeError.
         """
-        est = cls(
-            profile,
-            model,
-            diagonal_loading=diagonal_loading,
-            reinit_period=reinit_period,
-        )
+        est = cls(profile, model, diagonal_loading=diagonal_loading)
         samples = [Sample(int(s[0]), float(s[1])) for s in samples]
+        for sample in samples:
+            _check_finite(*sample)
         unbounded = isinstance(profile, ExponentialProfile) and profile.unbounded
         window = len(samples) if unbounded else profile.w
         if window < model.dim:
@@ -178,7 +170,8 @@ class RlsEstimator:
         """Consume the next sample (index state.k + 1) and update theta, gamma.
 
         A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
-        as B^{-1}.  Nothing is changed when the update raises.
+        as B^{-1}.  A non-finite y raises RangeError; nothing is changed when
+        the step raises.
         """
         if self.gamma is None:
             raise RuntimeError("estimator is not initialized; call init() first")
@@ -186,6 +179,7 @@ class RlsEstimator:
         y = float(sample[1])
         if k != self.k + 1:
             raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
+        _check_finite(k, y)
 
         q = regressor_matrix(self.model, k - self._lags).T * self._scales[None, :]
         # lag 0 is the incoming sample; _y[-lag] is sample k - lag
@@ -202,14 +196,10 @@ class RlsEstimator:
             ) from err
 
         self.gamma, self.theta, self.k = gamma, theta, k
-        self._steps += 1
         self._y.append(y)
         if len(self._y) > self.window:
             del self._y[: len(self._y) - self.window]
         self._record_residual(k, y)
-
-        if self.reinit_period and self._steps % self.reinit_period == 0:
-            self.gamma = linalg.spd_inverse(self.info_matrix())
 
     def _record_residual(self, k: int, y: float) -> None:
         r = y - predict_first_harmonic(self.model, self.theta, k)

@@ -3,9 +3,11 @@
 Three laws are supported: a segmented profile (fast exponential head, a drop,
 then a slow exponential tail out to the window edge), a finite-window
 exponential profile, and the classical infinite-memory exponential profile.
-For each law the per-step correction of the weighted information matrix is a
-small signed batch of scaled lagged regressor columns; ``update_template``
-derives the exact lags, scales and signs of that batch.
+``weights`` is the one evaluator of a law: it returns f(0..count-1) as a
+vector.  For each law the per-step correction of the weighted information
+matrix is a small signed batch of scaled lagged regressor columns;
+``update_template`` derives the exact lags, scales and signs of that batch in
+closed form.
 """
 
 from __future__ import annotations
@@ -14,31 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import (
     DegenerateColumnError,
     DropConditionError,
     RangeError,
     WindowError,
 )
-
-
-def powi(base: float, exponent: int) -> float:
-    """base**exponent for integer exponent >= 0, by binary squaring.
-
-    Used for every weight evaluation so that repeated powers stay mutually
-    consistent across platforms (no dependence on libm pow).
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    result = 1.0
-    acc = base
-    e = exponent
-    while e:
-        if e & 1:
-            result *= acc
-        acc *= acc
-        e >>= 1
-    return result
 
 
 class TemplateEntry(NamedTuple):
@@ -103,8 +88,8 @@ class SegmentedProfile:
             raise DegenerateColumnError(
                 "beta == lambda gives zero-scale fast-segment columns"
             )
-        lam_m = powi(self.lam, self.m)
-        beta_p = powi(self.beta, self.p)
+        lam_m = self.lam**self.m
+        beta_p = self.beta**self.p
         if lam_m == beta_p:
             raise DegenerateColumnError(
                 "lambda^m == beta^p gives a zero-scale drop column"
@@ -153,19 +138,26 @@ def make_segmented(beta: float, lam: float, m: int, p: int, w: int) -> Segmented
     return SegmentedProfile(beta=beta, lam=lam, m=m, p=p, w=w)
 
 
-def weight(profile: ForgettingProfile, j: int) -> float:
-    """Weight f(j) applied to the data point j samples in the past."""
-    if j < 0:
-        raise ValueError("lag must be >= 0")
+def weights(profile: ForgettingProfile, count: int) -> np.ndarray:
+    """Weights f(0..count-1), newest lag first; zero from the window edge on.
+
+    f(j) is beta^j on lags 0..p and lambda^(m+j-p) after that for the
+    segmented law, lambda^j for the exponential laws.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count!r}")
+    j = np.arange(count, dtype=float)
     if isinstance(profile, ExponentialProfile):
-        if profile.w is not None and j >= profile.w:
-            return 0.0
-        return powi(profile.lam, j)
-    if j >= profile.w:
-        return 0.0
-    if j <= profile.p:
-        return powi(profile.beta, j)
-    return powi(profile.lam, profile.m + j - profile.p)
+        f = np.power(profile.lam, j)
+    else:
+        f = np.where(
+            j <= profile.p,
+            np.power(profile.beta, j),
+            np.power(profile.lam, profile.m + j - profile.p),
+        )
+    if profile.w is not None:
+        f[profile.w :] = 0.0
+    return f
 
 
 def update_template(profile: ForgettingProfile) -> UpdateTemplate:
@@ -181,7 +173,7 @@ def update_template(profile: ForgettingProfile) -> UpdateTemplate:
         entries = [TemplateEntry(0, 1.0, +1)]
         if profile.w is not None:
             entries.append(
-                TemplateEntry(profile.w, math.sqrt(powi(profile.lam, profile.w)), -1)
+                TemplateEntry(profile.w, math.sqrt(profile.lam**profile.w), -1)
             )
         return UpdateTemplate(entries=tuple(entries))
 
@@ -190,16 +182,16 @@ def update_template(profile: ForgettingProfile) -> UpdateTemplate:
     sign_fast = 1 if beta > lam else -1
     for j in range(1, p + 1):
         entries.append(
-            TemplateEntry(j, math.sqrt(powi(beta, j - 1) * abs(beta - lam)), sign_fast)
+            TemplateEntry(j, math.sqrt(beta ** (j - 1) * abs(beta - lam)), sign_fast)
         )
-    lam_m = powi(lam, m)
-    beta_p = powi(beta, p)
+    lam_m = lam**m
+    beta_p = beta**p
     sign_drop = 1 if lam_m > beta_p else -1
     entries.append(TemplateEntry(p + 1, math.sqrt(abs(lam_m - beta_p) * lam), sign_drop))
-    entries.append(TemplateEntry(w, math.sqrt(powi(lam, m + w - p)), -1))
+    entries.append(TemplateEntry(w, math.sqrt(lam ** (m + w - p)), -1))
     return UpdateTemplate(entries=tuple(entries))
 
 
 def drop_ratio(profile: SegmentedProfile) -> float:
     """f(p+1)/f(p) = lambda^(m+1)/beta^p, in (0, 1) by construction."""
-    return powi(profile.lam, profile.m + 1) / powi(profile.beta, profile.p)
+    return profile.lam ** (profile.m + 1) / profile.beta**profile.p

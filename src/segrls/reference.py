@@ -20,9 +20,9 @@ from .errors import (
     NotPositiveDefiniteError,
     RangeError,
 )
-from .estimator import RlsEstimator, Sample, weight_vector
+from .estimator import RlsEstimator, Sample
 from .harmonic import HarmonicModel, regressor_matrix
-from .profile import ExponentialProfile, ForgettingProfile
+from .profile import ExponentialProfile, ForgettingProfile, weights
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -110,33 +110,24 @@ def direct_weighted_ls(
     model: HarmonicModel,
     samples: Sequence[Sample],
     k: int,
-    *,
-    weight_floor: float | None = None,
 ):
     """Explicitly assembled weighted normal equations at index k.
 
     Returns (A_k, theta_k) with A_k = sum_j f(j) phi phi^T over the window
-    (or the whole available history for the unbounded profile, optionally
-    truncated where f(j) < weight_floor).  No recursion anywhere.
+    (or the whole available history for the unbounded profile).  No
+    recursion anywhere.
     """
     first = samples[0].k
     if not first <= k <= samples[-1].k:
         raise ValueError(f"index {k} outside the sample range {first}..{samples[-1].k}")
     available = k - first + 1
-    if isinstance(profile, ExponentialProfile) and profile.unbounded:
-        count = available
-        if weight_floor is not None and weight_floor > 0.0:
-            # f(j) = lam^j < floor  <=>  j > log(floor)/log(lam)
-            count = min(count, int(math.log(weight_floor) / math.log(profile.lam)) + 1)
-    else:
-        count = min(available, profile.w)
+    count = available if profile.w is None else min(available, profile.w)
 
     window = samples[available - count : available]
     indices = np.array([s.k for s in window], dtype=float)
     values = np.array([s.y for s in window], dtype=float)
     phi = regressor_matrix(model, indices)
-    weights = weight_vector(profile, count)[::-1]
-    wphi = phi * weights[:, None]
+    wphi = phi * weights(profile, count)[::-1, None]
     a = wphi.T @ phi
     a = (a + a.T) * 0.5
     b = wphi.T @ values
@@ -158,9 +149,7 @@ def direct_weighted_ls(
 class TrajectoryReport:
     theta_dev_max: float
     gamma_dev_max: float
-    worst_index: int
     steps: int
-    condition_numbers: list[tuple[int, float]]
 
 
 def compare_trajectory(
@@ -169,8 +158,6 @@ def compare_trajectory(
     samples: Sequence[Sample],
     *,
     init_count: int | None = None,
-    cond_every: int = 0,
-    weight_floor: float | None = None,
 ) -> TrajectoryReport:
     """Run the recursion and the direct solve side by side over a series.
 
@@ -191,14 +178,10 @@ def compare_trajectory(
     est = RlsEstimator.init(profile, model, samples[:window])
     theta_dev_max = 0.0
     gamma_dev_max = 0.0
-    worst_index = est.k
-    conds: list[tuple[int, float]] = []
 
-    for step_no, sample in enumerate(samples[window:], start=1):
+    for sample in samples[window:]:
         est.step(sample)
-        a_direct, theta_direct = direct_weighted_ls(
-            profile, model, samples, est.k, weight_floor=weight_floor
-        )
+        a_direct, theta_direct = direct_weighted_ls(profile, model, samples, est.k)
         gamma_direct = np.linalg.inv(a_direct)
         theta_dev = float(
             np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
@@ -206,19 +189,13 @@ def compare_trajectory(
         gamma_dev = float(
             np.linalg.norm(est.gamma - gamma_direct) / np.linalg.norm(gamma_direct)
         )
-        if max(theta_dev, gamma_dev) > max(theta_dev_max, gamma_dev_max):
-            worst_index = est.k
         theta_dev_max = max(theta_dev_max, theta_dev)
         gamma_dev_max = max(gamma_dev_max, gamma_dev)
-        if cond_every and step_no % cond_every == 0:
-            conds.append((est.k, linalg.condition_number(a_direct)))
 
     return TrajectoryReport(
         theta_dev_max=theta_dev_max,
         gamma_dev_max=gamma_dev_max,
-        worst_index=worst_index,
         steps=len(samples) - window,
-        condition_numbers=conds,
     )
 
 

@@ -21,7 +21,7 @@ from .profile import (
     ExponentialProfile,
     SegmentedProfile,
     update_template,
-    weight,
+    weights,
 )
 from .reference import (
     SyntheticSpec,
@@ -122,11 +122,7 @@ def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
     series = _standard_series(seed)
     rep_fin = compare_trajectory(ExponentialProfile(FIG2_LAMBDA, FIG2_W), model, series)
     rep_inf = compare_trajectory(
-        ExponentialProfile(FIG2_LAMBDA),
-        model,
-        series,
-        init_count=FIG2_W,
-        weight_floor=1e-18,
+        ExponentialProfile(FIG2_LAMBDA), model, series, init_count=FIG2_W
     )
     elapsed = time.perf_counter() - start
     worst_theta = max(rep_fin.theta_dev_max, rep_inf.theta_dev_max)
@@ -197,10 +193,8 @@ def criterion_a3(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult
 def criterion_a4() -> CriterionResult:
     start = time.perf_counter()
     prof = fig2_profile()
-    worst = 0.0
-    for j in range(prof.p + 1, prof.w - 1):
-        fj1 = weight(prof, j + 1)
-        worst = max(worst, abs(fj1 - prof.lam * weight(prof, j)) / fj1)
+    tail = weights(prof, prof.w)[prof.p + 1 :]
+    worst = float(np.max(np.abs(tail[1:] - prof.lam * tail[:-1]) / tail[1:]))
     template = update_template(prof)
     shape_ok = template.rank == prof.p + 3 and template.signs == (1, -1, -1, -1)
     elapsed = time.perf_counter() - start

@@ -47,6 +47,12 @@ class TestInit:
         with pytest.raises(ValueError):
             RlsEstimator.init(PROFILE, MODEL, make_series(0.0)[: PROFILE.w - 1])
 
+    def test_non_finite_value_rejected(self):
+        series = make_series(0.0)[: PROFILE.w]
+        series[10] = Sample(series[10].k, math.inf)
+        with pytest.raises(RangeError):
+            RlsEstimator.init(PROFILE, MODEL, series)
+
     def test_consecutive_indices_required(self):
         series = make_series(0.0)[: PROFILE.w]
         series[10] = Sample(series[10].k + 5, series[10].y)
@@ -179,15 +185,18 @@ class TestStep:
         assert np.array_equal(est.gamma, before[2])
         assert est._y == before[3]
 
-    def test_periodic_reinit_keeps_oracle_agreement(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_leaves_state_unchanged(self, bad):
         series = make_series(1.0)
-        est = init_on(series, reinit_period=10)
-        for sample in series[PROFILE.w :]:
-            est.step(sample)
-            _, theta_direct = direct_weighted_ls(PROFILE, MODEL, series, est.k)
-            assert np.linalg.norm(est.theta - theta_direct) <= 1e-6 * np.linalg.norm(
-                theta_direct
-            )
+        est = init_on(series)
+        est.step(series[PROFILE.w])
+        before = (est.k, est.theta.copy(), est.gamma.copy(), list(est._y))
+        with pytest.raises(RangeError):
+            est.step(Sample(est.k + 1, bad))
+        assert est.k == before[0]
+        assert np.array_equal(est.theta, before[1])
+        assert np.array_equal(est.gamma, before[2])
+        assert est._y == before[3]
 
 
 class TestResiduals:

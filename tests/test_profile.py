@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from segrls.errors import (
@@ -13,9 +15,8 @@ from segrls.profile import (
     SegmentedProfile,
     drop_ratio,
     make_segmented,
-    powi,
     update_template,
-    weight,
+    weights,
 )
 
 FIG2 = dict(beta=0.89, lam=0.99, m=250, p=1, w=400)
@@ -27,14 +28,6 @@ DROP_9296 = 0.090106762940978889        # 0.96**61 / 0.92
 EXP_REMOVAL_SCALE = 0.13397967485796195  # 0.99**200
 
 
-def test_powi_matches_pow():
-    for base in (0.3, 0.89, 0.99, 1.7):
-        for exp in (0, 1, 2, 17, 250, 649):
-            assert powi(base, exp) == pytest.approx(base**exp, rel=1e-13)
-    with pytest.raises(ValueError):
-        powi(0.5, -1)
-
-
 class TestConstruction:
     def test_fig2_parameters_valid(self):
         prof = make_segmented(**FIG2)
@@ -43,7 +36,7 @@ class TestConstruction:
     def test_fig1_factors_valid(self):
         # lambda^(m+1) < 0.92 requires m >= 2 here
         prof = make_segmented(0.92, 0.96, 60, 1, 400)
-        assert powi(0.96, 61) < 0.92
+        assert 0.96**61 < 0.92
         assert prof.p == 1
 
     def test_equal_factors_rejected(self):
@@ -90,34 +83,53 @@ class TestConstruction:
 
 class TestWeight:
     def test_fig2_values(self):
-        prof = make_segmented(**FIG2)
-        assert weight(prof, 0) == 1.0
-        assert weight(prof, 1) == 0.89
-        assert weight(prof, 2) == pytest.approx(W_FIG2_LAG2, rel=1e-14)
-        assert weight(prof, 400) == 0.0
-        assert weight(prof, 1000) == 0.0
+        f = weights(make_segmented(**FIG2), 1001)
+        assert f[0] == 1.0
+        assert f[1] == 0.89
+        assert f[2] == pytest.approx(W_FIG2_LAG2, rel=1e-14)
+        assert f[400] == 0.0
+        assert f[1000] == 0.0
 
     def test_exponential_values(self):
-        prof = ExponentialProfile(0.99, 400)
-        assert weight(prof, 3) == pytest.approx(0.970299, abs=1e-12)
-        assert weight(prof, 400) == 0.0
-        unbounded = ExponentialProfile(0.99)
-        assert weight(unbounded, 400) == pytest.approx(0.99**400, rel=1e-13)
+        f = weights(ExponentialProfile(0.99, 400), 401)
+        assert f[3] == pytest.approx(0.970299, abs=1e-12)
+        assert f[400] == 0.0
+        unbounded = weights(ExponentialProfile(0.99), 401)
+        assert unbounded[400] == pytest.approx(0.99**400, rel=1e-13)
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
-            weight(make_segmented(**FIG2), -1)
+            weights(make_segmented(**FIG2), -1)
+        assert weights(make_segmented(**FIG2), 0).shape == (0,)
 
     def test_monotone_segments(self):
         prof = make_segmented(**FIG2)
-        fast = [weight(prof, j) for j in range(prof.p + 1)]
-        assert all(a > b for a, b in zip(fast, fast[1:]))
-        tail = [weight(prof, j) for j in range(prof.p + 1, prof.w)]
-        assert all(a > b for a, b in zip(tail, tail[1:]))
+        f = weights(prof, prof.w)
+        assert np.all(np.diff(f[: prof.p + 1]) < 0)
+        assert np.all(np.diff(f[prof.p + 1 :]) < 0)
 
     def test_drop_present(self):
         prof = make_segmented(**FIG2)
-        assert weight(prof, prof.p + 1) < weight(prof, prof.p)
+        f = weights(prof, prof.w)
+        assert f[prof.p + 1] < f[prof.p]
+
+    @pytest.mark.parametrize(
+        "prof",
+        [make_segmented(**FIG2), ExponentialProfile(0.99, 400)],
+        ids=["fig2", "exponential"],
+    )
+    def test_within_two_ulp_of_exact_power(self, prof):
+        # exact rational powers of the float factors, rounded once
+        seg = isinstance(prof, SegmentedProfile)
+        for j, got in enumerate(weights(prof, prof.w)):
+            if seg and j <= prof.p:
+                base, e = prof.beta, j
+            elif seg:
+                base, e = prof.lam, prof.m + j - prof.p
+            else:
+                base, e = prof.lam, j
+            exact = float(Fraction(base) ** e)
+            assert abs(got - exact) <= 2 * math.ulp(exact), (j, got, exact)
 
 
 class TestTemplate:
@@ -186,31 +198,31 @@ class TestTemplateAlgebra:
     def test_telescoping_tail(self, prof):
         # within the slow segment the scaled previous weight already equals
         # the next weight, so no correction columns are needed there
+        f = weights(prof, prof.w)
         for j in range(prof.p + 1, prof.w - 1):
-            fj1 = weight(prof, j + 1)
-            assert abs(fj1 - prof.lam * weight(prof, j)) <= 1e-12 * fj1
+            assert abs(f[j + 1] - prof.lam * f[j]) <= 1e-12 * f[j + 1]
 
     def test_template_completeness(self, prof):
         template = update_template(prof)
+        f = weights(prof, prof.w)
         signed_sq = {e.lag: e.sign * e.scale**2 for e in template.entries}
         assert signed_sq.pop(0) == 1.0  # lag 0 contributes f(0) = 1
         for lag in range(1, prof.w):
-            correction = weight(prof, lag) - prof.lam * weight(prof, lag - 1)
+            correction = f[lag] - prof.lam * f[lag - 1]
             if lag in signed_sq:
                 assert signed_sq.pop(lag) == pytest.approx(correction, rel=1e-12)
             else:
                 # telescoping lag: zero in exact arithmetic, round-off here
-                assert abs(correction) <= 1e-12 * weight(prof, lag)
+                assert abs(correction) <= 1e-12 * f[lag]
         # the window-edge column removes lambda * f(w-1)
         assert signed_sq.pop(prof.w) == pytest.approx(
-            -prof.lam * weight(prof, prof.w - 1), rel=1e-12
+            -prof.lam * f[prof.w - 1], rel=1e-12
         )
         assert not signed_sq
 
 
 def test_exponential_template_reproduces_weight_law():
     prof = ExponentialProfile(0.97, 50)
+    f = weights(prof, prof.w)
     for j in range(prof.w - 1):
-        assert weight(prof, j + 1) - prof.lam * weight(prof, j) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        assert f[j + 1] - prof.lam * f[j] == pytest.approx(0.0, abs=1e-15)

@@ -92,18 +92,8 @@ class TestDirectWeightedLs:
         _, theta = direct_weighted_ls(PROFILE, MODEL, series, 100)
         assert np.linalg.norm(theta - THETA_STAR) <= 1e-8 * np.linalg.norm(THETA_STAR)
 
-    def test_truncated_unbounded_matches_full_sum(self):
-        # lambda = 0.8: weights fall below 1e-18 inside the series span
-        prof = ExponentialProfile(0.8)
-        series = synth_generate(spec(1.0, length=400))
-        _, full = direct_weighted_ls(prof, MODEL, series, 400)
-        _, truncated = direct_weighted_ls(
-            prof, MODEL, series, 400, weight_floor=1e-18
-        )
-        assert np.linalg.norm(full - truncated) <= 1e-12 * np.linalg.norm(full)
-
     def test_accumulation_order_insensitive(self):
-        from segrls.estimator import weight_vector
+        from segrls.profile import weights
 
         series = synth_generate(spec(1.0))
         k = 90
@@ -111,13 +101,13 @@ class TestDirectWeightedLs:
         # reassemble the normal equations in shuffled order
         rng = np.random.default_rng(0)
         order = rng.permutation(PROFILE.w)
-        weights = weight_vector(PROFILE, PROFILE.w)
+        f = weights(PROFILE, PROFILE.w)
         a_shuffled = np.zeros_like(a)
         b_shuffled = np.zeros(MODEL.dim)
         for j in order:
             phi = regressor_at(MODEL, k - j)
-            a_shuffled += weights[j] * np.outer(phi, phi)
-            b_shuffled += weights[j] * phi * series[k - 1 - j].y
+            a_shuffled += f[j] * np.outer(phi, phi)
+            b_shuffled += f[j] * phi * series[k - 1 - j].y
         theta_shuffled = np.linalg.solve(a_shuffled, b_shuffled)
         assert np.linalg.norm(theta - theta_shuffled) <= 1e-10 * np.linalg.norm(theta)
 
@@ -154,12 +144,6 @@ class TestCompareTrajectory:
         assert report.steps == 30
         assert report.theta_dev_max <= 1e-10
         assert report.gamma_dev_max <= 1e-10
-
-    def test_condition_numbers_sampled(self):
-        series = synth_generate(spec(1.0, length=70))
-        report = compare_trajectory(PROFILE, MODEL, series, cond_every=10)
-        assert len(report.condition_numbers) == 2
-        assert all(c > 1.0 for _, c in report.condition_numbers)
 
     def test_unbounded_needs_init_count(self):
         series = synth_generate(spec(1.0, length=70))
