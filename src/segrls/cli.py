@@ -32,7 +32,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .estimator import RlsEstimator
-from .harmonic import make_harmonic_model, predict, predict_first_harmonic
+from .harmonic import make_harmonic_model
 from .ingest import GAP_POLICIES, IndexedSeries, parse_csv, parse_stockholm, to_indexed
 from .linalg import condition_number
 from .profile import ExponentialProfile, SegmentedProfile
@@ -44,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_DATA_ERRORS = (OSError, ParseError, CalendarError, GapError, RangeError)
+_DATA_ERRORS = (OSError, UnicodeError, ParseError, CalendarError, GapError, RangeError)
 
 _NUMERICAL_ERRORS = (
     NotPositiveDefiniteError,
@@ -203,8 +203,8 @@ def _common_config(args):
         errors.append(
             f"--window {args.window} is smaller than the model dimension {model.dim}"
         )
-    if args.epsilon < 0.0:
-        errors.append("--epsilon must be >= 0")
+    if not 0.0 <= args.epsilon < math.inf:
+        errors.append(f"--epsilon must be finite and >= 0, got {args.epsilon}")
     if getattr(args, "horizon", 1) < 1:
         errors.append("--horizon must be >= 1")
     if getattr(args, "cond_every", 0) < 0:
@@ -285,16 +285,10 @@ def _config_footer(args, model, extra=()) -> list[str]:
 # shared fit driver
 
 
-def _init_window(profile, args) -> int:
-    if isinstance(profile, ExponentialProfile) and profile.unbounded:
-        return args.window
-    return profile.w
-
-
 def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
     """Initialize on the first window, then stream; returns per-step rows."""
     samples = series.samples
-    window = _init_window(profile, args)
+    window = args.window if profile.w is None else profile.w
     if len(samples) < window + 1:
         raise RangeError(
             f"span has {len(samples)} samples; need more than the window {window}"
@@ -305,8 +299,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
     rows = []
 
     def emit(sample):
-        yhat = predict(model, est.theta, sample.k)
-        yhat1 = predict_first_harmonic(model, est.theta, sample.k)
+        yhat, yhat1 = est.fitted()
         cond = None
         if cond_every and (sample.k - samples[window - 1].k) % cond_every == 0:
             cond = condition_number(est.info_matrix())
@@ -461,6 +454,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@_data_command
 def cmd_synth(args) -> int:
     errors: list[str] = []
     model = _build_model(args, errors)
@@ -476,13 +470,17 @@ def cmd_synth(args) -> int:
             errors.append(
                 f"--theta has {len(leading)} entries, model dimension is {model.dim}"
             )
+        elif not all(map(math.isfinite, leading)):
+            errors.append(f"--theta entries must be finite: {args.theta!r}")
         else:
             theta = np.zeros(model.dim)
             theta[: len(leading)] = leading
     if args.length < 1:
         errors.append("--length must be >= 1")
-    if args.sigma < 0.0:
-        errors.append("--sigma must be >= 0")
+    if not 0.0 <= args.sigma < math.inf:
+        errors.append(f"--sigma must be finite and >= 0, got {args.sigma}")
+    if origin is not None and args.length > (datetime.date.max - origin).days + 1:
+        errors.append(f"--length {args.length} from --origin {origin} passes year 9999")
     if errors:
         return _fail_config(errors)
 
@@ -493,7 +491,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         length=args.length,
     )
-    samples = synth_generate(spec)
+    try:
+        samples = synth_generate(spec)
+    except RangeError as err:
+        return _fail_config([str(err)])
     out = []
     out.extend(_config_footer(args, model, extra=[f"# theta_full={','.join(fmt(v) for v in theta)}"]))
     out.append("date,value")

@@ -6,11 +6,14 @@ template as a single signed low-rank correction: the gain matrix (inverse of
 the weighted information matrix) and the parameter vector are updated together
 by ``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of
 the small r x r capacitance matrix, never by refactoring the full matrix.
+A ring holds the rows and values of the last (largest lag + 1) samples, so a
+step builds one regressor row, phi_k, and keeps it for the fitted values at k.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,16 +28,11 @@ from .errors import (
 )
 from .harmonic import (
     HarmonicModel,
-    predict,
     predict_first_harmonic,
+    regressor_at,
     regressor_matrix,
 )
-from .profile import (
-    ExponentialProfile,
-    ForgettingProfile,
-    update_template,
-    weights,
-)
+from .profile import ForgettingProfile, update_template, weights
 
 
 class Sample(NamedTuple):
@@ -62,14 +60,20 @@ def information_matrix(profile, model, k: int, count: int, y=None):
     """Directly weighted normal equations over the ``count`` indices ending at k.
 
     Returns A = sum_j f(j) phi_{k-j} phi_{k-j}^T.  Given the window values
-    ``y`` (oldest first), returns (A, b) with b = sum_j f(j) phi_{k-j} y_{k-j}.
+    ``y`` (oldest first), returns (A, b, phi) with b = sum_j f(j) phi_{k-j}
+    y_{k-j} and phi the window's regressor rows, oldest first.
     """
     phi = regressor_matrix(model, np.arange(k - count + 1, k + 1))
     wphi = phi * weights(profile, count)[::-1, None]  # oldest row first
     a = linalg.symmetrize(wphi.T @ phi)
     if y is None:
         return a
-    return a, wphi.T @ np.asarray(y, dtype=float)
+    return a, wphi.T @ np.asarray(y, dtype=float), phi
+
+
+def _first_harmonic(theta, phi):
+    """dc + fundamental part of phi^T theta per row, in predict_first_harmonic order."""
+    return theta[0] + theta[1] * phi[..., 1] + theta[2] * phi[..., 2]
 
 
 def _check_finite(k: int, y: float) -> None:
@@ -89,8 +93,8 @@ class RlsEstimator:
     """Windowed RLS engine; single-owner, advance with step() in index order."""
 
     def __init__(self, profile, model, *, diagonal_loading=0.0):
-        if diagonal_loading < 0.0:
-            raise RangeError("diagonal loading must be >= 0")
+        if not 0.0 <= diagonal_loading < math.inf:
+            raise RangeError("diagonal loading must be finite and >= 0")
         self.profile: ForgettingProfile = profile
         self.model: HarmonicModel = model
         self.template = update_template(profile)
@@ -101,12 +105,15 @@ class RlsEstimator:
         self.k: int = 0
         self.window: int = 0
         self._first_index: int = 0
-        self._y: list[float] = []
-        self._residuals: list[float] = []
+        self._residuals: deque[float] = deque()
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
         self._lags = np.array(self.template.lags, dtype=int)
         self._scales = np.array(self.template.scales)
         self._signs = np.array(self.template.signs, dtype=float)
+        # ring of regressor rows and values; sample k sits in slot k % size
+        self._rows = np.zeros((int(self._lags.max()) + 1, model.dim))
+        self._values = np.zeros(len(self._rows))
+        self._phi: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -135,7 +142,7 @@ class RlsEstimator:
         samples = [Sample(int(s[0]), float(s[1])) for s in samples]
         for sample in samples:
             _check_finite(*sample)
-        unbounded = isinstance(profile, ExponentialProfile) and profile.unbounded
+        unbounded = profile.w is None
         window = len(samples) if unbounded else profile.w
         if window < model.dim:
             raise WindowTooSmallError(
@@ -150,17 +157,20 @@ class RlsEstimator:
         est.window = window
         est.k = samples[-1].k
         est._first_index = samples[0].k
-        est._y = [s.y for s in samples]
+        y = np.array([s.y for s in samples])
 
-        a, b = information_matrix(profile, model, est.k, window, est._y)
+        a, b, phi = information_matrix(profile, model, est.k, window, y)
         if est.diagonal_loading > 0.0:
             a = a + est.diagonal_loading * np.eye(model.dim)
             est.loading_applied = True
         est.gamma = linalg.spd_inverse(a)
         est.theta = est.gamma @ b
 
-        for sample in samples:
-            est._record_residual(sample.k, sample.y)
+        size = len(est._values)
+        slots = np.arange(est._first_index, est.k + 1)[-size:] % size
+        est._rows[slots], est._values[slots] = phi[-size:], y[-size:]
+        est._phi = phi[-1]
+        est._residuals = deque((y - _first_harmonic(est.theta, phi)).tolist(), window)
         return est
 
     # ------------------------------------------------------------------
@@ -181,34 +191,35 @@ class RlsEstimator:
             raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
         _check_finite(k, y)
 
-        q = regressor_matrix(self.model, k - self._lags).T * self._scales[None, :]
-        # lag 0 is the incoming sample; _y[-lag] is sample k - lag
-        y_aug = self._scales * np.array(
-            [self._y[-lag] if lag else y for lag in self._lags]
-        )
+        phi = regressor_at(self.model, k)
+        # the slot of sample k held sample k - size, which no lag reaches
+        size = len(self._values)
+        slot = k % size
+        saved = self._rows[slot].copy(), self._values[slot]
+        self._rows[slot], self._values[slot] = phi, y
+        lagged = (k - self._lags) % size
+        q = self._rows[lagged].T * self._scales
+        y_aug = self._scales * self._values[lagged]
         try:
             gamma, theta = linalg.batch_inverse_update(
                 self.gamma / self.profile.decay, q, self._signs, self.theta, y_aug
             )
         except SingularUpdateError as err:
+            self._rows[slot], self._values[slot] = saved
             raise SingularUpdateError(
                 f"update solve failed at index {k}: {err}", index=k
             ) from err
 
-        self.gamma, self.theta, self.k = gamma, theta, k
-        self._y.append(y)
-        if len(self._y) > self.window:
-            del self._y[: len(self._y) - self.window]
-        self._record_residual(k, y)
-
-    def _record_residual(self, k: int, y: float) -> None:
-        r = y - predict_first_harmonic(self.model, self.theta, k)
-        self._residuals.append(r)
-        if len(self._residuals) > self.window:
-            del self._residuals[: len(self._residuals) - self.window]
+        self.gamma, self.theta, self.k, self._phi = gamma, theta, k, phi
+        self._residuals.append(y - float(_first_harmonic(theta, phi)))
 
     # ------------------------------------------------------------------
     # residuals and diagnostics
+
+    def fitted(self) -> tuple[float, float]:
+        """(phi_k^T theta, its dc + first-harmonic part) at the current index k."""
+        phi, theta = self._phi, self.theta
+        return float(phi @ theta), float(_first_harmonic(theta, phi))
 
     def residual(self, sample: Sample) -> float:
         """y - phi^T theta with the current parameters.
@@ -216,7 +227,9 @@ class RlsEstimator:
         Called before stepping past the sample it is the one-step-ahead
         prediction residual; after, the approximation residual.
         """
-        return float(sample[1]) - predict(self.model, self.theta, int(sample[0]))
+        k = int(sample[0])
+        phi = self._phi if k == self.k else regressor_at(self.model, k)
+        return float(sample[1]) - float(phi @ self.theta)
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""
@@ -251,12 +264,5 @@ class RlsEstimator:
         does not touch the recursively maintained gain matrix.
         """
         span = self.k - self._first_index + 1
-        count = span if self._unbounded_window() else min(span, self.window)
+        count = span if self.profile.w is None else min(span, self.window)
         return information_matrix(self.profile, self.model, self.k, count)
-
-    def _unbounded_window(self) -> bool:
-        return isinstance(self.profile, ExponentialProfile) and self.profile.unbounded
-
-    @property
-    def residual_window(self) -> tuple[float, ...]:
-        return tuple(self._residuals)

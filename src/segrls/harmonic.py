@@ -26,16 +26,18 @@ class HarmonicModel:
     frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise RangeError(f"period must be positive, got {self.period!r}")
+        if not 0.0 < self.period < math.inf:
+            raise RangeError(f"period must be positive and finite, got {self.period!r}")
         if self.harmonics < 0:
             raise RangeError(f"harmonics must be >= 0, got {self.harmonics!r}")
-        freqs = 2.0 * math.pi * np.arange(1, self.harmonics + 2) / self.period
-        if freqs[-1] >= math.pi:
+        # the top frequency is checked before the grid of harmonics is allocated
+        top = 2.0 * math.pi * (self.harmonics + 1) / self.period
+        if top >= math.pi:
             raise NyquistError(
-                f"top frequency {freqs[-1]:.6g} reaches the Nyquist limit pi; "
+                f"top frequency {top:.6g} reaches the Nyquist limit pi; "
                 f"reduce harmonics or increase the period"
             )
+        freqs = 2.0 * math.pi * np.arange(1, self.harmonics + 2) / self.period
         object.__setattr__(self, "frequencies", freqs)
 
     @property

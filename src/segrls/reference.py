@@ -22,7 +22,7 @@ from .errors import (
 )
 from .estimator import RlsEstimator, Sample
 from .harmonic import HarmonicModel, regressor_matrix
-from .profile import ExponentialProfile, ForgettingProfile, weights
+from .profile import ForgettingProfile, weights
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -85,19 +85,27 @@ class SyntheticSpec:
             raise RangeError(
                 f"theta_star has length {theta.size}, model dimension is {self.model.dim}"
             )
-        if self.noise_sigma < 0.0:
-            raise RangeError("noise sigma must be >= 0")
+        if not np.all(np.isfinite(theta)):
+            raise RangeError("theta_star must be finite")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise RangeError("noise sigma must be finite and >= 0")
         if self.length < 1:
             raise RangeError("length must be >= 1")
         object.__setattr__(self, "theta_star", theta)
 
 
 def synth_generate(spec: SyntheticSpec) -> list[Sample]:
-    """y_k = phi_k^T theta_star + sigma * g_k for k = 1..length."""
+    """y_k = phi_k^T theta_star + sigma * g_k for k = 1..length.
+
+    Raises RangeError when a value overflows the float range.
+    """
     indices = np.arange(1, spec.length + 1)
-    clean = regressor_matrix(spec.model, indices) @ spec.theta_star
-    if spec.noise_sigma > 0.0:
-        clean = clean + spec.noise_sigma * random_normals(spec.seed, spec.length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = regressor_matrix(spec.model, indices) @ spec.theta_star
+        if spec.noise_sigma > 0.0:
+            clean = clean + spec.noise_sigma * random_normals(spec.seed, spec.length)
+    if not np.all(np.isfinite(clean)):
+        raise RangeError("synthetic series overflows the float range")
     return [Sample(int(k), float(y)) for k, y in zip(indices, clean)]
 
 
@@ -165,7 +173,7 @@ def compare_trajectory(
     profile (windowed profiles always initialize over w samples).
     """
     samples = list(samples)
-    unbounded = isinstance(profile, ExponentialProfile) and profile.unbounded
+    unbounded = profile.w is None
     if unbounded:
         if init_count is None:
             raise ValueError("init_count is required for the unbounded profile")
@@ -225,7 +233,7 @@ def monte_carlo_bias(
     """Componentwise mean(theta_k) - theta_star over independent realizations."""
     if trials < 100:
         raise RangeError("at least 100 trials are required for the bias estimate")
-    unbounded = isinstance(profile, ExponentialProfile) and profile.unbounded
+    unbounded = profile.w is None
     window = (init_count if unbounded else profile.w)
     if window is None:
         raise ValueError("init_count is required for the unbounded profile")

@@ -61,6 +61,31 @@ class TestSynth:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--period", "nan"],
+        ["fit", "--period", "inf"],
+        ["fit", "--epsilon", "nan"],
+        ["fit", "--epsilon", "inf"],
+        ["synth", "--period", "nan"],
+        ["synth", "--sigma", "nan"],
+        ["synth", "--sigma", "inf"],
+        ["synth", "--theta", "nan,1"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_non_finite_flag_is_a_config_error(tmp_path, capsys, argv):
+    data = synth_file(tmp_path)
+    capsys.readouterr()
+    command, *flags = argv
+    base = ["--input", str(data), *FIT_FLAGS] if command == "fit" else SMALL_MODEL
+    code = run([command, *base, *flags, "--output", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+
+
 class TestFit:
     def test_fit_emits_rows_and_footer(self, tmp_path):
         data = synth_file(tmp_path)

@@ -13,8 +13,8 @@ from segrls.errors import (
     WindowTooSmallError,
 )
 from segrls.estimator import RlsEstimator, Sample
-from segrls.harmonic import make_harmonic_model, predict_first_harmonic
-from segrls.profile import ExponentialProfile, SegmentedProfile
+from segrls.harmonic import make_harmonic_model, predict, predict_first_harmonic
+from segrls.profile import ExponentialProfile, SegmentedProfile, update_template
 from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
@@ -31,6 +31,19 @@ def make_series(sigma, seed=11, length=160):
 
 def init_on(series, profile=PROFILE, **kwargs):
     return RlsEstimator.init(profile, MODEL, series[: profile.w], **kwargs)
+
+
+def state_of(est):
+    """Copies of everything a step may change, the ring of rows and values included."""
+    return (est.k, est.theta.copy(), est.gamma.copy(), est._rows.copy(),
+            est._values.copy(), list(est._residuals))
+
+
+def assert_state_equal(est, before):
+    after = state_of(est)
+    assert after[0] == before[0] and after[5] == before[5]
+    for got, want in zip(after[1:5], before[1:5]):
+        assert np.array_equal(got, want)
 
 
 class TestInit:
@@ -77,6 +90,11 @@ class TestInit:
         plain = init_on(make_series(0.0))
         assert not plain.loading_applied
 
+    @pytest.mark.parametrize("loading", [-1.0, math.nan, math.inf])
+    def test_bad_diagonal_loading_rejected(self, loading):
+        with pytest.raises(RangeError):
+            init_on(make_series(0.0), diagonal_loading=loading)
+
     def test_unbounded_profile_uses_given_length(self):
         series = make_series(0.0)[:80]
         est = RlsEstimator.init(ExponentialProfile(0.97), MODEL, series)
@@ -110,14 +128,17 @@ class TestStep:
         "profile,init_count",
         [
             (PROFILE, None),
+            (SegmentedProfile(beta=0.85, lam=0.97, m=30, p=3, w=50), None),
             (ExponentialProfile(0.97, 50), None),
             (ExponentialProfile(0.97), 50),
         ],
-        ids=["segmented", "exponential", "infinite"],
+        ids=["segmented", "segmented-p3", "exponential", "infinite"],
     )
     def test_matches_direct_weighted_ls(self, profile, init_count):
-        series = make_series(1.0)
+        # the ring of rows holds the largest lag + 1 samples: wrap it 3 times
         window = init_count or profile.w
+        ring = max(update_template(profile).lags) + 1
+        series = make_series(1.0, length=max(160, window + 3 * ring + 1))
         est = RlsEstimator.init(profile, MODEL, series[:window])
         for sample in series[window:]:
             est.step(sample)
@@ -176,27 +197,21 @@ class TestStep:
         p = np.linalg.pinv(regressor_matrix(MODEL, k - lags).T * scales)
         # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
         est.gamma = -PROFILE.lam * p.T @ np.diag(signs) @ p
-        before = (est.k, est.theta.copy(), est.gamma.copy(), list(est._y))
+        before = state_of(est)
         with pytest.raises(SingularUpdateError) as err:
             est.step(series[k - 1])
         assert err.value.index == k
-        assert est.k == before[0]
-        assert np.array_equal(est.theta, before[1])
-        assert np.array_equal(est.gamma, before[2])
-        assert est._y == before[3]
+        assert_state_equal(est, before)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_value_leaves_state_unchanged(self, bad):
         series = make_series(1.0)
         est = init_on(series)
         est.step(series[PROFILE.w])
-        before = (est.k, est.theta.copy(), est.gamma.copy(), list(est._y))
+        before = state_of(est)
         with pytest.raises(RangeError):
             est.step(Sample(est.k + 1, bad))
-        assert est.k == before[0]
-        assert np.array_equal(est.theta, before[1])
-        assert np.array_equal(est.gamma, before[2])
-        assert est._y == before[3]
+        assert_state_equal(est, before)
 
 
 class TestResiduals:
@@ -206,6 +221,17 @@ class TestResiduals:
         for sample in series[PROFILE.w :]:
             est.step(sample)
             assert abs(est.residual(sample)) <= 1e-8
+
+    def test_fitted_values_equal_predictions_bitwise(self):
+        # the kept phi_k stands in for predict and predict_first_harmonic
+        series = make_series(1.0)
+        est = init_on(series)
+        for sample in series[PROFILE.w - 1 : PROFILE.w + 60]:
+            if sample.k > est.k:
+                est.step(sample)
+            full = predict(MODEL, est.theta, sample.k)
+            assert est.fitted() == (full, predict_first_harmonic(MODEL, est.theta, sample.k))
+            assert est.residual(sample) == sample.y - full
 
     def test_zero_theta_returns_measurement(self):
         series = make_series(1.0)

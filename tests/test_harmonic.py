@@ -34,6 +34,11 @@ class TestModel:
         with pytest.raises(RangeError):
             make_harmonic_model(365.25, -1)
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_rejected(self, period):
+        with pytest.raises(RangeError):
+            make_harmonic_model(period, 3)
+
 
 class TestRegressor:
     def test_at_zero(self):

@@ -85,6 +85,14 @@ class TestSynthGenerate:
         with pytest.raises(RangeError):
             spec(1.0, length=0)
 
+    @pytest.mark.parametrize("sigma,theta_0", [(math.nan, 1.0), (math.inf, 1.0),
+                                               (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_spec_rejected(self, sigma, theta_0):
+        theta = THETA_STAR.copy()
+        theta[0] = theta_0
+        with pytest.raises(RangeError):
+            spec(sigma, theta=theta)
+
 
 class TestDirectWeightedLs:
     def test_noiseless_recovers_truth(self):
