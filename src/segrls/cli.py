@@ -33,7 +33,14 @@ from .errors import (
 )
 from .estimator import RlsEstimator
 from .harmonic import make_harmonic_model
-from .ingest import GAP_POLICIES, IndexedSeries, parse_csv, parse_stockholm, to_indexed
+from .ingest import (
+    GAP_POLICIES,
+    IndexedSeries,
+    Records,
+    parse_csv,
+    parse_stockholm,
+    to_indexed,
+)
 from .linalg import condition_number
 from .profile import ExponentialProfile, SegmentedProfile
 from .reference import SyntheticSpec, synth_generate
@@ -251,7 +258,7 @@ def _load_records(args):
     return parse_csv(text)
 
 
-def _load_series(args, start, end) -> tuple[IndexedSeries, list]:
+def _load_series(args, start, end) -> tuple[IndexedSeries, Records]:
     records = _load_records(args)
     series = to_indexed(records, start=start, end=end, gap_policy=args.gap_policy)
     return series, records
@@ -412,13 +419,13 @@ def cmd_forecast(args) -> int:
     est, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 
-    observed_by_date = {r.date: r.value for r in records}
+    days = [series.date_of(point.k) for point in band.points]
+    pos, recorded = records.find(np.array(days, dtype="datetime64[D]"))
     out = ["k,date,mean,lower,upper,observed,in_band"]
     hits = 0
     total = 0
-    for point in band.points:
-        day = series.date_of(point.k)
-        observed = observed_by_date.get(day)
+    for point, day, i, found in zip(band.points, days, pos.tolist(), recorded.tolist()):
+        observed = float(records.values[i]) if found else None
         in_band = ""
         if observed is not None:
             inside = point.lower <= observed <= point.upper

@@ -22,6 +22,24 @@ def synth_file(tmp_path, name="series.csv", length=600, sigma=1.5, seed=5,
     return path
 
 
+def csv_rows(path):
+    """(date, value text) of every data row of a CSV series."""
+    return [line.split(",") for line in path.read_text().splitlines()
+            if line and not line.startswith(("#", "date"))]
+
+
+def stockholm_file(tmp_path, csv_path, skip=()):
+    """The CSV series in the observatory layout, with one extra column; ``skip`` drops dates."""
+    lines = ["# sample observatory file"]
+    for day, value in csv_rows(csv_path):
+        if day not in skip:
+            y, m, d = day.split("-")
+            lines.append(f"{int(y)} {int(m)} {int(d)} {value} 9.9")
+    path = tmp_path / "obs.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 FIT_FLAGS = [*SMALL_MODEL, "--window", "60", "--beta", "0.85", "--lambda", "0.97",
              "--m", "30", "--p", "1"]
 
@@ -168,6 +186,18 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    def test_oversized_date_field_exit_3_with_one_line(self, tmp_path, capsys):
+        path = stockholm_file(tmp_path, synth_file(tmp_path, length=80))
+        rows = path.read_text().splitlines()
+        rows[10] = "99999999999999999999 1 1 -1.2 9.9"
+        path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = run(["fit", "--input", str(path), "--format", "stockholm", *FIT_FLAGS,
+                    "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 11: ") and err.count("\n") == 1
+
     def test_span_shorter_than_window_exit_3(self, tmp_path):
         data = synth_file(tmp_path, "short.csv", length=50)
         code = run(["fit", "--input", str(data), *FIT_FLAGS,
@@ -183,16 +213,8 @@ class TestFit:
         assert code == 4
 
     def test_stockholm_format(self, tmp_path):
-        lines = ["# sample observatory file"]
         base = synth_file(tmp_path, "csvtwin.csv", sigma=0.5, length=80)
-        for line in base.read_text().splitlines():
-            if line.startswith(("#", "date")):
-                continue
-            day, value = line.split(",")
-            y, m, d = day.split("-")
-            lines.append(f"{int(y)} {int(m)} {int(d)} {value} 9.9")
-        path = tmp_path / "obs.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path = stockholm_file(tmp_path, base)
         out = tmp_path / "fit.csv"
         code = run(["fit", "--input", str(path), "--format", "stockholm",
                     *FIT_FLAGS, "--output", str(out)])
@@ -274,6 +296,36 @@ class TestForecast:
                     "--horizon", "10", "--output", str(out)])
         assert code == 0
         assert _footer_value(out, "coverage") == "na"
+
+    def test_observed_and_in_band_match_the_archive(self, tmp_path):
+        # 500 days from 2000-01-01; the fit ends on day 440, the 90-day horizon
+        # runs 30 days past the last record, and three horizon days are missing
+        base = synth_file(tmp_path, length=500)
+        observed = dict(csv_rows(base))
+        dates = sorted(observed)
+        dropped = {dates[449], dates[450], dates[469]}
+        path = stockholm_file(tmp_path, base, skip=dropped)
+        out = tmp_path / "fc.csv"
+        code = run(["forecast", "--input", str(path), "--format", "stockholm", *FIT_FLAGS,
+                    "--start", dates[49], "--end", dates[439], "--horizon", "90",
+                    "--output", str(out)])
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith(("#", "k,"))]
+        assert len(rows) == 90
+        hits = 0
+        for k, date, _, lower, upper, seen, in_band in rows:
+            if date in observed and date not in dropped:
+                value = float(observed[date])
+                inside = float(lower) <= value <= float(upper)
+                hits += inside
+                assert (seen, in_band) == (f"{value:.9g}", str(int(inside)))
+            else:
+                assert (seen, in_band) == ("", "")
+        total = 60 - len(dropped)
+        assert sum(r[5] != "" for r in rows) == total
+        assert _footer_value(out, "observed_horizon_days") == str(total)
+        assert _footer_value(out, "coverage") == f"{hits / total:.9g}"
 
     def test_bad_horizon_exit_2(self, tmp_path):
         data = synth_file(tmp_path)

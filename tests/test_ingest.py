@@ -1,9 +1,11 @@
 import datetime
+import re
 
+import numpy as np
 import pytest
 
 from segrls.errors import CalendarError, GapError, ParseError, RangeError
-from segrls.ingest import SeriesRecord, parse_csv, parse_stockholm, to_indexed
+from segrls.ingest import Records, SeriesRecord, parse_csv, parse_stockholm, to_indexed
 
 STOCKHOLM_SAMPLE = """\
 # Stockholm daily mean temperatures (sample)
@@ -24,7 +26,7 @@ class TestParseStockholm:
         assert len(records) == 3
 
     def test_comments_and_blank_lines_skipped(self):
-        assert parse_stockholm("# only a comment\n\n") == []
+        assert len(parse_stockholm("# only a comment\n\n")) == 0
 
     def test_value_column_selection(self):
         records = parse_stockholm(STOCKHOLM_SAMPLE, value_column=4)
@@ -57,7 +59,7 @@ class TestParseStockholm:
 class TestParseCsv:
     def test_minimal_file(self):
         records = parse_csv("date,value\n2000-01-01,3.5\n")
-        assert records == [SeriesRecord(day("2000-01-01"), 3.5)]
+        assert list(records) == [SeriesRecord(day("2000-01-01"), 3.5)]
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -91,7 +93,7 @@ class TestParseCsv:
 
 
 def make_records(days, values):
-    return [SeriesRecord(day(d), v) for d, v in zip(days, values)]
+    return Records(np.array(days, dtype="datetime64[D]"), np.array(values, dtype=float))
 
 
 class TestToIndexed:
@@ -159,4 +161,202 @@ class TestToIndexed:
 
     def test_empty_input(self):
         with pytest.raises(RangeError):
-            to_indexed([])
+            to_indexed(make_records([], []))
+
+
+def line_of(err):
+    """The line number an ingest error names."""
+    if isinstance(err, ParseError):
+        return err.line_number
+    return int(re.match(r"line (\d+): ", str(err)).group(1))
+
+
+# Both layouts hold the same records.  Comment, blank and whitespace-only
+# lines, tabs and extra columns are skipped or ignored; value columns 3-5 of
+# the observatory layout carry distinct spellings of a float.
+OBSERVATORY_TABLE = """\
+# observatory layout, columns: year month day v3 v4 v5 flag
+
+1756 1 1 -1.2 -1.1 1e-3 1
+   \t
+  # an indented comment
+1756\t1\t2\t-4.0\t+.5\t5. x y z
+ 1756  2 29   0.1   -0   1E2   # a trailing note after the columns
+1900 2 28 2.675 -3.7 0.30000000000000004 0
+9999 12 31 1e300 -1e-300 123456789.123456789 0
+"""
+
+CSV_TABLE = """\
+# csv layout
+
+date,value
+1756-01-01,-1.2
+   \t
+  # an indented comment
+1756-01-02,\t+.5
+1756-02-29,   -0
+1900-02-28,2.675 \t
+9999-12-31,123456789.123456789
+"""
+
+
+def reference_rows(text, fmt, value_column):
+    """(date, value) per data line, read with date() and float() one line at a time."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#") or line == "date,value":
+            continue
+        if fmt == "csv":
+            date_text, value_text = line.split(",")
+            rows.append((day(date_text), float(value_text)))
+        else:
+            tokens = line.split()
+            rows.append((datetime.date(*map(int, tokens[:3])), float(tokens[value_column])))
+    return rows
+
+
+def parse(fmt, text, value_column=3):
+    return parse_csv(text) if fmt == "csv" else parse_stockholm(text, value_column)
+
+
+@pytest.mark.parametrize(
+    "fmt, text, value_column",
+    [
+        ("stockholm", OBSERVATORY_TABLE, 3),
+        ("stockholm", OBSERVATORY_TABLE, 4),
+        ("stockholm", OBSERVATORY_TABLE, 5),
+        ("csv", CSV_TABLE, None),
+    ],
+    ids=["observatory-3", "observatory-4", "observatory-5", "csv"],
+)
+def test_grammar_accepts_layout(fmt, text, value_column):
+    records = parse(fmt, text, value_column)
+    expected = reference_rows(text, fmt, value_column)
+    assert len(records) == len(expected) == 5
+    assert [(r.date, r.value) for r in records] == expected
+    assert [r.value.hex() for r in records] == [v.hex() for _, v in expected]  # -0.0 too
+    assert records.dates.dtype == "datetime64[D]" and records.values.dtype == float
+    assert records[-1] == SeriesRecord(*expected[-1])
+
+
+BAD_LINE_AT = 7  # the bad line replaces this line (a data line) of the table
+
+
+@pytest.mark.parametrize(
+    "fmt, bad, error",
+    [
+        ("stockholm", "1756 2 3", ParseError),             # short line
+        ("stockholm", "1756 2.0 3 5", ParseError),         # non-integer date field
+        ("stockholm", "1756 feb 3 5", ParseError),
+        ("stockholm", "1757 2 29 5", CalendarError),       # not a leap year
+        ("stockholm", "1756 13 1 5", CalendarError),
+        ("stockholm", "0 1 1 5", CalendarError),
+        ("stockholm", "99999999999999999999 1 1 5", CalendarError),  # past int64
+        ("stockholm", "1756 2 3 abc", ParseError),         # non-numeric
+        ("stockholm", "1756 2 3 nan", ParseError),
+        ("stockholm", "1756 2 3 -inf", ParseError),
+        ("stockholm", "1756 2 3 5#x", ParseError),         # a glued '#' is not a comment
+        ("stockholm", "1756 2 3 # 5", ParseError),
+        ("csv", "1756-02-03", ParseError),                 # short line
+        ("csv", "1756-02-03,1,2", ParseError),
+        ("csv", "03/02/1756,5", ParseError),               # not an ISO date
+        ("csv", "1757-02-29,5", CalendarError),
+        ("csv", "1756-02-03,abc", ParseError),             # non-numeric
+        ("csv", "1756-02-03,nan", ParseError),
+        ("csv", "1756-02-03,Infinity", ParseError),
+        ("csv", "1756-02-03,5#x", ParseError),             # a glued '#' is not a comment
+    ],
+)
+def test_grammar_rejects_line(fmt, bad, error):
+    lines = (CSV_TABLE if fmt == "csv" else OBSERVATORY_TABLE).splitlines()
+    lines[BAD_LINE_AT - 1] = bad
+    with pytest.raises(error) as err:
+        parse(fmt, "\n".join(lines) + "\n")
+    assert type(err.value) is error
+    assert line_of(err.value) == BAD_LINE_AT
+
+
+# Tokens that int(), float() and date.fromisoformat() read but the one-pass
+# reader refuses: digit separators, non-ASCII digits, integers past 64 bits,
+# basic and week ISO dates, whitespace around the CSV date, quoted cells.
+@pytest.mark.parametrize(
+    "fmt, bad",
+    [
+        ("stockholm", "1756 2 3 1_0.5"),
+        ("stockholm", "1_756 2 3 5"),
+        ("stockholm", "1756 2 3 ٥"),
+        ("stockholm", "1756 2 ３ 5"),
+        ("csv", "1756-02-03,1_0.5"),
+        ("csv", "17560203,5"),
+        ("csv", "1756-W05-7,5"),
+        ("csv", " 1756-02-03,5"),
+        ("csv", '1756-02-03,"5"'),
+    ],
+)
+def test_grammar_narrowing_is_a_parse_error(fmt, bad):
+    lines = (CSV_TABLE if fmt == "csv" else OBSERVATORY_TABLE).splitlines()
+    lines[BAD_LINE_AT - 1] = bad
+    with pytest.raises(ParseError) as err:
+        parse(fmt, "\n".join(lines) + "\n")
+    assert line_of(err.value) == BAD_LINE_AT
+
+
+def test_first_line_the_float_grammar_refuses_is_named_first():
+    """A line float() refuses is reported before an earlier narrowed token."""
+    lines = OBSERVATORY_TABLE.splitlines()
+    lines[BAD_LINE_AT - 1] = "1756 2 3 1_0.5"
+    lines[BAD_LINE_AT] = "1756 2 4 nan"
+    with pytest.raises(ParseError) as err:
+        parse_stockholm("\n".join(lines) + "\n")
+    assert line_of(err.value) == BAD_LINE_AT + 1
+    assert "non-finite" in str(err.value)
+
+
+# Gaps of 1, 2, 3 and 6 days between irregular values; spans that start or end
+# inside a gap.
+GAPPY = make_records(
+    ["2000-01-01", "2000-01-02", "2000-01-04", "2000-01-07", "2000-01-08",
+     "2000-01-12", "2000-01-19", "2000-01-20"],
+    [0.1, -3.7, 2.675, 1e-3, -0.0, 123456.789, -2.5e-7, 7.3],
+)
+
+
+def scalar_fill(records, start, end, policy):
+    """Values and filled days of [start, end], one day at a time, by the scalar formulas."""
+    known = {r.date: r.value for r in records}
+    values, filled = [], []
+    when = start
+    while when <= end:
+        if when in known:
+            values.append(known[when])
+        else:
+            left = max(d for d in known if d < when)
+            right = min(d for d in known if d > when)
+            if policy == "previous":
+                values.append(known[left])
+            else:
+                frac = (when - left).days / (right - left).days
+                values.append(known[left] + frac * (known[right] - known[left]))
+            filled.append(when)
+        when += datetime.timedelta(days=1)
+    return values, tuple(filled)
+
+
+@pytest.mark.parametrize("policy", ["interpolate", "previous"])
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        ("2000-01-01", "2000-01-20"),  # the whole data span
+        ("2000-01-03", "2000-01-18"),  # both ends inside a gap
+        ("2000-01-05", "2000-01-12"),
+        ("2000-01-09", "2000-01-09"),  # one filled day
+    ],
+)
+def test_gap_fill_is_bit_identical_to_the_scalar_formula(policy, start, end):
+    series = to_indexed(GAPPY, start=day(start), end=day(end), gap_policy=policy)
+    values, filled = scalar_fill(GAPPY, day(start), day(end), policy)
+    assert [s.y.hex() for s in series.samples] == [v.hex() for v in values]
+    assert [s.k for s in series.samples] == list(range(1, len(values) + 1))
+    assert series.filled == filled
+    assert series.origin == day(start)
