@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -138,8 +137,7 @@ def parse_csv(text: str) -> Records:
         return _records(year, month, day, table["value"])
 
     def walk(numbered):
-        # one csv stream over all data lines, so a quoted cell may span lines
-        rows = csv.reader(io.StringIO("\n".join(raw for _, raw in numbered)))
+        rows = _csv_rows([raw for _, raw in numbered], lines)
         next(rows)  # the header
         for row, (line_no, _) in zip(rows, numbered[1:]):
             if len(row) != 2:
@@ -159,7 +157,7 @@ def parse_csv(text: str) -> Records:
     rows = _data_lines(lines)
     if not rows:
         raise ParseError("empty input; expected a 'date,value' header")
-    header = next(csv.reader(raw + "\n" for raw in rows))
+    header = next(_csv_rows(rows, lines))
     if [cell.strip().lower() for cell in header] != ["date", "value"]:
         raise ParseError(
             f"expected header 'date,value', got {','.join(header)!r}",
@@ -175,6 +173,20 @@ def _data_lines(lines: list[str]) -> list[str]:
 
 def _numbered_data_lines(lines: list[str]) -> list[tuple[int, str]]:
     return [(no, raw) for no, raw in enumerate(lines, start=1) if _data_lines([raw])]
+
+
+def _csv_rows(rows: list[str], lines: list[str]):
+    """csv rows of the data ``rows`` as one stream, so a quoted cell may span lines.
+
+    A ``csv.Error``, such as a cell past the csv module's field size limit,
+    becomes a ``ParseError`` naming the line of ``lines`` the reader stopped at.
+    """
+    reader = csv.reader(raw + "\n" for raw in rows)
+    try:
+        yield from reader
+    except csv.Error as err:
+        line_no = _numbered_data_lines(lines)[reader.line_num - 1][0]
+        raise ParseError(str(err), line_number=line_no) from None
 
 
 def _load(rows: list[str], dtype: np.dtype, **kwargs) -> np.ndarray:

@@ -134,16 +134,20 @@ def direct_weighted_ls(
     window = samples[available - count : available]
     indices = np.array([s.k for s in window], dtype=float)
     values = np.array([s.y for s in window], dtype=float)
-    phi = regressor_matrix(model, indices)
-    wphi = phi * weights(profile, count)[::-1, None]
-    a = wphi.T @ phi
+    return _direct_solve(profile, regressor_matrix(model, indices), values)
+
+
+def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray):
+    """(A, theta) of the weighted normal equations over one window, oldest row first."""
+    wphi = rows * weights(profile, len(rows))[::-1, None]
+    a = wphi.T @ rows
     a = (a + a.T) * 0.5
     b = wphi.T @ values
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
-            f"information matrix at index {k} is not positive definite"
+            f"information matrix of a {len(rows)}-row window is not positive definite"
         ) from err
     theta = np.linalg.solve(a, b)
     return a, theta
@@ -186,10 +190,14 @@ def compare_trajectory(
     est = RlsEstimator.init(profile, model, samples[:window])
     theta_dev_max = 0.0
     gamma_dev_max = 0.0
+    # every window's rows are slices of one series-wide regressor matrix
+    rows = regressor_matrix(model, np.array([s.k for s in samples], dtype=float))
+    values = np.array([s.y for s in samples], dtype=float)
 
-    for sample in samples[window:]:
+    for available, sample in enumerate(samples[window:], start=window + 1):
         est.step(sample)
-        a_direct, theta_direct = direct_weighted_ls(profile, model, samples, est.k)
+        span = slice(0 if unbounded else available - profile.w, available)
+        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span])
         gamma_direct = np.linalg.inv(a_direct)
         theta_dev = float(
             np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
@@ -276,6 +284,10 @@ class AccumulationReport:
     trials: int
 
 
+# trials per stacked long-double inverse: larger stacks cost peak memory, not time
+_GJ_GROUP = 4
+
+
 def _random_orthogonal(n: int, seed: int) -> np.ndarray:
     g = random_normals(seed, n * n).reshape(n, n)
     q, r = np.linalg.qr(g)
@@ -294,22 +306,32 @@ def random_spd_with_cond(n: int, cond: float, seed: int) -> np.ndarray:
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     """Extended-precision (longdouble) dense inverse with partial pivoting.
 
+    ``a`` is one (n, n) matrix or an (m, n, n) stack; each matrix of a stack
+    is pivoted on its own, with the same per-element arithmetic, so each
+    slice of the result equals the inverse of that slice alone.
     Reference-only: used to measure the float64 update paths against a
     direct inverse whose own error sits orders of magnitude below theirs.
     """
     a = np.asarray(a, dtype=np.longdouble)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n, dtype=np.longdouble)])
+    stack = a.reshape(-1, *a.shape[-2:])
+    m, n = stack.shape[:2]
+    eye = np.broadcast_to(np.eye(n, dtype=np.longdouble), stack.shape)
+    aug = np.concatenate([stack, eye], axis=2)
+    members = np.arange(m)
+    buf = np.empty_like(aug)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if aug[piv, col] == 0:
+        piv = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
+        if (aug[members, piv, col] == 0).any():
             raise ZeroDivisionError(f"singular matrix at column {col}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
-        rows = np.arange(n) != col
-        aug[rows] -= np.outer(aug[rows, col], aug[col])
-    return aug[:, n:]
+        swapped = aug[members, piv]
+        aug[members, piv] = aug[:, col]
+        aug[:, col] = swapped
+        pivot_row = aug[:, col] / aug[:, col, col, None]
+        # every row less its multiple of the pivot row; the pivot row is then put back
+        np.multiply(aug[:, :, col, None], pivot_row[:, None, :], out=buf)
+        aug -= buf
+        aug[:, col] = pivot_row
+    return aug[:, :, n:].reshape(a.shape)
 
 
 def _window_transition_batch(n: int, steps: int, b_inv: np.ndarray, seed: int):
@@ -363,32 +385,39 @@ def accumulation_experiment(
     chain_errors = np.empty(trials)
     incidents = 0
 
-    for t in range(trials):
-        trial_seed = derive_seed(seed, t)
-        b = random_spd_with_cond(n, cond_target, trial_seed)
-        b_ld = np.asarray(b, dtype=np.longdouble)
-        b_inv = linalg.symmetrize(np.asarray(gauss_jordan_inverse(b_ld), dtype=float))
-        cols, signs = _window_transition_batch(n, steps, b_inv, trial_seed)
+    for first in range(0, trials, _GJ_GROUP):
+        group = range(first, min(first + _GJ_GROUP, trials))
+        seeds = [derive_seed(seed, t) for t in group]
+        b_ld = np.stack([
+            np.asarray(random_spd_with_cond(n, cond_target, s), dtype=np.longdouble)
+            for s in seeds
+        ])
+        b_invs = [linalg.symmetrize(np.asarray(inv, dtype=float))
+                  for inv in gauss_jordan_inverse(b_ld)]
+        batches = [_window_transition_batch(n, steps, b_inv, s)
+                   for b_inv, s in zip(b_invs, seeds)]
+        a_ld = np.stack([
+            b + (np.asarray(cols, dtype=np.longdouble) * signs)
+            @ np.asarray(cols, dtype=np.longdouble).T
+            for b, (cols, signs) in zip(b_ld, batches)
+        ])
+        references = gauss_jordan_inverse(a_ld)
 
-        a_ld = b_ld + (np.asarray(cols, dtype=np.longdouble) * signs) @ np.asarray(
-            cols, dtype=np.longdouble
-        ).T
-        reference = gauss_jordan_inverse(a_ld)
-        scale = math.sqrt(float(np.sum((reference * reference).astype(float))))
-
-        got = linalg.batch_inverse_update(b_inv, cols, signs)
-        batch_errors[t] = (
-            math.sqrt(float(np.sum(((got - reference) ** 2).astype(float)))) / scale
-        )
-        try:
-            got_chain = linalg.chain_sherman_morrison(b_inv, cols, signs)
-            chain_errors[t] = (
-                math.sqrt(float(np.sum(((got_chain - reference) ** 2).astype(float))))
-                / scale
+        for t, b_inv, (cols, signs), reference in zip(group, b_invs, batches, references):
+            scale = math.sqrt(float(np.sum((reference * reference).astype(float))))
+            got = linalg.batch_inverse_update(b_inv, cols, signs)
+            batch_errors[t] = (
+                math.sqrt(float(np.sum(((got - reference) ** 2).astype(float)))) / scale
             )
-        except IntermediateSingularityError:
-            incidents += 1
-            chain_errors[t] = math.inf
+            try:
+                got_chain = linalg.chain_sherman_morrison(b_inv, cols, signs)
+                chain_errors[t] = (
+                    math.sqrt(float(np.sum(((got_chain - reference) ** 2).astype(float))))
+                    / scale
+                )
+            except IntermediateSingularityError:
+                incidents += 1
+                chain_errors[t] = math.inf
 
     return AccumulationReport(
         batch_errors=batch_errors,

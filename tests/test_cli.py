@@ -198,6 +198,18 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error: line 11: ") and err.count("\n") == 1
 
+    def test_oversized_quoted_cell_exit_3_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            'date,value\n2000-01-01,1.0\n2000-01-02,"' + "1" * 140_000 + '"\n'
+        )
+        capsys.readouterr()
+        code = run(["fit", "--input", str(path), *FIT_FLAGS,
+                    "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: ") and err.count("\n") == 1
+
     def test_span_shorter_than_window_exit_3(self, tmp_path):
         data = synth_file(tmp_path, "short.csv", length=50)
         code = run(["fit", "--input", str(data), *FIT_FLAGS,

@@ -302,6 +302,17 @@ def test_grammar_narrowing_is_a_parse_error(fmt, bad):
     assert line_of(err.value) == BAD_LINE_AT
 
 
+def test_oversized_quoted_cell_is_a_parse_error():
+    """A cell past the csv module's field size limit names its line, in the header too."""
+    huge = '"' + "1" * 140_000 + '"'
+    with pytest.raises(ParseError) as err:
+        parse_csv(f"date,value\n2000-01-01,1.0\n2000-01-02,{huge}\n2000-01-03,2.0\n")
+    assert line_of(err.value) == 3
+    with pytest.raises(ParseError) as err:
+        parse_csv(f"# note\n{huge},value\n2000-01-01,1.0\n")
+    assert line_of(err.value) == 2
+
+
 def test_first_line_the_float_grammar_refuses_is_named_first():
     """A line float() refuses is reported before an earlier narrowed token."""
     lines = OBSERVATORY_TABLE.splitlines()

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from segrls.errors import NotPositiveDefiniteError, RangeError
-from segrls.estimator import Sample
-from segrls.harmonic import make_harmonic_model, regressor_at
+from segrls import linalg
+from segrls.errors import IntermediateSingularityError, NotPositiveDefiniteError, RangeError
+from segrls.estimator import RlsEstimator, Sample
+from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
 from segrls.profile import ExponentialProfile, SegmentedProfile
 from segrls.reference import (
     SyntheticSpec,
+    _direct_solve,
+    _window_transition_batch,
     accumulation_experiment,
     compare_trajectory,
     derive_seed,
@@ -16,6 +19,7 @@ from segrls.reference import (
     gauss_jordan_inverse,
     monte_carlo_bias,
     random_normals,
+    random_spd_with_cond,
     random_uniforms,
     synth_generate,
 )
@@ -145,7 +149,44 @@ class TestDirectWeightedLs:
             direct_weighted_ls(PROFILE, MODEL, series, 10_000)
 
 
+# the windowed profiles start at w samples, the infinite one at init_count = 50
+ORACLE_PROFILES = [
+    pytest.param(PROFILE, 50, id="segmented"),
+    pytest.param(ExponentialProfile(0.97, 50), 50, id="exponential-windowed"),
+    pytest.param(ExponentialProfile(0.97), 50, id="infinite"),
+]
+
+
 class TestCompareTrajectory:
+    @pytest.mark.parametrize("profile, window", ORACLE_PROFILES)
+    def test_window_slices_equal_direct_weighted_ls(self, profile, window):
+        series = synth_generate(spec(1.0, length=240))
+        rows = regressor_matrix(MODEL, np.array([s.k for s in series], dtype=float))
+        values = np.array([s.y for s in series])
+        for k in range(window, len(series) + 1):
+            start = 0 if profile.w is None else k - profile.w
+            a, theta = _direct_solve(profile, rows[start:k], values[start:k])
+            a_ref, theta_ref = direct_weighted_ls(profile, MODEL, series, k)
+            assert np.array_equal(a, a_ref) and np.array_equal(theta, theta_ref), k
+
+    @pytest.mark.parametrize("profile, window", ORACLE_PROFILES)
+    def test_deviations_equal_a_per_step_direct_solve(self, profile, window):
+        series = synth_generate(spec(1.0, length=240))
+        report = compare_trajectory(profile, MODEL, series, init_count=window)
+        est = RlsEstimator.init(profile, MODEL, series[:window])
+        theta_dev_max = gamma_dev_max = 0.0
+        for sample in series[window:]:
+            est.step(sample)
+            a, theta = direct_weighted_ls(profile, MODEL, series, est.k)
+            gamma = np.linalg.inv(a)
+            theta_dev_max = max(theta_dev_max, float(
+                np.linalg.norm(est.theta - theta) / np.linalg.norm(theta)))
+            gamma_dev_max = max(gamma_dev_max, float(
+                np.linalg.norm(est.gamma - gamma) / np.linalg.norm(gamma)))
+        assert report.steps == len(series) - window
+        assert report.theta_dev_max == theta_dev_max
+        assert report.gamma_dev_max == gamma_dev_max
+
     def test_zero_noise_deviations_negligible(self):
         series = synth_generate(spec(0.0, length=80))
         report = compare_trajectory(PROFILE, MODEL, series)
@@ -179,7 +220,73 @@ class TestMonteCarloBias:
         assert report.within(4.0)
 
 
+def row_by_row_gauss_jordan(a):
+    """Long-double Gauss-Jordan on one matrix, one row update at a time."""
+    aug = np.hstack([np.asarray(a, dtype=np.longdouble), np.eye(len(a), dtype=np.longdouble)])
+    n = len(a)
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = aug[col] / aug[col, col]
+        for row in range(n):
+            if row != col:
+                aug[row] -= aug[row, col] * aug[col]
+    return aug[:, n:]
+
+
+class TestStackedGaussJordan:
+    def stack(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 9, 9)) + 9 * np.eye(9)  # no row swaps
+        a[2, 0, 0] = 0.0                                    # needs a swap at once
+        a[4] = rng.standard_normal((9, 9))                  # swaps along the way
+        return a
+
+    def test_each_slice_equals_the_single_matrix_inverse(self):
+        a = self.stack()
+        got = gauss_jordan_inverse(a)
+        assert got.shape == a.shape and got.dtype == np.longdouble
+        for member, inverse in zip(a, got):
+            assert np.array_equal(inverse, gauss_jordan_inverse(member))
+            assert np.array_equal(inverse, row_by_row_gauss_jordan(member))
+
+    def test_singular_member_raises(self):
+        a = self.stack()
+        a[3, :, 5] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            gauss_jordan_inverse(a)
+        with pytest.raises(ZeroDivisionError):
+            gauss_jordan_inverse(a[3])
+
+
 class TestAccumulationExperiment:
+    def test_grouped_trials_equal_a_per_trial_loop(self):
+        n, steps, cond, trials, seed = 12, 6, 1e8, 6, 1
+        report = accumulation_experiment(n, steps, cond, trials, seed=seed)
+        batch, chain, incidents = [], [], 0
+        for t in range(trials):
+            trial_seed = derive_seed(seed, t)
+            b = np.asarray(random_spd_with_cond(n, cond, trial_seed), dtype=np.longdouble)
+            b_inv = linalg.symmetrize(np.asarray(gauss_jordan_inverse(b), dtype=float))
+            cols, signs = _window_transition_batch(n, steps, b_inv, trial_seed)
+            cols_ld = np.asarray(cols, dtype=np.longdouble)
+            reference = gauss_jordan_inverse(b + (cols_ld * signs) @ cols_ld.T)
+            scale = math.sqrt(float(np.sum((reference * reference).astype(float))))
+
+            def error(got):
+                return math.sqrt(float(np.sum(((got - reference) ** 2).astype(float)))) / scale
+
+            batch.append(error(linalg.batch_inverse_update(b_inv, cols, signs)))
+            try:
+                chain.append(error(linalg.chain_sherman_morrison(b_inv, cols, signs)))
+            except IntermediateSingularityError:
+                incidents += 1
+                chain.append(math.inf)
+        assert np.array_equal(report.batch_errors, batch)
+        assert np.array_equal(report.chain_errors, chain)
+        assert report.singular_incidents == incidents
+
+
     def test_well_conditioned_single_column_paths_agree(self):
         report = accumulation_experiment(6, 1, 1.0, 5, seed=3)
         assert report.median_batch <= 1e-14
