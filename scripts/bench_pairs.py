@@ -1,21 +1,22 @@
 """Alternating base/change pairs of the perfbench workloads, written to BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py --pr N --base HEAD verify:10 fit_long:3
+    python3 scripts/bench_pairs.py --pr N --base REV verify:10 fit_long:3
 
 Run from a segrls checkout whose working tree holds the change.  The base
 revision is checked out with ``git worktree add --detach`` into a temporary
 directory, which is removed at the end.  Each positional argument is a
-workload with its number of pairs (``--pairs`` when omitted).  Pair i of a
-workload runs
+workload with its number of pairs.  Pair i (from 1) of a workload runs
 
-    python3 perfbench/run.py --workload W --seed S+i --seconds N --trace 0
+    python3 perfbench/run.py --workload W --seed i --seconds N --trace 0
 
 once in the base checkout and once in the working tree, the base first in
-even pairs and the change first in odd ones.  The ``machine`` line and the
-final JSON line of every run are kept.  For each end-to-end metric of
-BENCHMARK.json the file gives, per side, the median and the quartiles over
-the pairs, and the number of pairs the change won (a tie counts for neither
-side); per side it also gives the summed ``failed`` and ``attempted``.
+odd pairs and the change first in even ones; N is BENCHMARK.json's
+``run_seconds``, so both sides run as long as the benchmark does.  The
+``machine`` line and the final JSON line of every run are kept.  For each
+end-to-end metric of BENCHMARK.json the file gives, per side, the median and
+the quartiles over the pairs, and the number of pairs the change won (a tie
+counts for neither side); per side it also gives the summed ``failed`` and
+``attempted``.  The file is written at the root of the checkout.
 """
 
 from __future__ import annotations
@@ -88,23 +89,21 @@ def tally(side_runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD[:PAIRS]")
+    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD:PAIRS")
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--base", default="HEAD", help="the base revision (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the checkout root")
+    parser.add_argument("--base", required=True, help="the base revision")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     plan = []
     for token in args.workloads:
         name, _, pairs = token.partition(":")
         if name not in {w["name"] for w in spec["workloads"]}:
             parser.error(f"unknown workload {name!r}")
-        plan.append((name, int(pairs) if pairs else args.pairs))
+        if not pairs.isdigit() or int(pairs) < 1:
+            parser.error(f"expected WORKLOAD:PAIRS with PAIRS >= 1, got {token!r}")
+        plan.append((name, int(pairs)))
     base_rev = git("rev-parse", args.base)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
@@ -122,18 +121,18 @@ def main(argv=None) -> int:
     try:
         for name, pairs in plan:
             runs = {side: [] for side in SIDES}
-            for i in range(pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for seed in range(1, pairs + 1):
+                order = SIDES if seed % 2 == 1 else SIDES[::-1]
                 for side in order:
-                    run = run_once(checkouts[side], name, args.seed + i, seconds)
+                    run = run_once(checkouts[side], name, seed, seconds)
                     runs[side].append(run)
                     if "machine" in run:
                         report["machine"].setdefault(side, run["machine"])
-                    print(f"{name} pair {i + 1}/{pairs} {side}: "
+                    print(f"{name} pair {seed}/{pairs} {side}: "
                           f"{run.get('error') or run['result']['metrics']['wall_s']['value']}",
                           file=sys.stderr)
             report["workloads"][name] = {
-                "pairs": pairs, "seeds": [args.seed + i for i in range(pairs)],
+                "pairs": pairs, "seeds": list(range(1, pairs + 1)),
                 **{side: tally(runs[side]) for side in SIDES},
                 "metrics": summarize(runs, spec["end_to_end"]),
                 "runs": runs,
@@ -143,7 +142,7 @@ def main(argv=None) -> int:
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0

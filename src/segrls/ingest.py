@@ -137,7 +137,7 @@ def parse_csv(text: str) -> Records:
         return _records(year, month, day, table["value"])
 
     def walk(numbered):
-        rows = _csv_rows([raw for _, raw in numbered], lines)
+        rows = _csv_rows(numbered)
         next(rows)  # the header
         for row, (line_no, _) in zip(rows, numbered[1:]):
             if len(row) != 2:
@@ -157,11 +157,11 @@ def parse_csv(text: str) -> Records:
     rows = _data_lines(lines)
     if not rows:
         raise ParseError("empty input; expected a 'date,value' header")
-    header = next(_csv_rows(rows, lines))
+    header = next(_csv_rows(_numbered_data_lines(lines)))
     if [cell.strip().lower() for cell in header] != ["date", "value"]:
         raise ParseError(
             f"expected header 'date,value', got {','.join(header)!r}",
-            line_number=_numbered_data_lines(lines)[0][0],
+            line_number=next(_numbered_data_lines(lines))[0],
         )
     return _parse(lines, rows, convert, walk, skip=1)
 
@@ -171,21 +171,27 @@ def _data_lines(lines: list[str]) -> list[str]:
     return [raw for raw in lines if (s := raw.strip()) and s[0] != "#"]
 
 
-def _numbered_data_lines(lines: list[str]) -> list[tuple[int, str]]:
-    return [(no, raw) for no, raw in enumerate(lines, start=1) if _data_lines([raw])]
+def _numbered_data_lines(lines: list[str]):
+    """(line number, line) of each data line, lazily: a header read stops at the header."""
+    return ((no, raw) for no, raw in enumerate(lines, start=1) if _data_lines([raw]))
 
 
-def _csv_rows(rows: list[str], lines: list[str]):
-    """csv rows of the data ``rows`` as one stream, so a quoted cell may span lines.
+def _csv_rows(numbered):
+    """csv rows of the ``numbered`` data lines as one stream, so a quoted cell may span lines.
 
     A ``csv.Error``, such as a cell past the csv module's field size limit,
-    becomes a ``ParseError`` naming the line of ``lines`` the reader stopped at.
+    becomes a ``ParseError`` naming the line the reader stopped at.
     """
-    reader = csv.reader(raw + "\n" for raw in rows)
+    line_no = None
+
+    def feed():
+        nonlocal line_no
+        for line_no, raw in numbered:
+            yield raw + "\n"
+
     try:
-        yield from reader
+        yield from csv.reader(feed())
     except csv.Error as err:
-        line_no = _numbered_data_lines(lines)[reader.line_num - 1][0]
         raise ParseError(str(err), line_number=line_no) from None
 
 
@@ -237,7 +243,7 @@ def _parse(lines, rows, convert, walk, skip=0) -> Records:
     try:
         return convert(rows[skip:])
     except ValueError as err:
-        numbered = _numbered_data_lines(lines)
+        numbered = list(_numbered_data_lines(lines))
         walk(numbered)
         for line_no, raw in numbered[skip:]:
             try:

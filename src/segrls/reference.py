@@ -134,11 +134,11 @@ def direct_weighted_ls(
     window = samples[available - count : available]
     indices = np.array([s.k for s in window], dtype=float)
     values = np.array([s.y for s in window], dtype=float)
-    return _direct_solve(profile, regressor_matrix(model, indices), values)
+    return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 
 
-def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray):
-    """(A, theta) of the weighted normal equations over one window, oldest row first."""
+def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray, k: int):
+    """(A, theta) of the weighted normal equations over index k's window, oldest row first."""
     wphi = rows * weights(profile, len(rows))[::-1, None]
     a = wphi.T @ rows
     a = (a + a.T) * 0.5
@@ -147,7 +147,7 @@ def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarr
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
-            f"information matrix of a {len(rows)}-row window is not positive definite"
+            f"information matrix at index {k} is not positive definite"
         ) from err
     theta = np.linalg.solve(a, b)
     return a, theta
@@ -197,7 +197,7 @@ def compare_trajectory(
     for available, sample in enumerate(samples[window:], start=window + 1):
         est.step(sample)
         span = slice(0 if unbounded else available - profile.w, available)
-        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span])
+        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span], sample.k)
         gamma_direct = np.linalg.inv(a_direct)
         theta_dev = float(
             np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)

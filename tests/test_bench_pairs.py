@@ -34,3 +34,15 @@ def test_spread_of_one_run_is_that_run():
     assert bench_pairs.spread([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0}
     assert bench_pairs.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(
         {"median": 3.0, "q1": 2.0, "q3": 4.0})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--pr", "x", "--base", "HEAD"],        # a workload needs its pair count
+    ["verify:0", "--pr", "x", "--base", "HEAD"],
+    ["nosuch:3", "--pr", "x", "--base", "HEAD"],
+    ["verify:3", "--pr", "x"],                        # the base is never implied
+])
+def test_bad_arguments_exit_2_before_any_run(argv):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2

@@ -140,7 +140,7 @@ class TestDirectWeightedLs:
         model = make_harmonic_model(365.25, 16)
         prof = ExponentialProfile(0.99, model.dim)
         series = [Sample(k, 0.5) for k in range(1, model.dim + 1)]
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError, match=f"at index {model.dim} "):
             direct_weighted_ls(prof, model, series, model.dim)
 
     def test_out_of_range_index(self):
@@ -165,7 +165,7 @@ class TestCompareTrajectory:
         values = np.array([s.y for s in series])
         for k in range(window, len(series) + 1):
             start = 0 if profile.w is None else k - profile.w
-            a, theta = _direct_solve(profile, rows[start:k], values[start:k])
+            a, theta = _direct_solve(profile, rows[start:k], values[start:k], k)
             a_ref, theta_ref = direct_weighted_ls(profile, MODEL, series, k)
             assert np.array_equal(a, a_ref) and np.array_equal(theta, theta_ref), k
 
