@@ -3,21 +3,19 @@
 Two input layouts are supported: the whitespace-delimited observatory layout
 (year month day value ..., '#' comments) and a plain ``date,value`` CSV.
 Each parser reads its file in one ``numpy.loadtxt`` pass into columnar
-``Records`` and checks calendar validity and finiteness on whole arrays; only
-a refused file is walked line by line, to name the first bad line.  The
-one-pass grammar is narrower than ``int``/``float``/``date.fromisoformat``:
-digit separators (``1_0.5``), non-ASCII digits, integers past 64 bits, basic
-and week dates, whitespace around the CSV date and quoted CSV cells are
-refused with ``ParseError`` and the line number.  ``to_indexed`` turns the
-records into consecutively indexed samples, with an explicit policy for
-missing days.
+``Records`` and checks calendar validity and finiteness on whole arrays.  A
+refused file is read again with the same reader, narrowed by halves to its
+first refused line, and the stage that refuses that line picks the error: a
+token the reader or the ISO date shape refuses and a non-finite value are a
+``ParseError``, an off-calendar date (a date field past 64 bits too) is a
+``CalendarError``, each naming the line.  The CSV header follows the data's
+rule, so a quoted header is refused.  ``to_indexed`` turns the records into
+consecutively indexed samples, with an explicit policy for missing days.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,31 +99,19 @@ def parse_stockholm(text: str, value_column: int = 3) -> Records:
         raise ValueError("value_column must be >= 3 (after year, month, day)")
 
     def convert(rows):
-        table = _load(rows, _OBSERVATORY_ROW, usecols=(0, 1, 2, value_column))
+        try:
+            table = _load(rows, _OBSERVATORY_ROW, usecols=(0, 1, 2, value_column))
+        except ValueError:
+            # a date field past 64 bits is a year off the calendar; only a single
+            # line's refusal is ever classified, so only a single line is checked
+            if len(rows) == 1 and any(map(_past_int64, rows[0].split()[:3])):
+                raise _OffCalendar from None
+            raise
         return _records(table["year"], table["month"], table["day"], table["value"])
 
-    def walk(numbered):
-        for line_no, raw in numbered:
-            tokens = raw.split()
-            if len(tokens) <= value_column:
-                raise ParseError(
-                    f"expected at least {value_column + 1} columns, got {len(tokens)}",
-                    line_number=line_no,
-                )
-            try:
-                year, month, day = (int(t) for t in tokens[:3])
-            except ValueError:
-                raise ParseError(
-                    f"non-integer date fields {tokens[:3]!r}", line_number=line_no
-                ) from None
-            try:
-                datetime.date(year, month, day)
-            except (ValueError, OverflowError) as err:
-                raise CalendarError(f"line {line_no}: {err}: {tokens[:3]!r}") from None
-            _check_value(tokens[value_column], line_no)
-
     lines = text.splitlines()
-    return _parse(lines, _data_lines(lines), convert, walk)
+    expected = f"integer year, month and day and a float in column {value_column + 1}"
+    return _parse(lines, _data_lines(lines), convert, expected)
 
 
 def parse_csv(text: str) -> Records:
@@ -136,34 +122,24 @@ def parse_csv(text: str) -> Records:
         year, month, day = _iso_fields(table["date"])
         return _records(year, month, day, table["value"])
 
-    def walk(numbered):
-        rows = _csv_rows(numbered)
-        next(rows)  # the header
-        for row, (line_no, _) in zip(rows, numbered[1:]):
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line_number=line_no)
-            date_text, value_text = row[0].strip(), row[1].strip()
-            try:
-                datetime.date.fromisoformat(date_text)
-            except ValueError as err:
-                if _looks_like_iso_date(date_text):
-                    raise CalendarError(f"line {line_no}: {err}: {date_text!r}") from None
-                raise ParseError(
-                    f"invalid ISO date {date_text!r}", line_number=line_no
-                ) from None
-            _check_value(value_text, line_no)
-
     lines = text.splitlines()
     rows = _data_lines(lines)
     if not rows:
         raise ParseError("empty input; expected a 'date,value' header")
-    header = next(_csv_rows(_numbered_data_lines(lines)))
-    if [cell.strip().lower() for cell in header] != ["date", "value"]:
+    if [cell.strip().lower() for cell in rows[0].split(",")] != ["date", "value"]:
         raise ParseError(
-            f"expected header 'date,value', got {','.join(header)!r}",
+            f"expected header 'date,value', got {_quote(rows[0])}",
             line_number=next(_numbered_data_lines(lines))[0],
         )
-    return _parse(lines, rows, convert, walk, skip=1)
+    return _parse(lines, rows, convert, "'YYYY-MM-DD,float'", skip=1)
+
+
+class _OffCalendar(ValueError):
+    """A date the calendar does not hold."""
+
+
+class _NotFinite(ValueError):
+    """A nan or inf value, which would poison every later estimate."""
 
 
 def _data_lines(lines: list[str]) -> list[str]:
@@ -176,23 +152,16 @@ def _numbered_data_lines(lines: list[str]):
     return ((no, raw) for no, raw in enumerate(lines, start=1) if _data_lines([raw]))
 
 
-def _csv_rows(numbered):
-    """csv rows of the ``numbered`` data lines as one stream, so a quoted cell may span lines.
+def _past_int64(token: str) -> bool:
+    """An ASCII integer with an optional sign that a 64-bit field cannot hold."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.isascii() and digits.isdigit() and not -(2**63) <= int(token) < 2**63
 
-    A ``csv.Error``, such as a cell past the csv module's field size limit,
-    becomes a ``ParseError`` naming the line the reader stopped at.
-    """
-    line_no = None
 
-    def feed():
-        nonlocal line_no
-        for line_no, raw in numbered:
-            yield raw + "\n"
-
-    try:
-        yield from csv.reader(feed())
-    except csv.Error as err:
-        raise ParseError(str(err), line_number=line_no) from None
+def _quote(text: str) -> str:
+    """``repr`` of the stripped ``text``, cut to 40 characters so an error stays one short line."""
+    quoted = repr(text.strip())
+    return quoted if len(quoted) <= 40 else quoted[:39] + "…"
 
 
 def _load(rows: list[str], dtype: np.dtype, **kwargs) -> np.ndarray:
@@ -217,7 +186,7 @@ def _iso_fields(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _records(year, month, day, values) -> Records:
-    """Columnar records; ValueError if a date is off the calendar or a value is not finite."""
+    """Columnar records; _OffCalendar or _NotFinite if a date or a value is refused."""
     months = (np.clip(year, 1, 9999) - 1970) * 12 + np.clip(month, 1, 12) - 1
     first = months.astype("datetime64[M]").astype("datetime64[D]")
     length = (months + 1).astype("datetime64[M]").astype("datetime64[D]") - first
@@ -225,49 +194,48 @@ def _records(year, month, day, values) -> Records:
         (year >= 1) & (year <= 9999) & (month >= 1) & (month <= 12)
         & (day >= 1) & (day <= length.astype(np.int64))
     )
-    if not (valid.all() and np.isfinite(values).all()):
-        raise ValueError("a date is off the calendar or a value is not finite")
+    if not valid.all():
+        raise _OffCalendar
+    if not np.isfinite(values).all():
+        raise _NotFinite
     # a contiguous copy, so the records do not keep the whole parsed table alive
     values = np.ascontiguousarray(values)
     return Records(first + (day - 1).astype("timedelta64[D]"), values)
 
 
-def _parse(lines, rows, convert, walk, skip=0) -> Records:
+def _parse(lines, rows, convert, expected, skip=0) -> Records:
     """``convert`` the data ``rows`` after ``skip``; if refused, raise the first bad line's error.
 
-    ``walk`` reads the numbered data lines with ``int``/``float``/``date``
-    and raises, with its class and line number, the error of the first line
-    that grammar refuses.  A file it passes holds a token outside the
-    narrower grammar of the one-pass reader, named by converting line by line.
+    A refused file is read again with the same ``convert``: halves of the
+    numbered data lines narrow it to the first line that ``convert`` refuses
+    on its own, and the stage that refuses that line picks the error.  An
+    off-calendar date is a ``CalendarError``; a non-finite value, and a line
+    the tokenizer or the date shape refuses (quoted against ``expected``),
+    are a ``ParseError``.
     """
     try:
         return convert(rows[skip:])
-    except ValueError as err:
-        numbered = list(_numbered_data_lines(lines))
-        walk(numbered)
-        for line_no, raw in numbered[skip:]:
-            try:
-                convert([raw])
-            except ValueError:
-                raise ParseError(
-                    f"unsupported token syntax in {raw!r}", line_number=line_no
-                ) from None
-        raise ParseError(str(err)) from err
-
-
-def _check_value(text: str, line_no: int) -> None:
-    """A finite float; nan and inf would poison every later estimate."""
-    try:
-        value = float(text)
     except ValueError:
-        raise ParseError(f"non-numeric value {text!r}", line_number=line_no) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value {text!r}", line_number=line_no)
-
-
-def _looks_like_iso_date(text: str) -> bool:
-    parts = text.split("-")
-    return len(parts) == 3 and all(p.isdigit() for p in parts)
+        pass
+    numbered = list(_numbered_data_lines(lines))[skip:]
+    lo, hi = 0, len(numbered)
+    while hi - lo > 1:  # the first refused line is in numbered[lo:hi]
+        mid = (lo + hi) // 2
+        try:
+            convert([raw for _, raw in numbered[lo:mid]])
+            lo = mid
+        except ValueError:
+            hi = mid
+    line_no, raw = numbered[lo]
+    try:
+        convert([raw])
+    except _OffCalendar:
+        raise CalendarError(f"line {line_no}: date off the calendar: {_quote(raw)}") from None
+    except _NotFinite:
+        raise ParseError(f"non-finite value: {_quote(raw)}", line_number=line_no) from None
+    except ValueError:
+        raise ParseError(f"expected {expected}, got {_quote(raw)}", line_number=line_no) from None
+    raise ParseError("refused as a whole, but no line is refused on its own")
 
 
 def to_indexed(

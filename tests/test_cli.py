@@ -210,6 +210,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error: line 3: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "stockholm"])
+    def test_huge_bad_value_exit_3_with_one_short_line(self, tmp_path, capsys, fmt):
+        bad = "x" * 100_000
+        path = tmp_path / "huge.txt"
+        if fmt == "csv":
+            path.write_text(f"date,value\n2000-01-01,1\n2000-01-02,{bad}\n")
+        else:
+            path.write_text(f"2000 1 1 1\n2000 1 2 {bad}\n")
+        capsys.readouterr()
+        code = run(["fit", "--input", str(path), "--format", fmt, *FIT_FLAGS,
+                    "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_span_shorter_than_window_exit_3(self, tmp_path):
         data = synth_file(tmp_path, "short.csv", length=50)
         code = run(["fit", "--input", str(data), *FIT_FLAGS,

@@ -1,4 +1,5 @@
 import datetime
+import random
 import re
 
 import numpy as np
@@ -313,17 +314,95 @@ def test_oversized_quoted_cell_is_a_parse_error():
     assert line_of(err.value) == 2
 
 
-def test_first_line_the_float_grammar_refuses_is_named_first():
-    """A line float() refuses is reported before an earlier narrowed token."""
-    lines = OBSERVATORY_TABLE.splitlines()
-    lines[BAD_LINE_AT - 1] = "1756 2 3 1_0.5"
-    lines[BAD_LINE_AT] = "1756 2 4 nan"
+def test_quoted_header_is_a_parse_error():
+    """The header follows the data's rule: a quoted cell is refused."""
     with pytest.raises(ParseError) as err:
+        parse_csv('# note\n"date","value"\n2000-01-01,1.0\n')
+    assert line_of(err.value) == 2
+
+
+@pytest.mark.parametrize(
+    "first, second, error, words",
+    [
+        ("1756 2 3 1_0.5", "1756 2 4 nan", ParseError, "expected"),
+        ("1756 2 3 nan", "1756 2 4 1_0.5", ParseError, "non-finite"),
+        ("1757 2 29 5", "1756 2 4 1_0.5", CalendarError, "off the calendar"),
+        ("1756 2 3 ٥", "1757 2 29 5", ParseError, "expected"),
+    ],
+    ids=["separator-then-nan", "nan-then-separator", "calendar-then-separator",
+         "arabic-digit-then-calendar"],
+)
+def test_first_refused_line_is_named_whichever_stage_refuses_it(first, second, error, words):
+    lines = OBSERVATORY_TABLE.splitlines()
+    lines[BAD_LINE_AT - 1] = first
+    lines[BAD_LINE_AT] = second
+    with pytest.raises(error) as err:
         parse_stockholm("\n".join(lines) + "\n")
-    assert line_of(err.value) == BAD_LINE_AT + 1
-    assert "non-finite" in str(err.value)
+    assert type(err.value) is error
+    assert line_of(err.value) == BAD_LINE_AT
+    assert words in str(err.value)
 
 
+# One token from each stage that refuses a line: the tokenizer, the ISO date
+# shape, the calendar (a date field past 64 bits too) and the finiteness check.
+REFUSED_TOKENS = ["1_0.5", "٥", '"5"', " 2000-01-01", "2000-02-30", "nan",
+                  "99999999999999999999", "7" * 10_000]
+
+
+def data_line_numbers(lines):
+    return [no for no, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#")]
+
+
+def mutate_table(rng, text):
+    """One to three fields of random data lines replaced by refused tokens, or whole lines."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice(data_line_numbers(lines)) - 1
+        sep = "," if "," in lines[i] else " "
+        fields = lines[i].split(sep)
+        if rng.random() < 0.2:
+            fields = [rng.choice(REFUSED_TOKENS)]
+        else:
+            fields[rng.randrange(len(fields))] = rng.choice(REFUSED_TOKENS)
+        lines[i] = sep.join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def refused_alone(fmt, raw):
+    """Whether the parser refuses ``raw`` as the only data line of a file."""
+    try:
+        parse(fmt, f"date,value\n{raw}\n" if fmt == "csv" else raw)
+    except (ParseError, CalendarError):
+        return True
+    return False
+
+
+def test_ingest_fuzz_names_the_first_refused_line():
+    """Mutated tables end in records or in one short error naming the first refused data line."""
+    rng = random.Random(7)
+    kinds = set()
+    for case in range(200):
+        fmt = rng.choice(["csv", "stockholm"])
+        text = mutate_table(rng, CSV_TABLE if fmt == "csv" else OBSERVATORY_TABLE)
+        try:
+            parse(fmt, text)
+            continue
+        except (ParseError, CalendarError) as err:
+            error = err
+        kinds.add((type(error), "non-finite" in str(error)))
+        assert len(str(error)) < 200, f"case {case}: {text!r}"
+        named = line_of(error)
+        lines = text.splitlines()
+        data = data_line_numbers(lines)
+        assert named in data, f"case {case}: {text!r}"
+        if fmt == "csv" and named == data[0]:
+            continue  # the header
+        body = data[1:] if fmt == "csv" else data
+        assert refused_alone(fmt, lines[named - 1]), f"case {case}: {text!r}"
+        earlier = [lines[no - 1] for no in body if no < named]
+        assert not any(refused_alone(fmt, raw) for raw in earlier), f"case {case}: {text!r}"
+    # the draws reach every refusal stage: tokenizer or date shape, calendar, finiteness
+    assert kinds == {(ParseError, False), (ParseError, True), (CalendarError, False)}
 # Gaps of 1, 2, 3 and 6 days between irregular values; spans that start or end
 # inside a gap.
 GAPPY = make_records(
