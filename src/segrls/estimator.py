@@ -8,12 +8,18 @@ by ``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of
 the small r x r capacitance matrix, never by refactoring the full matrix.
 A ring holds the rows and values of the last (largest lag + 1) samples, so a
 step builds one regressor row, phi_k, and keeps it for the fitted values at k.
+
+The gain never depends on the values, only on the profile, the model and the
+sample indices.  So one estimator can carry B value series at once: when the
+samples hold (B,) arrays of values, theta is (n, B), the value ring is
+(size, B), and the fitted values, residuals, moving variance and forecast are
+per-column arrays.  Each column follows the scalar recursion through the same
+gain, up to the summation order of the matrix products.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,20 +32,20 @@ from .errors import (
     SingularUpdateError,
     WindowTooSmallError,
 )
-from .harmonic import (
-    HarmonicModel,
-    predict_first_harmonic,
-    regressor_at,
-    regressor_matrix,
-)
+from .harmonic import HarmonicModel, regressor_at, regressor_matrix
 from .profile import ForgettingProfile, update_template, weights
 
 
 class Sample(NamedTuple):
-    """One measurement at integer time index k."""
+    """One measurement at integer time index k.
+
+    ``y`` is a float, or a (B,) array holding B series' values at k: an
+    estimator initialized on such samples advances all B series through one
+    gain trajectory, and each later sample must hold B values too.
+    """
 
     k: int
-    y: float
+    y: float | np.ndarray
 
 
 class HorizonPoint(NamedTuple):
@@ -64,28 +70,37 @@ def information_matrix(profile, model, k: int, count: int, y=None):
     y_{k-j} and phi the window's regressor rows, oldest first.
     """
     phi = regressor_matrix(model, np.arange(k - count + 1, k + 1))
-    wphi = phi * weights(profile, count)[::-1, None]  # oldest row first
-    a = linalg.symmetrize(wphi.T @ phi)
+    a, wphi = _weighted_gram(profile, phi)
     if y is None:
         return a
     return a, wphi.T @ np.asarray(y, dtype=float), phi
 
 
+def _weighted_gram(profile, phi):
+    """(A, weighted rows) for a window's regressor rows phi, oldest row first."""
+    wphi = phi * weights(profile, len(phi))[::-1, None]
+    return linalg.symmetrize(wphi.T @ phi), wphi
+
+
 def _first_harmonic(theta, phi):
-    """dc + fundamental part of phi^T theta per row, in predict_first_harmonic order."""
-    return theta[0] + theta[1] * phi[..., 1] + theta[2] * phi[..., 2]
+    """dc + fundamental part of phi^T theta, in predict_first_harmonic order.
+
+    ``phi`` is indexed by regressor entry first: one row (n,), or the
+    transposed rows (n, count[, 1]) to get one value per row and column.
+    """
+    return theta[0] + theta[1] * phi[1] + theta[2] * phi[2]
 
 
-def _check_finite(k: int, y: float) -> None:
-    if not math.isfinite(y):
-        raise RangeError(f"non-finite value {y!r} at index {k}")
+def _plain(x):
+    """A scalar result as a float; a batch's per-column array as it is."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def _check_consecutive(samples: Sequence[Sample]) -> None:
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.k != prev.k + 1:
+def _check_consecutive(indices: Sequence[int]) -> None:
+    for prev, cur in zip(indices, indices[1:]):
+        if cur != prev + 1:
             raise IndexGapError(
-                f"sample indices must be consecutive; got {prev.k} then {cur.k}"
+                f"sample indices must be consecutive; got {prev} then {cur}"
             )
 
 
@@ -105,12 +120,15 @@ class RlsEstimator:
         self.k: int = 0
         self.window: int = 0
         self._first_index: int = 0
-        self._residuals: deque[float] = deque()
+        # first-harmonic residuals of the last `window` samples, the first in
+        # slot 0: sample k sits in slot (k - first index) % window
+        self._residuals = np.zeros(0)
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
         self._lags = np.array(self.template.lags, dtype=int)
         self._scales = np.array(self.template.scales)
         self._signs = np.array(self.template.signs, dtype=float)
-        # ring of regressor rows and values; sample k sits in slot k % size
+        # ring of regressor rows and values; sample k sits in slot k % size.
+        # init makes the value ring (size, B) for samples holding B values.
         self._rows = np.zeros((int(self._lags.max()) + 1, model.dim))
         self._values = np.zeros(len(self._rows))
         self._phi: np.ndarray | None = None
@@ -136,12 +154,17 @@ class RlsEstimator:
         NotPositiveDefiniteError when the initial information matrix is not
         SPD (insufficient excitation); a positive ``diagonal_loading`` adds
         eps*I to the initial matrix instead, and the choice is recorded on
-        ``loading_applied``.  A non-finite value raises RangeError.
+        ``loading_applied``.  A non-finite value raises RangeError.  Sample
+        values that are (B,) arrays start a batch of B series (see Sample).
         """
         est = cls(profile, model, diagonal_loading=diagonal_loading)
-        samples = [Sample(int(s[0]), float(s[1])) for s in samples]
-        for sample in samples:
-            _check_finite(*sample)
+        samples = list(samples)
+        shape = np.shape(samples[0][1]) if samples else ()
+        if len(shape) > 1:
+            raise ValueError(f"a sample value is a float or a 1-D array, got shape {shape}")
+        est._values = np.zeros((len(est._rows), *shape))
+        indices = [int(s[0]) for s in samples]
+        y = np.array([est._value(k, s[1]) for k, s in zip(indices, samples)])
         unbounded = profile.w is None
         window = len(samples) if unbounded else profile.w
         if window < model.dim:
@@ -152,12 +175,11 @@ class RlsEstimator:
             raise ValueError(
                 f"initialization needs exactly w={window} samples, got {len(samples)}"
             )
-        _check_consecutive(samples)
+        _check_consecutive(indices)
 
         est.window = window
-        est.k = samples[-1].k
-        est._first_index = samples[0].k
-        y = np.array([s.y for s in samples])
+        est.k = indices[-1]
+        est._first_index = indices[0]
 
         a, b, phi = information_matrix(profile, model, est.k, window, y)
         if est.diagonal_loading > 0.0:
@@ -170,8 +192,29 @@ class RlsEstimator:
         slots = np.arange(est._first_index, est.k + 1)[-size:] % size
         est._rows[slots], est._values[slots] = phi[-size:], y[-size:]
         est._phi = phi[-1]
-        est._residuals = deque((y - _first_harmonic(est.theta, phi)).tolist(), window)
+        rows_t = phi.T if y.ndim == 1 else phi.T[..., None]
+        est._residuals = y - _first_harmonic(est.theta, rows_t)
         return est
+
+    def _value(self, k: int, value):
+        """Sample k's value: a float, or a (B,) array for a batch; refuses non-finite ones."""
+        if self._values.ndim == 1:
+            y = float(value)
+            if not math.isfinite(y):
+                raise RangeError(f"non-finite value {y!r} at index {k}")
+            return y
+        y = np.asarray(value, dtype=float)
+        if y.shape != self._values.shape[1:]:
+            raise ValueError(
+                f"expected {self._values.shape[1]} values at index {k}, got shape {y.shape}"
+            )
+        finite = np.isfinite(y)
+        if not finite.all():
+            col = int(np.argmin(finite))
+            raise RangeError(
+                f"non-finite value {float(y[col])!r} in column {col} at index {k}"
+            )
+        return y
 
     # ------------------------------------------------------------------
     # streaming
@@ -180,26 +223,26 @@ class RlsEstimator:
         """Consume the next sample (index state.k + 1) and update theta, gamma.
 
         A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
-        as B^{-1}.  A non-finite y raises RangeError; nothing is changed when
-        the step raises.
+        as B^{-1}.  A batch estimator takes B values per sample.  A non-finite
+        y raises RangeError; nothing is changed when the step raises.
         """
         if self.gamma is None:
             raise RuntimeError("estimator is not initialized; call init() first")
         k = int(sample[0])
-        y = float(sample[1])
         if k != self.k + 1:
             raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
-        _check_finite(k, y)
+        y = self._value(k, sample[1])
 
         phi = regressor_at(self.model, k)
         # the slot of sample k held sample k - size, which no lag reaches
         size = len(self._values)
         slot = k % size
-        saved = self._rows[slot].copy(), self._values[slot]
+        saved = self._rows[slot].copy(), self._values[slot].copy()
         self._rows[slot], self._values[slot] = phi, y
         lagged = (k - self._lags) % size
         q = self._rows[lagged].T * self._scales
-        y_aug = self._scales * self._values[lagged]
+        # (r,) or (r, B): the transposes let one scale per lag broadcast either way
+        y_aug = (self._scales * self._values[lagged].T).T
         try:
             gamma, theta = linalg.batch_inverse_update(
                 self.gamma / self.profile.decay, q, self._signs, self.theta, y_aug
@@ -211,15 +254,19 @@ class RlsEstimator:
             ) from err
 
         self.gamma, self.theta, self.k, self._phi = gamma, theta, k, phi
-        self._residuals.append(y - float(_first_harmonic(theta, phi)))
+        self._residuals[(k - self._first_index) % self.window] = y - _first_harmonic(theta, phi)
 
     # ------------------------------------------------------------------
     # residuals and diagnostics
 
     def fitted(self) -> tuple[float, float]:
-        """(phi_k^T theta, its dc + first-harmonic part) at the current index k."""
+        """(phi_k^T theta, its dc + first-harmonic part) at the current index k.
+
+        Floats, or per-column arrays for a batch; so are the residual, the
+        moving variance and the forecast band.
+        """
         phi, theta = self._phi, self.theta
-        return float(phi @ theta), float(_first_harmonic(theta, phi))
+        return _plain(phi @ theta), _plain(_first_harmonic(theta, phi))
 
     def residual(self, sample: Sample) -> float:
         """y - phi^T theta with the current parameters.
@@ -229,7 +276,7 @@ class RlsEstimator:
         """
         k = int(sample[0])
         phi = self._phi if k == self.k else regressor_at(self.model, k)
-        return float(sample[1]) - float(phi @ self.theta)
+        return _plain(sample[1] - phi @ self.theta)
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""
@@ -237,8 +284,10 @@ class RlsEstimator:
             raise InsufficientDataError(
                 "moving variance needs at least two buffered residuals"
             )
-        r = np.asarray(self._residuals)
-        return float(np.mean(r * r))
+        # oldest first: the slot after sample k's holds the oldest buffered residual
+        oldest = (self.k + 1 - self._first_index) % len(self._residuals)
+        r = np.roll(self._residuals, -oldest, axis=0)
+        return _plain(np.mean(r * r, axis=0))
 
     def forecast(self, horizon: int) -> ForecastBand:
         """First-harmonic forecast for 1..horizon steps ahead with +/-3 sigma bounds.
@@ -248,10 +297,11 @@ class RlsEstimator:
         """
         if horizon < 1:
             raise RangeError("horizon must be >= 1")
-        sigma = math.sqrt(self.moving_variance())
+        sigma = _plain(np.sqrt(self.moving_variance()))
         points = []
         for tau in range(1, horizon + 1):
-            mean = predict_first_harmonic(self.model, self.theta, self.k + tau)
+            angle = self.model.frequencies[0] * float(self.k + tau)
+            mean = _plain(_first_harmonic(self.theta, (1.0, math.cos(angle), math.sin(angle))))
             points.append(
                 HorizonPoint(self.k + tau, mean, mean - 3.0 * sigma, mean + 3.0 * sigma)
             )
@@ -260,9 +310,14 @@ class RlsEstimator:
     def info_matrix(self) -> np.ndarray:
         """Weighted regressor outer-product sum A_k, assembled from scratch.
 
-        Diagnostic reconstruction from the weight law and the sample indices;
-        does not touch the recursively maintained gain matrix.
+        Diagnostic reconstruction from the weight law and the regressor rows;
+        does not touch the recursively maintained gain matrix.  A windowed
+        profile's ring holds w + 1 rows (its largest lag is w), so the
+        window's rows are read from it; the infinite profile rebuilds its
+        whole history.
         """
-        span = self.k - self._first_index + 1
-        count = span if self.profile.w is None else min(span, self.window)
-        return information_matrix(self.profile, self.model, self.k, count)
+        if self.profile.w is None:
+            span = self.k - self._first_index + 1
+            return information_matrix(self.profile, self.model, self.k, span)
+        rows = self._rows[np.arange(self.k - self.window + 1, self.k + 1) % len(self._rows)]
+        return _weighted_gram(self.profile, rows)[0]

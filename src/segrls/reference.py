@@ -3,7 +3,10 @@
 The oracles here differ from the estimator in algorithm, not library: every
 weighted sum is assembled from scratch instead of updated recursively, and
 the round-off reference inverts in long double by Gauss-Jordan, so agreement
-with the recursive estimator is meaningful.
+with the recursive estimator is meaningful.  The Monte-Carlo bias estimate is
+not an oracle but a use of the estimator: its trials differ only in their
+values, so they run as the columns of batch estimators (see
+``estimator.Sample``) that share one gain trajectory.
 """
 
 from __future__ import annotations
@@ -99,14 +102,23 @@ def synth_generate(spec: SyntheticSpec) -> list[Sample]:
 
     Raises RangeError when a value overflows the float range.
     """
-    indices = np.arange(1, spec.length + 1)
+    values = _synth_values(spec, [spec.seed])[:, 0]
+    return [Sample(k, float(y)) for k, y in enumerate(values, start=1)]
+
+
+def _synth_values(spec: SyntheticSpec, seeds: Sequence[int]) -> np.ndarray:
+    """(length, len(seeds)) values of spec's series, one column per noise seed."""
+    values = np.empty((spec.length, len(seeds)))
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = regressor_matrix(spec.model, indices) @ spec.theta_star
-        if spec.noise_sigma > 0.0:
-            clean = clean + spec.noise_sigma * random_normals(spec.seed, spec.length)
-    if not np.all(np.isfinite(clean)):
+        clean = regressor_matrix(spec.model, np.arange(1, spec.length + 1)) @ spec.theta_star
+        for col, seed in enumerate(seeds):
+            if spec.noise_sigma > 0.0:
+                values[:, col] = clean + spec.noise_sigma * random_normals(seed, spec.length)
+            else:
+                values[:, col] = clean
+    if not np.all(np.isfinite(values)):
         raise RangeError("synthetic series overflows the float range")
-    return [Sample(int(k), float(y)) for k, y in zip(indices, clean)]
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +231,11 @@ def compare_trajectory(
 # Monte-Carlo unbiasedness
 
 
+# trials per batch estimator: a group's (window, trials) arrays set the peak
+# memory of the bias estimate; 25 keeps it below accumulation_experiment's
+_MC_GROUP = 25
+
+
 @dataclass
 class BiasReport:
     bias: np.ndarray
@@ -238,7 +255,12 @@ def monte_carlo_bias(
     *,
     init_count: int | None = None,
 ) -> BiasReport:
-    """Componentwise mean(theta_k) - theta_star over independent realizations."""
+    """Componentwise mean(theta_k) - theta_star over independent realizations.
+
+    Trial t is spec's series with seed ``derive_seed(spec.seed, t)``.  The
+    gain does not depend on the values, so the trials run as the columns of
+    batch estimators (see ``estimator.Sample``), ``_MC_GROUP`` at a time.
+    """
     if trials < 100:
         raise RangeError("at least 100 trials are required for the bias estimate")
     unbounded = profile.w is None
@@ -249,19 +271,13 @@ def monte_carlo_bias(
         raise ValueError(f"index k={k} must lie in ({window}, {spec.length}]")
 
     estimates = np.empty((trials, spec.model.dim))
-    for t in range(trials):
-        trial_spec = SyntheticSpec(
-            model=spec.model,
-            theta_star=spec.theta_star,
-            noise_sigma=spec.noise_sigma,
-            seed=derive_seed(spec.seed, t),
-            length=spec.length,
-        )
-        series = synth_generate(trial_spec)
+    for first in range(0, trials, _MC_GROUP):
+        seeds = [derive_seed(spec.seed, t) for t in range(first, min(first + _MC_GROUP, trials))]
+        series = [Sample(j, y) for j, y in enumerate(_synth_values(spec, seeds)[:k], start=1)]
         est = RlsEstimator.init(profile, spec.model, series[:window])
-        for sample in series[window:k]:
+        for sample in series[window:]:
             est.step(sample)
-        estimates[t] = est.theta
+        estimates[first : first + len(seeds)] = est.theta.T
 
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)

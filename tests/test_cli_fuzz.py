@@ -3,7 +3,9 @@
 Every case runs ``segrls.cli.main`` in-process.  It must end in a documented
 exit code (0, 2, 3 or 4) with no exception escaping, and a failing case
 prints exactly one line to stderr.  The values are drawn by
-``random.Random(SEED)``, so a failure replays from the printed argv.
+``random.Random(SEED)``, so a failure replays from the printed argv.  After
+the loop, a few valid ``verify`` runs with seeds drawn by their own
+``random.Random(VERIFY_SEED)`` must exit 0 with every criterion passing.
 """
 
 import datetime
@@ -17,6 +19,8 @@ from segrls.cli import main
 SEED = 4
 CASES = 300
 DAYS = 200
+VERIFY_SEED = 5
+VERIFY_RUNS = 2
 
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e-308", "0.5"]
 # the large values stay small enough that a defect cannot exhaust memory
@@ -147,3 +151,11 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
         codes.append(code)
     # the draws reach every documented outcome, not only configuration errors
     assert set(codes) == {0, 2, 3, 4}
+
+    verify_rng = random.Random(VERIFY_SEED)
+    for _ in range(VERIFY_RUNS):
+        argv = ["verify", "--trials", "100", "--seed", str(verify_rng.randrange(2**32))]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0, f"{argv} exited {code}: {lines}"
+        assert len(lines) == 8 and all("] PASS (" in line for line in lines), (argv, lines)

@@ -12,10 +12,16 @@ from segrls.errors import (
     SingularUpdateError,
     WindowTooSmallError,
 )
-from segrls.estimator import RlsEstimator, Sample
-from segrls.harmonic import make_harmonic_model, predict, predict_first_harmonic
+from segrls.estimator import RlsEstimator, Sample, information_matrix
+from segrls.harmonic import (
+    make_harmonic_model,
+    predict,
+    predict_first_harmonic,
+    regressor_matrix,
+)
 from segrls.profile import ExponentialProfile, SegmentedProfile, update_template
 from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
+from segrls.verify import fig2_profile, standard_model, standard_theta
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
 THETA_STAR = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
@@ -34,16 +40,37 @@ def init_on(series, profile=PROFILE, **kwargs):
 
 
 def state_of(est):
-    """Copies of everything a step may change, the ring of rows and values included."""
+    """Copies of everything a step may change, the rings of rows, values and residuals included."""
     return (est.k, est.theta.copy(), est.gamma.copy(), est._rows.copy(),
-            est._values.copy(), list(est._residuals))
+            est._values.copy(), np.array(est._residuals))
 
 
 def assert_state_equal(est, before):
     after = state_of(est)
-    assert after[0] == before[0] and after[5] == before[5]
-    for got, want in zip(after[1:5], before[1:5]):
+    assert after[0] == before[0]
+    for got, want in zip(after[1:], before[1:]):
         assert np.array_equal(got, want)
+
+
+def make_next_update_singular(est):
+    """Set gamma so that the capacitance matrix of the step to est.k + 1 vanishes."""
+    k = est.k + 1
+    lags = np.array(est.template.lags)
+    scales = np.array(est.template.scales)
+    signs = np.array(est.template.signs, dtype=float)
+    p = np.linalg.pinv(regressor_matrix(est.model, k - lags).T * scales)
+    # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
+    est.gamma = -est.profile.decay * p.T @ np.diag(signs) @ p
+
+
+def batch_values(*seeds):
+    """(length, B) values: the series of make_series(1.0, seed) for each seed, as columns."""
+    return np.array([[s.y for s in make_series(1.0, seed=seed)] for seed in seeds]).T
+
+
+def batch_samples(values):
+    """Samples k = 1.. whose values are the rows of a (length, B) array."""
+    return [Sample(k, row) for k, row in enumerate(values, start=1)]
 
 
 class TestInit:
@@ -165,8 +192,6 @@ class TestStep:
 
     def test_raw_gain_update_nearly_symmetric(self):
         # asymmetry ahead of the defensive re-symmetrization stays at round-off
-        from segrls.harmonic import regressor_matrix
-
         series = make_series(1.0)
         est = init_on(series)
         for sample in series[PROFILE.w : PROFILE.w + 10]:
@@ -184,19 +209,12 @@ class TestStep:
         assert asym <= 1e-12
 
     def test_singular_update_leaves_state_unchanged(self):
-        from segrls.harmonic import regressor_matrix
-
         series = make_series(1.0)
         est = init_on(series)
         for sample in series[PROFILE.w : PROFILE.w + 5]:
             est.step(sample)
         k = est.k + 1
-        lags = np.array(est.template.lags)
-        scales = np.array(est.template.scales)
-        signs = np.array(est.template.signs, dtype=float)
-        p = np.linalg.pinv(regressor_matrix(MODEL, k - lags).T * scales)
-        # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
-        est.gamma = -PROFILE.lam * p.T @ np.diag(signs) @ p
+        make_next_update_singular(est)
         before = state_of(est)
         with pytest.raises(SingularUpdateError) as err:
             est.step(series[k - 1])
@@ -211,6 +229,104 @@ class TestStep:
         before = state_of(est)
         with pytest.raises(RangeError):
             est.step(Sample(est.k + 1, bad))
+        assert_state_equal(est, before)
+
+
+class TestBatch:
+    """B value series in one estimator against B scalar estimators on the same indices."""
+
+    @pytest.mark.parametrize(
+        "profile",
+        [fig2_profile(), ExponentialProfile(0.99, 400), ExponentialProfile(0.99)],
+        ids=["segmented", "exponential", "infinite"],
+    )
+    def test_columns_follow_scalar_estimators(self, profile):
+        # Fig-2 model and window; the steps wrap the Fig-2 ring (L + 1 = 401) three times
+        model, window, batch = standard_model(), 400, 5
+        steps = 3 * (max(update_template(fig2_profile()).lags) + 1)
+        series = [
+            synth_generate(SyntheticSpec(model, standard_theta(model), 2.0, seed, window + steps))
+            for seed in range(batch)
+        ]
+        values = np.array([[s.y for s in one] for one in series]).T
+        samples = batch_samples(values)
+        est = RlsEstimator.init(profile, model, samples[:window])
+        singles = [RlsEstimator.init(profile, model, one[:window]) for one in series]
+
+        def check():
+            for col, single in enumerate(singles):
+                assert np.array_equal(est.gamma, single.gamma)
+                dev = np.linalg.norm(est.theta[:, col] - single.theta)
+                assert dev <= 1e-12 * np.linalg.norm(single.theta), (est.k, col)
+
+        check()
+        for j in range(window, window + steps):
+            est.step(samples[j])
+            for single, one in zip(singles, series):
+                single.step(one[j])
+            check()
+
+        def columns(read):
+            return np.array([read(single, one) for single, one in zip(singles, series)])
+
+        def close(got, want):
+            assert got.shape == (batch,)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+        close(est.fitted()[0], columns(lambda s, one: s.fitted()[0]))
+        close(est.fitted()[1], columns(lambda s, one: s.fitted()[1]))
+        close(est.residual(samples[-1]), columns(lambda s, one: s.residual(one[-1])))
+        close(est.moving_variance(), columns(lambda s, one: s.moving_variance()))
+        band = est.forecast(3)
+        close(band.sigma, columns(lambda s, one: s.forecast(3).sigma))
+        for h, point in enumerate(band.points):
+            for field in ("mean", "lower", "upper"):
+                close(getattr(point, field),
+                      columns(lambda s, one: getattr(s.forecast(3).points[h], field)))
+        # the scalar read-outs stay plain floats
+        single = singles[0]
+        assert all(type(v) is float for v in single.fitted())
+        assert type(single.residual(series[0][-1])) is float
+        assert type(single.moving_variance()) is float
+        assert type(single.forecast(1).points[0].mean) is float
+
+    def test_non_finite_value_in_one_column_leaves_state_unchanged(self):
+        values = batch_values(1, 2, 3)
+        samples = batch_samples(values)
+        est = RlsEstimator.init(PROFILE, MODEL, samples[: PROFILE.w])
+        est.step(samples[PROFILE.w])
+        before = state_of(est)
+        bad = values[est.k].copy()
+        bad[1] = math.nan
+        with pytest.raises(RangeError, match=f"column 1 at index {est.k + 1}$"):
+            est.step(Sample(est.k + 1, bad))
+        assert_state_equal(est, before)
+
+    def test_non_finite_value_at_init_names_its_index(self):
+        values = batch_values(1, 2)
+        values[9, 1] = math.inf
+        with pytest.raises(RangeError, match="column 1 at index 10$"):
+            RlsEstimator.init(PROFILE, MODEL, batch_samples(values)[: PROFILE.w])
+
+    def test_value_count_must_match_the_batch(self):
+        values = batch_values(1, 2)
+        est = RlsEstimator.init(PROFILE, MODEL, batch_samples(values)[: PROFILE.w])
+        before = state_of(est)
+        with pytest.raises(ValueError, match=f"expected 2 values at index {est.k + 1}"):
+            est.step(Sample(est.k + 1, values[est.k, :1]))
+        assert_state_equal(est, before)
+
+    def test_singular_update_leaves_state_unchanged(self):
+        samples = batch_samples(batch_values(1, 2, 3))
+        est = RlsEstimator.init(PROFILE, MODEL, samples[: PROFILE.w])
+        for sample in samples[PROFILE.w : PROFILE.w + 5]:
+            est.step(sample)
+        k = est.k + 1
+        make_next_update_singular(est)
+        before = state_of(est)
+        with pytest.raises(SingularUpdateError) as err:
+            est.step(samples[k - 1])
+        assert err.value.index == k
         assert_state_equal(est, before)
 
 
@@ -283,6 +399,16 @@ class TestMovingVariance:
         est._residuals = [1.0]
         with pytest.raises(InsufficientDataError):
             est.moving_variance()
+
+    def test_mean_is_taken_oldest_first(self):
+        # the buffered residuals are summed in sample order, as a plain window would be
+        series = make_series(1.0, length=PROFILE.w * 2 + 7)
+        est = init_on(series)
+        residuals = []
+        for sample in series[PROFILE.w :]:
+            est.step(sample)
+            residuals.append(sample.y - est.fitted()[1])
+        assert est.moving_variance() == float(np.mean(np.square(residuals[-PROFILE.w :])))
 
     def test_tracks_excluded_harmonic_power_plus_noise(self):
         # first-harmonic residuals carry the higher harmonics and the noise
@@ -359,6 +485,19 @@ class TestInfoMatrix:
         a = est.info_matrix()
         off = a - np.diag(np.diagonal(a))
         assert np.max(np.abs(off)) <= 1e-9 * np.max(np.abs(np.diagonal(a)))
+
+    @pytest.mark.parametrize(
+        "profile", [PROFILE, ExponentialProfile(0.97, 50)], ids=["segmented", "exponential"]
+    )
+    def test_windowed_matrix_from_the_ring_equals_a_rebuild(self, profile):
+        # the ring's rows are read oldest first, also after it has wrapped three times
+        series = make_series(1.0, length=profile.w + 3 * (profile.w + 1) + 5)
+        est = init_on(series, profile)
+        for sample in series[profile.w - 1 :]:
+            if sample.k > est.k:
+                est.step(sample)
+            rebuilt = information_matrix(profile, MODEL, est.k, profile.w)
+            assert np.max(np.abs(est.info_matrix() - rebuilt)) <= 1e-13 * np.max(np.abs(rebuilt))
 
     def test_unbounded_profile_accumulates_history(self):
         series = make_series(1.0)[:90]

@@ -219,6 +219,31 @@ class TestMonteCarloBias:
         report = monte_carlo_bias(PROFILE, spec(1.0, length=60), 120, 55)
         assert report.within(4.0)
 
+    @pytest.mark.parametrize(
+        "profile, window, trials",
+        [  # 110 trials leave a part-filled last group
+            pytest.param(PROFILE, 50, 110, id="segmented"),
+            pytest.param(ExponentialProfile(0.97, 50), 50, 100, id="exponential-windowed"),
+            pytest.param(ExponentialProfile(0.97), 50, 100, id="infinite"),
+        ],
+    )
+    def test_shared_gain_equals_a_per_trial_loop(self, profile, window, trials):
+        base, k = spec(1.0, length=90), 80
+        report = monte_carlo_bias(profile, base, trials, k, init_count=window)
+        estimates = []
+        for t in range(trials):
+            series = synth_generate(spec(1.0, seed=derive_seed(base.seed, t), length=90))
+            est = RlsEstimator.init(profile, MODEL, series[:window])
+            for sample in series[window:k]:
+                est.step(sample)
+            estimates.append(est.theta)
+        estimates = np.array(estimates)
+        se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
+        assert report.trials == trials and report.at_index == k
+        np.testing.assert_allclose(report.bias, estimates.mean(axis=0) - THETA_STAR,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.standard_error, se, rtol=1e-12, atol=0)
+
 
 def row_by_row_gauss_jordan(a):
     """Long-double Gauss-Jordan on one matrix, one row update at a time."""
