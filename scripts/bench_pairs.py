@@ -3,7 +3,7 @@
     python3 scripts/bench_pairs.py --pr N --base REV verify:10 fit_long:3
 
 Run from a segrls checkout whose working tree holds the change.  The base
-revision is checked out with ``git worktree add --detach`` into a temporary
+revision's files are exported with ``git archive`` into a temporary
 directory, which is removed at the end.  Each positional argument is a
 workload with its number of pairs.  Pair i (from 1) of a workload runs
 
@@ -16,7 +16,9 @@ odd pairs and the change first in even ones; N is BENCHMARK.json's
 end-to-end metric of BENCHMARK.json the file gives, per side, the median and
 the quartiles over the pairs, and the number of pairs the change won (a tie
 counts for neither side); per side it also gives the summed ``failed`` and
-``attempted``.  The file is written at the root of the checkout.
+``attempted``.  ``src_lines`` gives each side's newline count of
+``src/segrls/*.py``, as ``wc -l`` counts it.  The file is written at the root
+of the checkout.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ SIDES = ("base", "change")
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's ``src/segrls/*.py``, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "segrls").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -108,17 +115,21 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     base_dir = tmp / "base"
-    git("worktree", "add", "--detach", str(base_dir), base_rev)
-    checkouts = {"base": base_dir, "change": ROOT}
-    report = {
-        "pr": args.pr, "base": base_rev,
-        "change": f"working tree on {git('rev-parse', 'HEAD')}",
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
-        "seconds": seconds, "started": datetime.datetime.now().isoformat(timespec="seconds"),
-        "machine": {}, "workloads": {},
-    }
     try:
+        base_dir.mkdir()
+        archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
+        checkouts = {"base": base_dir, "change": ROOT}
+        report = {
+            "pr": args.pr, "base": base_rev,
+            "change": f"working tree on {git('rev-parse', 'HEAD')}",
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
+            "seconds": seconds, "started": datetime.datetime.now().isoformat(timespec="seconds"),
+            "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
+            "machine": {}, "workloads": {},
+        }
         for name, pairs in plan:
             runs = {side: [] for side in SIDES}
             for seed in range(1, pairs + 1):
@@ -138,8 +149,6 @@ def main(argv=None) -> int:
                 "runs": runs,
             }
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_dir)], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     out = ROOT / f"BENCH_{args.pr}.json"

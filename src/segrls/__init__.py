@@ -10,7 +10,6 @@ conditioned.
 from .errors import (
     CalendarError,
     DegenerateColumnError,
-    DimensionError,
     DropConditionError,
     GapError,
     IndexGapError,
@@ -29,8 +28,6 @@ from .estimator import ForecastBand, HorizonPoint, RlsEstimator, Sample
 from .harmonic import (
     HarmonicModel,
     make_harmonic_model,
-    predict,
-    predict_first_harmonic,
     regressor_at,
     regressor_matrix,
 )
@@ -38,8 +35,6 @@ from .profile import (
     ExponentialProfile,
     SegmentedProfile,
     UpdateTemplate,
-    drop_ratio,
-    make_segmented,
     update_template,
     weights,
 )
@@ -56,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalendarError",
     "DegenerateColumnError",
-    "DimensionError",
     "DropConditionError",
     "ExponentialProfile",
     "ForecastBand",
@@ -81,12 +75,8 @@ __all__ = [
     "WindowTooSmallError",
     "compare_trajectory",
     "direct_weighted_ls",
-    "drop_ratio",
     "make_harmonic_model",
-    "make_segmented",
     "monte_carlo_bias",
-    "predict",
-    "predict_first_harmonic",
     "regressor_at",
     "regressor_matrix",
     "synth_generate",

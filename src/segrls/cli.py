@@ -416,6 +416,11 @@ def cmd_forecast(args) -> int:
     if errors:
         return _fail_config(errors)
     series, records = _load_series(args, start, end)
+    last = series.date_of(series.samples[-1].k)
+    if args.horizon > (datetime.date.max - last).days:
+        return _fail_config(
+            [f"--horizon {args.horizon} from the series end {last} passes year 9999"]
+        )
     est, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 

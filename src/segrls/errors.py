@@ -29,10 +29,6 @@ class NyquistError(SegrlsError):
     """Requested harmonic grid reaches or exceeds the Nyquist frequency."""
 
 
-class DimensionError(SegrlsError):
-    """Vector length does not match the model dimension."""
-
-
 class SingularUpdateError(SegrlsError):
     """A low-rank update's capacitance matrix is singular or ill-conditioned."""
 

@@ -83,7 +83,10 @@ def _weighted_gram(profile, phi):
 
 
 def _first_harmonic(theta, phi):
-    """dc + fundamental part of phi^T theta, in predict_first_harmonic order.
+    """dc + fundamental part of phi^T theta, summed as dc, then cosine, then sine.
+
+    The one copy of this formula: the fitted values, the residual buffer and
+    the forecast all call it, so their bytes agree.
 
     ``phi`` is indexed by regressor entry first: one row (n,), or the
     transposed rows (n, count[, 1]) to get one value per row and column.

@@ -1,9 +1,11 @@
-"""Harmonic regression model: frequency grid, regressor vectors, predictions.
+"""Harmonic regression model: frequency grid and regressor vectors.
 
 The regressor at time index k is [1, cos(q_0 k), sin(q_0 k), ...,
 cos(q_h k), sin(q_h k)] with q_i = 2*pi*(i+1)/T, so a parameter vector is
 ordered [dc, a_0, b_0, ..., a_h, b_h].  Angles are always computed directly
 from k (no incremental rotation), so regenerating a regressor is exact.
+Predictions phi_k^T theta are formed by the estimator (``fitted``,
+``residual`` and ``forecast``), from the rows built here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NyquistError, RangeError
+from .errors import NyquistError, RangeError
 
 
 @dataclass(frozen=True)
@@ -68,25 +70,3 @@ def regressor_matrix(model: HarmonicModel, indices) -> np.ndarray:
     phi[:, 1::2] = np.cos(angles)
     phi[:, 2::2] = np.sin(angles)
     return phi
-
-
-def _check_theta(model: HarmonicModel, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != model.dim:
-        raise DimensionError(
-            f"parameter vector has length {theta.size}, model dimension is {model.dim}"
-        )
-    return theta
-
-
-def predict(model: HarmonicModel, theta, k: int) -> float:
-    """Full-model prediction phi_k^T theta."""
-    theta = _check_theta(model, theta)
-    return float(regressor_at(model, k) @ theta)
-
-
-def predict_first_harmonic(model: HarmonicModel, theta, k: int) -> float:
-    """dc + fundamental-harmonic part of the prediction; higher harmonics excluded."""
-    theta = _check_theta(model, theta)
-    angle = model.frequencies[0] * float(k)
-    return float(theta[0] + theta[1] * math.cos(angle) + theta[2] * math.sin(angle))

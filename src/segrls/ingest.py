@@ -83,9 +83,6 @@ class IndexedSeries:
     def date_of(self, k: int) -> datetime.date:
         return self.origin + datetime.timedelta(days=k - 1)
 
-    def index_of(self, day: datetime.date) -> int:
-        return (day - self.origin).days + 1
-
 
 def parse_stockholm(text: str, value_column: int = 3) -> Records:
     """Whitespace-delimited daily records: year month day value [extra columns].

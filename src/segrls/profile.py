@@ -26,33 +26,20 @@ from .errors import (
 )
 
 
-class TemplateEntry(NamedTuple):
-    lag: int
-    scale: float
-    sign: int
+class UpdateTemplate(NamedTuple):
+    """The per-step low-rank correction columns, one entry per column.
 
+    Column i is ``scales[i]`` times the regressor at lag ``lags[i]``, added
+    (sign +1) or removed (sign -1).
+    """
 
-@dataclass(frozen=True)
-class UpdateTemplate:
-    """Lags, scales and signs of the per-step low-rank correction columns."""
-
-    entries: tuple[TemplateEntry, ...]
+    lags: tuple[int, ...]
+    scales: tuple[float, ...]
+    signs: tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
-
-    @property
-    def lags(self) -> tuple[int, ...]:
-        return tuple(e.lag for e in self.entries)
-
-    @property
-    def scales(self) -> tuple[float, ...]:
-        return tuple(e.scale for e in self.entries)
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(e.sign for e in self.entries)
+        return len(self.lags)
 
 
 def _check_factor(name: str, value: float) -> None:
@@ -125,17 +112,8 @@ class ExponentialProfile:
     def decay(self) -> float:
         return self.lam
 
-    @property
-    def unbounded(self) -> bool:
-        return self.w is None
-
 
 ForgettingProfile = Union[SegmentedProfile, ExponentialProfile]
-
-
-def make_segmented(beta: float, lam: float, m: int, p: int, w: int) -> SegmentedProfile:
-    """Validated segmented profile; see SegmentedProfile for the invariants."""
-    return SegmentedProfile(beta=beta, lam=lam, m=m, p=p, w=w)
 
 
 def weights(profile: ForgettingProfile, count: int) -> np.ndarray:
@@ -170,28 +148,24 @@ def update_template(profile: ForgettingProfile) -> UpdateTemplate:
     addition and the lag-w removal; the infinite one only the addition.
     """
     if isinstance(profile, ExponentialProfile):
-        entries = [TemplateEntry(0, 1.0, +1)]
-        if profile.w is not None:
-            entries.append(
-                TemplateEntry(profile.w, math.sqrt(profile.lam**profile.w), -1)
-            )
-        return UpdateTemplate(entries=tuple(entries))
+        if profile.w is None:
+            return UpdateTemplate((0,), (1.0,), (1,))
+        return UpdateTemplate(
+            (0, profile.w), (1.0, math.sqrt(profile.lam**profile.w)), (1, -1)
+        )
 
     beta, lam, m, p, w = profile.beta, profile.lam, profile.m, profile.p, profile.w
-    entries = [TemplateEntry(0, 1.0, +1)]
     sign_fast = 1 if beta > lam else -1
-    for j in range(1, p + 1):
-        entries.append(
-            TemplateEntry(j, math.sqrt(beta ** (j - 1) * abs(beta - lam)), sign_fast)
-        )
     lam_m = lam**m
     beta_p = beta**p
     sign_drop = 1 if lam_m > beta_p else -1
-    entries.append(TemplateEntry(p + 1, math.sqrt(abs(lam_m - beta_p) * lam), sign_drop))
-    entries.append(TemplateEntry(w, math.sqrt(lam ** (m + w - p)), -1))
-    return UpdateTemplate(entries=tuple(entries))
-
-
-def drop_ratio(profile: SegmentedProfile) -> float:
-    """f(p+1)/f(p) = lambda^(m+1)/beta^p, in (0, 1) by construction."""
-    return profile.lam ** (profile.m + 1) / profile.beta**profile.p
+    return UpdateTemplate(
+        lags=(*range(p + 2), w),
+        scales=(
+            1.0,
+            *(math.sqrt(beta ** (j - 1) * abs(beta - lam)) for j in range(1, p + 1)),
+            math.sqrt(abs(lam_m - beta_p) * lam),
+            math.sqrt(lam ** (m + w - p)),
+        ),
+        signs=(1, *(sign_fast,) * p, sign_drop, -1),
+    )

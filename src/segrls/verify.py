@@ -45,6 +45,11 @@ FIG1_BETA, FIG1_LAMBDA, FIG1_M, FIG1_P, FIG1_W = 0.92, 0.96, 60, 1, 400
 NOISE_SIGMA = 2.0
 SERIES_LENGTH = 1000  # 400-sample window + 600 verification steps
 
+A3_TRIALS = 200          # random Woodbury systems checked against direct inversion
+A5_STEPS = 100           # noiseless steps past the initial window
+A10_HOLDOUT_DAYS = 365   # held-out span at the end of the series
+A10_HORIZON = 30         # forecast lead, in days
+
 
 @dataclass
 class CriterionResult:
@@ -141,10 +146,10 @@ def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
 # A3: batch Woodbury update vs direct inversion
 
 
-def criterion_a3(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult:
+def criterion_a3(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     worst = 0.0
-    for t in range(trials):
+    for t in range(A3_TRIALS):
         trial_seed = derive_seed(seed, t)
         u = random_uniforms(trial_seed, 2, stream=1)
         n = 3 + int(u[0] * 48)
@@ -180,7 +185,7 @@ def criterion_a3(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult
     return CriterionResult(
         "A3",
         passed,
-        f"{trials} trials: worst rel error {worst:.2e} (tol 1e-9), "
+        f"{A3_TRIALS} trials: worst rel error {worst:.2e} (tol 1e-9), "
         f"add/remove cancellation {cancel:.2e} (tol 1e-12)",
         elapsed,
     )
@@ -212,11 +217,11 @@ def criterion_a4() -> CriterionResult:
 # A5: noiseless recovery and fixed point
 
 
-def criterion_a5(seed: int = DEFAULT_SEED, steps: int = 100) -> CriterionResult:
+def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     model = standard_model()
     theta_star = standard_theta(model)
-    series = _standard_series(seed, noise_sigma=0.0)[: FIG2_W + steps]
+    series = _standard_series(seed, noise_sigma=0.0)[: FIG2_W + A5_STEPS]
     norm = np.linalg.norm(theta_star)
     worst = 0.0
     for prof, init_count in (
@@ -244,22 +249,17 @@ def criterion_a5(seed: int = DEFAULT_SEED, steps: int = 100) -> CriterionResult:
 # A7: condition-number ordering of the information matrix
 
 
-def condition_ordering(beta: float, lam: float, m: int, p: int, w: int):
-    """cond(A) under the pure-fast, segmented and pure-slow laws, same span."""
-    model = standard_model()
-    seg = SegmentedProfile(beta, lam, m, p, w)
-    fast = ExponentialProfile(beta, w)
-    slow = ExponentialProfile(lam, w)
-    return tuple(
-        linalg.condition_number(information_matrix(prof, model, w, w))
-        for prof in (fast, seg, slow)
-    )
-
-
 def criterion_a7() -> CriterionResult:
+    """cond(A) under the pure-fast, segmented and pure-slow Fig-1 laws, same span."""
     start = time.perf_counter()
-    cond_fast, cond_seg, cond_slow = condition_ordering(
-        FIG1_BETA, FIG1_LAMBDA, FIG1_M, FIG1_P, FIG1_W
+    model = standard_model()
+    cond_fast, cond_seg, cond_slow = (
+        linalg.condition_number(information_matrix(prof, model, FIG1_W, FIG1_W))
+        for prof in (
+            ExponentialProfile(FIG1_BETA, FIG1_W),
+            SegmentedProfile(FIG1_BETA, FIG1_LAMBDA, FIG1_M, FIG1_P, FIG1_W),
+            ExponentialProfile(FIG1_LAMBDA, FIG1_W),
+        )
     )
     elapsed = time.perf_counter() - start
     passed = cond_fast > cond_seg > cond_slow
@@ -355,17 +355,12 @@ def criterion_a6(samples: Sequence[Sample], label: str = "A6") -> CriterionResul
     )
 
 
-def criterion_a10(
-    samples: Sequence[Sample],
-    holdout_days: int = 365,
-    horizon: int = 30,
-    label: str = "A10",
-) -> CriterionResult:
+def criterion_a10(samples: Sequence[Sample], label: str = "A10") -> CriterionResult:
     """30-day-ahead first-harmonic band must cover >= 0.90 of a held-out year."""
     start = time.perf_counter()
     model = standard_model()
-    cutoff = len(samples) - holdout_days
-    if cutoff <= FIG2_W + horizon:
+    cutoff = len(samples) - A10_HOLDOUT_DAYS
+    if cutoff <= FIG2_W + A10_HORIZON:
         raise ValueError("series too short for the held-out span")
     est = RlsEstimator.init(fig2_profile(), model, samples[:FIG2_W])
     by_index = {s.k: s.y for s in samples}
@@ -374,9 +369,9 @@ def criterion_a10(
     total = 0
     for sample in samples[FIG2_W:]:
         est.step(sample)
-        target = est.k + horizon
+        target = est.k + A10_HORIZON
         if target >= first_target and target in by_index:
-            point = est.forecast(horizon).points[-1]
+            point = est.forecast(A10_HORIZON).points[-1]
             total += 1
             hits += int(point.lower <= by_index[target] <= point.upper)
     coverage = hits / total if total else float("nan")

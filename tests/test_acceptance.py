@@ -34,7 +34,7 @@ def test_a2_oracle_equivalence_exponential_profiles():
 
 
 def test_a3_woodbury_batch_update():
-    _check(verify.criterion_a3(SEED, trials=200))
+    _check(verify.criterion_a3(SEED))
 
 
 def test_a4_telescoping_and_template_shape():

@@ -36,6 +36,16 @@ def test_spread_of_one_run_is_that_run():
         {"median": 3.0, "q1": 2.0, "q3": 4.0})
 
 
+def test_src_lines_counts_newlines_of_the_package_modules_only(tmp_path):
+    pkg = tmp_path / "src" / "segrls"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")              # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--pr", "x", "--base", "HEAD"],        # a workload needs its pair count
     ["verify:0", "--pr", "x", "--base", "HEAD"],

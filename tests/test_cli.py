@@ -3,6 +3,10 @@ import math
 import pytest
 
 from segrls.cli import main
+from segrls.estimator import information_matrix
+from segrls.harmonic import make_harmonic_model
+from segrls.linalg import condition_number
+from segrls.profile import ExponentialProfile, SegmentedProfile
 
 SMALL_MODEL = ["--period", "40", "--harmonics", "2"]  # n = 7
 
@@ -131,14 +135,28 @@ class TestFit:
         assert rmse <= 1e-6
 
     def test_condition_column_emitted(self, tmp_path):
+        # every 10th row from the first carries cond(A_k) of the directly
+        # assembled matrix; the others are blank
         data = synth_file(tmp_path, length=80)
-        out = tmp_path / "fit.csv"
-        assert run(["fit", "--input", str(data), *FIT_FLAGS, "--cond-every", "10",
-                    "--output", str(out)]) == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith(("#", "k,"))]
-        conds = [l.split(",")[6] for l in rows]
-        assert conds[0] != "" and conds[1] == "" and conds[10] != ""
+        model = make_harmonic_model(40.0, 2)
+        for profile, prof in (("segmented", SegmentedProfile(0.85, 0.97, 30, 1, 60)),
+                              ("infinite", ExponentialProfile(0.97))):
+            out = tmp_path / f"fit_{profile}.csv"
+            assert run(["fit", "--input", str(data), *FIT_FLAGS, "--profile", profile,
+                        "--cond-every", "10", "--output", str(out)]) == 0
+            rows = [l.split(",") for l in out.read_text().splitlines()
+                    if l and not l.startswith(("#", "k,"))]
+            first = int(rows[0][0])
+            due = [(int(r[0]), r[6]) for r in rows if (int(r[0]) - first) % 10 == 0]
+            assert [k for k, _ in due] == [60, 70, 80]
+            assert all(r[6] == "" for r in rows if (int(r[0]) - first) % 10)
+            for k, text in due:
+                # the infinite profile's window spans the whole history, k = 1..k
+                count = prof.w or k
+                want = condition_number(information_matrix(prof, model, k, count))
+                # 1e-9 relative, plus half a unit in the 9th printed digit
+                tol = 1e-9 * want + 5e-9 * 10 ** math.floor(math.log10(want))
+                assert abs(float(text) - want) <= tol, (profile, k, text, want)
 
     def test_bad_profile_parameters_exit_2(self, tmp_path, capsys):
         data = synth_file(tmp_path)
@@ -315,6 +333,18 @@ class TestForecast:
         _, _, mean, lower, upper, observed, in_band = row.split(",")
         assert float(mean) == pytest.approx(5.0, abs=1e-9)
         assert float(upper) - float(lower) <= 1e-9
+
+    def test_horizon_past_year_9999_exit_2(self, tmp_path, capsys):
+        # the series ends on 9999-07-19, 165 days before the last representable date
+        data = synth_file(tmp_path, length=200, extra=("--origin", "9999-01-01"))
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--input", str(data), *FIT_FLAGS, "--output", str(out)]
+        assert run([*argv, "--horizon", "165"]) == 0
+        assert out.read_text().splitlines()[165].split(",")[1] == "9999-12-31"
+        capsys.readouterr()
+        assert run([*argv, "--horizon", "166"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "passes year 9999" in err
 
     def test_horizon_beyond_data_reports_na(self, tmp_path):
         data = synth_file(tmp_path)

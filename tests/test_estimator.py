@@ -13,12 +13,7 @@ from segrls.errors import (
     WindowTooSmallError,
 )
 from segrls.estimator import RlsEstimator, Sample, information_matrix
-from segrls.harmonic import (
-    make_harmonic_model,
-    predict,
-    predict_first_harmonic,
-    regressor_matrix,
-)
+from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
 from segrls.profile import ExponentialProfile, SegmentedProfile, update_template
 from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
 from segrls.verify import fig2_profile, standard_model, standard_theta
@@ -61,6 +56,12 @@ def make_next_update_singular(est):
     p = np.linalg.pinv(regressor_matrix(est.model, k - lags).T * scales)
     # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
     est.gamma = -est.profile.decay * p.T @ np.diag(signs) @ p
+
+
+def first_harmonic_at(theta, k):
+    """dc + fundamental part of the prediction at k, in the estimator's order."""
+    angle = MODEL.frequencies[0] * k
+    return float(theta[0] + theta[1] * math.cos(angle) + theta[2] * math.sin(angle))
 
 
 def batch_values(*seeds):
@@ -339,15 +340,28 @@ class TestResiduals:
             assert abs(est.residual(sample)) <= 1e-8
 
     def test_fitted_values_equal_predictions_bitwise(self):
-        # the kept phi_k stands in for predict and predict_first_harmonic
+        # the kept phi_k stands in for a fresh regressor row at k
         series = make_series(1.0)
         est = init_on(series)
         for sample in series[PROFILE.w - 1 : PROFILE.w + 60]:
             if sample.k > est.k:
                 est.step(sample)
-            full = predict(MODEL, est.theta, sample.k)
-            assert est.fitted() == (full, predict_first_harmonic(MODEL, est.theta, sample.k))
+            full = float(regressor_at(MODEL, sample.k) @ est.theta)
+            assert est.fitted() == (full, first_harmonic_at(est.theta, sample.k))
             assert est.residual(sample) == sample.y - full
+
+    def test_first_harmonic_plus_higher_harmonics_is_the_full_fit(self):
+        series = make_series(1.0)
+        est = init_on(series)
+        for sample in series[PROFILE.w : PROFILE.w + 40]:
+            est.step(sample)
+            full, first = est.fitted()
+            higher = sum(
+                est.theta[1 + 2 * i] * math.cos(MODEL.frequencies[i] * est.k)
+                + est.theta[2 + 2 * i] * math.sin(MODEL.frequencies[i] * est.k)
+                for i in range(1, MODEL.harmonics + 1)
+            )
+            assert full == pytest.approx(first + higher, abs=1e-12)
 
     def test_zero_theta_returns_measurement(self):
         series = make_series(1.0)
@@ -451,7 +465,7 @@ class TestForecast:
             est.step(sample)
         band = est.forecast(10)
         for point in band.points:
-            truth = predict_first_harmonic(MODEL, theta, point.k)
+            truth = first_harmonic_at(theta, point.k)
             assert point.mean == pytest.approx(truth, abs=1e-7)
             assert point.upper - point.lower <= 1e-6
 
@@ -509,6 +523,47 @@ class TestInfoMatrix:
         assert np.linalg.norm(est.gamma - gamma_direct) <= 1e-6 * np.linalg.norm(
             gamma_direct
         )
+
+
+def rotation(model, j):
+    """R^j with phi_{k+j} = R^j phi_k: a 1 for dc, then a 2x2 rotation by q_i j per frequency."""
+    phi = regressor_at(model, j)
+    r = np.zeros((model.dim, model.dim))
+    r[0, 0] = 1.0
+    for i in range(1, model.dim, 2):
+        c, s = phi[i], phi[i + 1]
+        r[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
+    return r
+
+
+@pytest.mark.parametrize(
+    "model, profile",
+    [
+        (MODEL, PROFILE),
+        (MODEL, ExponentialProfile(0.97, 50)),
+        (standard_model(), fig2_profile()),
+        (standard_model(), ExponentialProfile(0.99, 400)),
+    ],
+    ids=["n7-segmented", "n7-exponential", "n35-fig2", "n35-exponential"],
+)
+class TestRotationSymmetry:
+    """A full window's information matrix is the first one, rotated: A_k = R^(k-w) A_w R^-(k-w)."""
+
+    def test_information_matrix_is_the_first_window_rotated(self, model, profile):
+        w = profile.w
+        a_w = information_matrix(profile, model, w, w)
+        for k in (w, w + 1, 1000, 4000, 40000):
+            r = rotation(model, k - w)
+            rotated = r @ a_w @ r.T   # R is orthogonal: R^-1 = R^T
+            a_k = information_matrix(profile, model, k, w)
+            assert np.max(np.abs(a_k - rotated)) <= 1e-11 * np.max(np.abs(a_w)), k
+
+    def test_condition_number_does_not_depend_on_k(self, model, profile):
+        w = profile.w
+        cond_w = linalg.condition_number(information_matrix(profile, model, w, w))
+        for k in (w + 1, 1000, 4000, 40000):
+            cond_k = linalg.condition_number(information_matrix(profile, model, k, w))
+            assert abs(cond_k - cond_w) <= 1e-12 * cond_w, k
 
 
 class TestProfileEffects:

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from segrls.errors import DimensionError, NyquistError, RangeError
-from segrls.harmonic import (
-    make_harmonic_model,
-    predict,
-    predict_first_harmonic,
-    regressor_at,
-    regressor_matrix,
-)
+from segrls.errors import NyquistError, RangeError
+from segrls.estimator import _first_harmonic
+from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
 
 
 class TestModel:
@@ -73,55 +68,43 @@ class TestRegressor:
 
 
 class TestPredict:
+    """The full prediction phi_k^T theta, as the estimator forms it from a row."""
+
     def setup_method(self):
         self.model = make_harmonic_model(365.25, 4)
 
+    def predict(self, theta, k):
+        return float(regressor_at(self.model, k) @ theta)
+
     def test_zero_theta(self):
-        assert predict(self.model, np.zeros(self.model.dim), 17) == 0.0
+        assert self.predict(np.zeros(self.model.dim), 17) == 0.0
 
     def test_dc_only(self):
         theta = np.zeros(self.model.dim)
         theta[0] = 5.0
         for k in (0, 3, 900):
-            assert predict(self.model, theta, k) == 5.0
+            assert self.predict(theta, k) == 5.0
 
     def test_unit_first_cosine(self):
         theta = np.zeros(self.model.dim)
         theta[1] = 1.0
         q0 = self.model.frequencies[0]
-        assert predict(self.model, theta, 7) == pytest.approx(math.cos(7 * q0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            predict(self.model, np.zeros(4), 0)
-        with pytest.raises(DimensionError):
-            predict_first_harmonic(self.model, np.zeros(4), 0)
+        assert self.predict(theta, 7) == pytest.approx(math.cos(7 * q0))
 
 
 class TestFirstHarmonic:
+    """The estimator's dc + fundamental part of the prediction, on a regressor row."""
+
     def setup_method(self):
         self.model = make_harmonic_model(365.25, 4)
 
     def test_higher_harmonics_excluded(self):
         theta = np.zeros(self.model.dim)
         theta[3:] = 9.0
-        assert predict_first_harmonic(self.model, theta, 123) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        phi = regressor_at(self.model, 123)
+        assert _first_harmonic(theta, phi) == pytest.approx(0.0, abs=1e-12)
 
     def test_dc_plus_first_cosine_at_zero(self):
         theta = np.zeros(self.model.dim)
         theta[:5] = [2.0, 3.0, 0.0, 9.0, 9.0]
-        assert predict_first_harmonic(self.model, theta, 0) == pytest.approx(5.0)
-
-    def test_full_prediction_decomposes(self):
-        rng = np.random.default_rng(2)
-        theta = rng.standard_normal(self.model.dim)
-        for k in (0, 5, 99, 4001):
-            higher = sum(
-                theta[1 + 2 * i] * math.cos(self.model.frequencies[i] * k)
-                + theta[2 + 2 * i] * math.sin(self.model.frequencies[i] * k)
-                for i in range(1, self.model.harmonics + 1)
-            )
-            total = predict_first_harmonic(self.model, theta, k) + higher
-            assert predict(self.model, theta, k) == pytest.approx(total, abs=1e-12)
+        assert _first_harmonic(theta, regressor_at(self.model, 0)) == pytest.approx(5.0)

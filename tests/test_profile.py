@@ -13,8 +13,6 @@ from segrls.errors import (
 from segrls.profile import (
     ExponentialProfile,
     SegmentedProfile,
-    drop_ratio,
-    make_segmented,
     update_template,
     weights,
 )
@@ -30,32 +28,32 @@ EXP_REMOVAL_SCALE = 0.13397967485796195  # 0.99**200
 
 class TestConstruction:
     def test_fig2_parameters_valid(self):
-        prof = make_segmented(**FIG2)
+        prof = SegmentedProfile(**FIG2)
         assert prof.w == 400 and prof.decay == 0.99
 
     def test_fig1_factors_valid(self):
         # lambda^(m+1) < 0.92 requires m >= 2 here
-        prof = make_segmented(0.92, 0.96, 60, 1, 400)
+        prof = SegmentedProfile(0.92, 0.96, 60, 1, 400)
         assert 0.96**61 < 0.92
         assert prof.p == 1
 
     def test_equal_factors_rejected(self):
         with pytest.raises(DegenerateColumnError):
-            make_segmented(0.99, 0.99, 10, 1, 100)
+            SegmentedProfile(0.99, 0.99, 10, 1, 100)
 
     def test_zero_drop_column_rejected(self):
         # 0.5**2 == 0.25**1 exactly in binary floating point
         with pytest.raises(DegenerateColumnError):
-            make_segmented(0.25, 0.5, 2, 1, 100)
+            SegmentedProfile(0.25, 0.5, 2, 1, 100)
 
     def test_no_drop_rejected(self):
         # lambda^(m+1) = 0.9801 >= beta^p = 0.5
         with pytest.raises(DropConditionError):
-            make_segmented(0.5, 0.99, 1, 1, 100)
+            SegmentedProfile(0.5, 0.99, 1, 1, 100)
 
     def test_fast_segment_must_fit_window(self):
         with pytest.raises(WindowError):
-            make_segmented(0.89, 0.99, 250, 5, 6)
+            SegmentedProfile(0.89, 0.99, 250, 5, 6)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,20 +68,18 @@ class TestConstruction:
     )
     def test_out_of_range_parameters(self, kwargs):
         with pytest.raises(RangeError):
-            make_segmented(**kwargs)
+            SegmentedProfile(**kwargs)
 
     def test_exponential_factor_range(self):
         with pytest.raises(RangeError):
             ExponentialProfile(1.5, 100)
         with pytest.raises(RangeError):
             ExponentialProfile(0.9, 0)
-        assert ExponentialProfile(0.9).unbounded
-        assert not ExponentialProfile(0.9, 50).unbounded
 
 
 class TestWeight:
     def test_fig2_values(self):
-        f = weights(make_segmented(**FIG2), 1001)
+        f = weights(SegmentedProfile(**FIG2), 1001)
         assert f[0] == 1.0
         assert f[1] == 0.89
         assert f[2] == pytest.approx(W_FIG2_LAG2, rel=1e-14)
@@ -99,23 +95,23 @@ class TestWeight:
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
-            weights(make_segmented(**FIG2), -1)
-        assert weights(make_segmented(**FIG2), 0).shape == (0,)
+            weights(SegmentedProfile(**FIG2), -1)
+        assert weights(SegmentedProfile(**FIG2), 0).shape == (0,)
 
     def test_monotone_segments(self):
-        prof = make_segmented(**FIG2)
+        prof = SegmentedProfile(**FIG2)
         f = weights(prof, prof.w)
         assert np.all(np.diff(f[: prof.p + 1]) < 0)
         assert np.all(np.diff(f[prof.p + 1 :]) < 0)
 
     def test_drop_present(self):
-        prof = make_segmented(**FIG2)
+        prof = SegmentedProfile(**FIG2)
         f = weights(prof, prof.w)
         assert f[prof.p + 1] < f[prof.p]
 
     @pytest.mark.parametrize(
         "prof",
-        [make_segmented(**FIG2), ExponentialProfile(0.99, 400)],
+        [SegmentedProfile(**FIG2), ExponentialProfile(0.99, 400)],
         ids=["fig2", "exponential"],
     )
     def test_within_two_ulp_of_exact_power(self, prof):
@@ -134,7 +130,7 @@ class TestWeight:
 
 class TestTemplate:
     def test_fig2_template(self):
-        template = update_template(make_segmented(**FIG2))
+        template = update_template(SegmentedProfile(**FIG2))
         assert template.rank == 4
         assert template.lags == (0, 1, 2, 400)
         assert template.signs == (1, -1, -1, -1)
@@ -146,7 +142,7 @@ class TestTemplate:
 
     def test_rank_is_p_plus_3(self):
         for p in (1, 2, 5):
-            template = update_template(make_segmented(0.89, 0.99, 250, p, 400))
+            template = update_template(SegmentedProfile(0.89, 0.99, 250, p, 400))
             assert template.rank == p + 3
             assert template.lags == tuple(range(p + 2)) + (400,)
 
@@ -161,36 +157,42 @@ class TestTemplate:
     def test_infinite_exponential_template(self):
         template = update_template(ExponentialProfile(0.99))
         assert template.rank == 1
-        assert template.entries[0] == (0, 1.0, 1)
+        assert list(zip(template.lags, template.scales, template.signs)) == [(0, 1.0, 1)]
 
     def test_positive_scales(self):
         for prof in (
-            make_segmented(**FIG2),
-            make_segmented(0.92, 0.96, 60, 1, 400),
+            SegmentedProfile(**FIG2),
+            SegmentedProfile(0.92, 0.96, 60, 1, 400),
             ExponentialProfile(0.5, 30),
         ):
             assert all(s > 0 for s in update_template(prof).scales)
 
 
+def drop_ratio(prof):
+    """f(p+1)/f(p) of the weight law: lambda^(m+1)/beta^p."""
+    f = weights(prof, prof.p + 2)
+    return f[prof.p + 1] / f[prof.p]
+
+
 class TestDropRatio:
     def test_fig2(self):
-        assert drop_ratio(make_segmented(**FIG2)) == pytest.approx(DROP_FIG2, rel=1e-14)
+        assert drop_ratio(SegmentedProfile(**FIG2)) == pytest.approx(DROP_FIG2, rel=1e-14)
 
     def test_fig1_factors(self):
-        prof = make_segmented(0.92, 0.96, 60, 1, 200)
+        prof = SegmentedProfile(0.92, 0.96, 60, 1, 200)
         assert drop_ratio(prof) == pytest.approx(DROP_9296, rel=1e-14)
 
     def test_strictly_inside_unit_interval(self):
-        for prof in (make_segmented(**FIG2), make_segmented(0.92, 0.96, 60, 1, 400)):
+        for prof in (SegmentedProfile(**FIG2), SegmentedProfile(0.92, 0.96, 60, 1, 400)):
             assert 0.0 < drop_ratio(prof) < 1.0
 
 
 @pytest.mark.parametrize(
     "prof",
     [
-        make_segmented(**FIG2),
-        make_segmented(0.92, 0.96, 60, 1, 400),
-        make_segmented(0.7, 0.9, 12, 3, 60),
+        SegmentedProfile(**FIG2),
+        SegmentedProfile(0.92, 0.96, 60, 1, 400),
+        SegmentedProfile(0.7, 0.9, 12, 3, 60),
     ],
     ids=["fig2", "fig1-style", "short"],
 )
@@ -205,7 +207,10 @@ class TestTemplateAlgebra:
     def test_template_completeness(self, prof):
         template = update_template(prof)
         f = weights(prof, prof.w)
-        signed_sq = {e.lag: e.sign * e.scale**2 for e in template.entries}
+        signed_sq = {
+            lag: sign * scale**2
+            for lag, scale, sign in zip(template.lags, template.scales, template.signs)
+        }
         assert signed_sq.pop(0) == 1.0  # lag 0 contributes f(0) = 1
         for lag in range(1, prof.w):
             correction = f[lag] - prof.lam * f[lag - 1]
