@@ -2,10 +2,13 @@
 
     python3 scripts/bench_pairs.py --pr N --base REV verify:10 fit_long:3
 
-Run from a segrls checkout whose working tree holds the change.  The base
-revision's files are exported with ``git archive`` into a temporary
-directory, which is removed at the end.  Each positional argument is a
-workload with its number of pairs.  Pair i (from 1) of a workload runs
+Run from a segrls checkout whose working tree holds the change.  Both sides
+run from exports side by side in one temporary directory, which is removed
+at the end: ``base/`` holds the base revision's ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` from ``git archive``, ``change/`` the same paths copied
+from the working tree, without ``__pycache__`` or perfbench's work and
+output directories.  Each positional argument is a workload with its number
+of pairs.  Pair i (from 1) of a workload runs
 
     python3 perfbench/run.py --workload W --seed i --seconds N --trace 0
 
@@ -35,11 +38,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+# what perfbench/run.py reads from a checkout
+BENCH_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export_working_tree(root: Path, dest: Path) -> None:
+    """Copy ``root``'s BENCH_PATHS into ``dest``, leaving out caches and perfbench's work."""
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_work", ".perfbench_out")
+    dest.mkdir()
+    for name in BENCH_PATHS:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(root / name, dest / name)
 
 
 def src_lines(checkout: Path) -> int:
@@ -114,13 +130,13 @@ def main(argv=None) -> int:
     base_rev = git("rev-parse", args.base)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    base_dir = tmp / "base"
+    checkouts = {side: tmp / side for side in SIDES}
     try:
-        base_dir.mkdir()
-        archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
-        checkouts = {"base": base_dir, "change": ROOT}
+        checkouts["base"].mkdir()
+        archive = subprocess.run(["git", "archive", base_rev, *BENCH_PATHS], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(checkouts["base"])], input=archive, check=True)
+        export_working_tree(ROOT, checkouts["change"])
         report = {
             "pr": args.pr, "base": base_rev,
             "change": f"working tree on {git('rev-parse', 'HEAD')}",

@@ -69,6 +69,20 @@ def fmt(value) -> str:
     return f"{value:.9g}"
 
 
+# Per-step rows of `fit` and `compare` in one expression each: k, the date
+# text, then the floats as fmt renders them ("%.9g" is the same conversion);
+# fit's cond_a column is fmt's text, empty between --cond-every rows.
+_FIT_ROW = "%d,%s,%.9g,%.9g,%.9g,%.9g,%s"
+_COMPARE_ROW = "%d,%s,%.9g,%.9g,%.9g"
+
+
+def _iso_dates(series: IndexedSeries):
+    """k -> the ISO date of index k, as series.date_of(k).isoformat() but without a timedelta."""
+    before_origin = series.origin.toordinal() - 1
+    day = datetime.date.fromordinal
+    return lambda k: day(before_origin + k).isoformat()
+
+
 # ----------------------------------------------------------------------
 # argument parsing
 
@@ -293,7 +307,11 @@ def _config_footer(args, model, extra=()) -> list[str]:
 
 
 def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
-    """Initialize on the first window, then stream; returns per-step rows."""
+    """Initialize on the first window, then stream.
+
+    Returns the estimator and one (k, y, yhat, yhat1, residual, cond) row per
+    index from the window's last on; cond is None between --cond-every rows.
+    """
     samples = series.samples
     window = args.window if profile.w is None else profile.w
     if len(samples) < window + 1:
@@ -304,14 +322,14 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
         profile, model, samples[:window], diagonal_loading=args.epsilon
     )
     rows = []
+    first = samples[window - 1].k
 
     def emit(sample):
         yhat, yhat1 = est.fitted()
         cond = None
-        if cond_every and (sample.k - samples[window - 1].k) % cond_every == 0:
+        if cond_every and (sample.k - first) % cond_every == 0:
             cond = condition_number(est.info_matrix())
-        rows.append((sample.k, series.date_of(sample.k), sample.y, yhat, yhat1,
-                     sample.y - yhat, cond))
+        rows.append((sample.k, sample.y, yhat, yhat1, sample.y - yhat, cond))
 
     emit(samples[window - 1])
     for sample in samples[window:]:
@@ -321,7 +339,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
 
 
 def _residual_stats(rows):
-    residuals = np.array([r[5] for r in rows])
+    residuals = np.array([r[4] for r in rows])
     rmse = math.sqrt(float(np.mean(residuals**2)))
     return residuals, rmse, float(np.mean(residuals)), float(np.std(residuals))
 
@@ -340,11 +358,9 @@ def cmd_fit(args) -> int:
 
     _, rmse, res_mean, res_std = _residual_stats(rows)
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
-    for k, day, y, yhat, yhat1, resid, cond in rows:
-        out.append(
-            f"{k},{day.isoformat()},{fmt(y)},{fmt(yhat)},{fmt(yhat1)},"
-            f"{fmt(resid)},{fmt(cond)}"
-        )
+    iso = _iso_dates(series)
+    out.extend(_FIT_ROW % (k, iso(k), y, yhat, yhat1, resid, fmt(cond))
+               for k, y, yhat, yhat1, resid, cond in rows)
     out.extend(_config_footer(args, model, extra=[
         f"# steps={len(rows) - 1}",
         f"# rmse={fmt(rmse)}",
@@ -385,8 +401,9 @@ def cmd_compare(args) -> int:
     counts_base, _ = np.histogram(res_base, bins=edges)
 
     out = ["k,date,y,residual_fitted,residual_baseline"]
-    for (k, day, y, _, _, r_f, _), (_, _, _, _, _, r_b, _) in zip(rows_fit, rows_base):
-        out.append(f"{k},{day.isoformat()},{fmt(y)},{fmt(r_f)},{fmt(r_b)}")
+    iso = _iso_dates(series)
+    out.extend(_COMPARE_ROW % (k, iso(k), y, r_f, r_b)
+               for (k, y, _, _, r_f, _), (*_, r_b, _) in zip(rows_fit, rows_base))
     out.append("")
     out.append("bin_left,bin_right,count_fitted,count_baseline")
     for i in range(41):

@@ -4,15 +4,21 @@ The estimator is initialized by a batch solve over the first window and then
 advanced one sample at a time.  Each step applies the profile's update
 template as a single signed low-rank correction: the gain matrix (inverse of
 the weighted information matrix) and the parameter vector are updated together
-by ``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of
-the small r x r capacitance matrix, never by refactoring the full matrix.
-A ring holds the rows and values of the last (largest lag + 1) samples, so a
-step builds one regressor row, phi_k, and keeps it for the fitted values at k.
+by the core of ``linalg.batch_inverse_update``, whose only solve is a LAPACK
+inverse of the small r x r capacitance matrix, never by refactoring the full
+matrix.  The public kernel checks its arguments on every call; the core does
+not, so the estimator checks its update template once, at construction, and
+builds D = diag(signs) there.
+
+Regressor rows are built in blocks: one ``regressor_matrix`` call gives the
+rows of the next ROW_BLOCK steps, and a block also keeps the rows and values
+of the L samples before it (L the template's largest lag), which the step's
+lagged columns and the windowed ``info_matrix`` read.
 
 The gain never depends on the values, only on the profile, the model and the
 sample indices.  So one estimator can carry B value series at once: when the
-samples hold (B,) arrays of values, theta is (n, B), the value ring is
-(size, B), and the fitted values, residuals, moving variance and forecast are
+samples hold (B,) arrays of values, theta is (n, B), the block's values are
+(count, B), and the fitted values, residuals, moving variance and forecast are
 per-column arrays.  Each column follows the scalar recursion through the same
 gain, up to the summation order of the matrix products.
 """
@@ -34,6 +40,9 @@ from .errors import (
 )
 from .harmonic import HarmonicModel, regressor_at, regressor_matrix
 from .profile import ForgettingProfile, update_template, weights
+
+# Steps served by one regressor_matrix call; a block holds L + ROW_BLOCK rows.
+ROW_BLOCK = 256
 
 
 class Sample(NamedTuple):
@@ -115,7 +124,14 @@ class RlsEstimator:
             raise RangeError("diagonal loading must be finite and >= 0")
         self.profile: ForgettingProfile = profile
         self.model: HarmonicModel = model
-        self.template = update_template(profile)
+        self.template = template = update_template(profile)
+        lags = template.lags
+        if not all(int(lag) == lag >= 0 for lag in lags):
+            raise ValueError(f"template lags must be integers >= 0, got {lags}")
+        if not len(template.scales) == len(template.signs) == len(lags):
+            raise ValueError("the template needs one scale and one sign per lag")
+        if not set(template.signs) <= {1, -1}:
+            raise ValueError(f"template signs must be +1 or -1, got {template.signs}")
         self.diagonal_loading = float(diagonal_loading)
         self.loading_applied = False
         self.gamma: np.ndarray | None = None
@@ -127,14 +143,26 @@ class RlsEstimator:
         # slot 0: sample k sits in slot (k - first index) % window
         self._residuals = np.zeros(0)
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
-        self._lags = np.array(self.template.lags, dtype=int)
-        self._scales = np.array(self.template.scales)
-        self._signs = np.array(self.template.signs, dtype=float)
-        # ring of regressor rows and values; sample k sits in slot k % size.
-        # init makes the value ring (size, B) for samples holding B values.
-        self._rows = np.zeros((int(self._lags.max()) + 1, model.dim))
-        self._values = np.zeros(len(self._rows))
+        self._scales = np.array(template.scales)
+        self._d = np.diag(np.array(template.signs, dtype=float))
+        self._decay = profile.decay
+        # the block of regressor rows and values: index k sits at position
+        # k - self._first_row.  It holds the L indices before the step that
+        # started it and the ROW_BLOCK from it on; init makes the values
+        # (count, B) for samples holding B values.
+        self._lead = max(lags)
+        self._rows = np.zeros((0, model.dim))
+        self._values = np.zeros(0)
+        self._first_row = 0
+        # the block positions of the lagged samples of the j-th step of a
+        # block, and that step's correction columns, transposed: (r, n) each
+        self._slots = self._lead + np.arange(ROW_BLOCK)[:, None] - np.array(lags)
+        self._columns = np.zeros((0, len(lags), model.dim))
+        # the infinite profile's regressor rows from the first index on, built
+        # as info_matrix needs them
+        self._history = np.zeros((0, model.dim))
         self._phi: np.ndarray | None = None
+        self._yhat1 = None
 
     # ------------------------------------------------------------------
     # construction
@@ -165,7 +193,7 @@ class RlsEstimator:
         shape = np.shape(samples[0][1]) if samples else ()
         if len(shape) > 1:
             raise ValueError(f"a sample value is a float or a 1-D array, got shape {shape}")
-        est._values = np.zeros((len(est._rows), *shape))
+        est._values = np.zeros((0, *shape))
         indices = [int(s[0]) for s in samples]
         y = np.array([est._value(k, s[1]) for k, s in zip(indices, samples)])
         unbounded = profile.w is None
@@ -191,10 +219,11 @@ class RlsEstimator:
         est.gamma = linalg.spd_inverse(a)
         est.theta = est.gamma @ b
 
-        size = len(est._values)
-        slots = np.arange(est._first_index, est.k + 1)[-size:] % size
-        est._rows[slots], est._values[slots] = phi[-size:], y[-size:]
+        # the first step starts a block from the window's last L rows and values
+        est._rows, est._values = phi[window - est._lead:], y[window - est._lead:]
+        est._first_row = est.k + 1 - est._lead
         est._phi = phi[-1]
+        est._yhat1 = _first_harmonic(est.theta, est._phi)
         rows_t = phi.T if y.ndim == 1 else phi.T[..., None]
         est._residuals = y - _first_harmonic(est.theta, rows_t)
         return est
@@ -227,7 +256,9 @@ class RlsEstimator:
 
         A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
         as B^{-1}.  A batch estimator takes B values per sample.  A non-finite
-        y raises RangeError; nothing is changed when the step raises.
+        y raises RangeError.  When the step raises, nothing that a later step
+        or read-out uses has changed: it may only have started the next row
+        block, and written y at k's block position, past the current index.
         """
         if self.gamma is None:
             raise RuntimeError("estimator is not initialized; call init() first")
@@ -236,28 +267,47 @@ class RlsEstimator:
             raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
         y = self._value(k, sample[1])
 
-        phi = regressor_at(self.model, k)
-        # the slot of sample k held sample k - size, which no lag reaches
-        size = len(self._values)
-        slot = k % size
-        saved = self._rows[slot].copy(), self._values[slot].copy()
-        self._rows[slot], self._values[slot] = phi, y
-        lagged = (k - self._lags) % size
-        q = self._rows[lagged].T * self._scales
+        i = k - self._first_row
+        if i == len(self._rows):
+            self._next_block()
+            i = self._lead
+        # position i is past the committed index, so writing y there before
+        # the update changes nothing a failed step must leave as it was
+        self._values[i] = y
+        j = i - self._lead
+        q = self._columns[j].T
         # (r,) or (r, B): the transposes let one scale per lag broadcast either way
-        y_aug = (self._scales * self._values[lagged].T).T
+        y_aug = (self._scales * self._values[self._slots[j]].T).T
         try:
-            gamma, theta = linalg.batch_inverse_update(
-                self.gamma / self.profile.decay, q, self._signs, self.theta, y_aug
+            gamma, theta = linalg._woodbury(
+                self.gamma / self._decay, q, self._d, self.theta, y_aug
             )
         except SingularUpdateError as err:
-            self._rows[slot], self._values[slot] = saved
             raise SingularUpdateError(
                 f"update solve failed at index {k}: {err}", index=k
             ) from err
 
-        self.gamma, self.theta, self.k, self._phi = gamma, theta, k, phi
-        self._residuals[(k - self._first_index) % self.window] = y - _first_harmonic(theta, phi)
+        phi = self._rows[i]
+        yhat1 = _first_harmonic(theta, phi)
+        self.gamma, self.theta, self.k, self._phi, self._yhat1 = gamma, theta, k, phi, yhat1
+        self._residuals[(k - self._first_index) % self.window] = y - yhat1
+
+    def _next_block(self) -> None:
+        """Start the block at the index after this one's end.
+
+        The new block holds this one's last L rows and values, then the rows
+        of the next ROW_BLOCK indices, from one regressor_matrix call, and the
+        correction columns of the steps to those indices.
+        """
+        end = self._first_row + len(self._rows)
+        keep = len(self._rows) - self._lead
+        rows = regressor_matrix(self.model, np.arange(end, end + ROW_BLOCK))
+        self._rows = np.concatenate((self._rows[keep:], rows))
+        self._columns = self._rows[self._slots] * self._scales[:, None]
+        values = np.empty((len(self._rows), *self._values.shape[1:]))
+        values[: self._lead] = self._values[keep:]
+        self._values = values
+        self._first_row = end - self._lead
 
     # ------------------------------------------------------------------
     # residuals and diagnostics
@@ -268,8 +318,7 @@ class RlsEstimator:
         Floats, or per-column arrays for a batch; so are the residual, the
         moving variance and the forecast band.
         """
-        phi, theta = self._phi, self.theta
-        return _plain(phi @ theta), _plain(_first_harmonic(theta, phi))
+        return _plain(self._phi @ self.theta), _plain(self._yhat1)
 
     def residual(self, sample: Sample) -> float:
         """y - phi^T theta with the current parameters.
@@ -315,12 +364,15 @@ class RlsEstimator:
 
         Diagnostic reconstruction from the weight law and the regressor rows;
         does not touch the recursively maintained gain matrix.  A windowed
-        profile's ring holds w + 1 rows (its largest lag is w), so the
-        window's rows are read from it; the infinite profile rebuilds its
-        whole history.
+        profile's largest lag is w, so the row block holds the window's rows;
+        the infinite profile keeps its history's rows and builds only those
+        of the indices since the last call.
         """
         if self.profile.w is None:
-            span = self.k - self._first_index + 1
-            return information_matrix(self.profile, self.model, self.k, span)
-        rows = self._rows[np.arange(self.k - self.window + 1, self.k + 1) % len(self._rows)]
-        return _weighted_gram(self.profile, rows)[0]
+            built = self._first_index + len(self._history)
+            if built <= self.k:
+                rows = regressor_matrix(self.model, np.arange(built, self.k + 1))
+                self._history = np.concatenate((self._history, rows))
+            return _weighted_gram(self.profile, self._history)[0]
+        end = self.k + 1 - self._first_row
+        return _weighted_gram(self.profile, self._rows[end - self.window : end])[0]

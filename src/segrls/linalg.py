@@ -3,9 +3,13 @@
 Factorizations, inverses and eigenvalues come from LAPACK through
 numpy.linalg.  What this module adds is the one signed low-rank update the
 estimator runs on, with an explicit conditioning check on its capacitance
-matrix, and the chained rank-one comparator it is measured against.  Beyond
-its O(n^2 r) products, the update's argument and conditioning checks cost
-O(r^2) at most, so it adds no per-call overhead that grows with the model.  The
+matrix, and the chained rank-one comparator it is measured against.  The
+update is one private core, ``_woodbury``, behind the public
+``batch_inverse_update``: the public function checks its arguments and builds
+D = diag(signs), then runs the core; the core checks nothing but the
+capacitance conditioning.  The estimator checks its template once at
+construction and calls the core on every step, so A3 and A8, which call the
+public function, test the arithmetic the estimator runs.  The
 verification oracles stay independent of this path through their algorithm,
 not their library: they assemble the weighted normal equations directly
 instead of recursively, and invert in long double by Gauss-Jordan.
@@ -59,6 +63,10 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
     ||U^{-1}||_1 (||D||_1 + ||Q^T V||_1) exceeds 1/PIVOT_RTOL: rank collapse,
     or an invalid window transition.  Measuring against the size of both
     terms of U, not U itself, catches cancellation between them.
+
+    The arguments are checked on every call (a square B^{-1}, one +/-1
+    signature entry per column, theta and y together); the arithmetic is
+    ``_woodbury``, which the estimator calls without these checks.
     """
     b_inv = _as_square(b_inv)
     q = np.asarray(q, dtype=float)
@@ -73,15 +81,27 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
         raise ValueError("signature entries must be +1 or -1")
     if (theta is None) != (y is None):
         raise ValueError("theta and y must be given together")
+    return _woodbury(b_inv, q, np.diag(signs), theta, y)
 
+
+def _woodbury(b_inv, q, d, theta, y):
+    """batch_inverse_update on checked arguments: D = diag(signs) is given as a matrix.
+
+    Returns A^{-1}, or (A^{-1}, theta') when ``theta`` is given; raises
+    SingularUpdateError as batch_inverse_update does.  Nothing else is
+    checked: the shapes of ``q``, ``d`` and ``y``, and the signature, are the
+    caller's.
+    """
     v = b_inv @ q                                   # B^{-1} Q
     w = q.T @ v
     try:
-        u_inv = np.linalg.inv(w + np.diag(signs))   # U = D + Q^T B^{-1} Q
+        u_inv = np.linalg.inv(w + d)                # U = D + Q^T B^{-1} Q
     except np.linalg.LinAlgError:
         raise SingularUpdateError("capacitance matrix is singular") from None
-    # ||.||_1 is the largest absolute column sum
-    cond = np.abs(u_inv).sum(axis=0).max() * (1.0 + np.abs(w).sum(axis=0).max())
+    # ||.||_1 is the largest absolute column sum; the ufunc reductions skip
+    # the ndarray method wrappers, and a nan propagates to cond
+    cond = (np.maximum.reduce(np.add.reduce(np.abs(u_inv)))
+            * (1.0 + np.maximum.reduce(np.add.reduce(np.abs(w)))))
     if not cond <= 1.0 / PIVOT_RTOL:
         raise SingularUpdateError(
             f"capacitance condition estimate {cond:.3e} above {1.0 / PIVOT_RTOL:.0e}"

@@ -46,6 +46,22 @@ def test_src_lines_counts_newlines_of_the_package_modules_only(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3
 
 
+def test_working_tree_export_holds_the_bench_paths_without_caches(tmp_path):
+    root = tmp_path / "root"
+    for name in ("src/segrls/cli.py", "src/segrls/__pycache__/cli.pyc", "perfbench/run.py",
+                 "perfbench/.perfbench_out/x.json", "perfbench/tests/test_a.py",
+                 "tests/test_cli.py", "README.md"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(name)
+    (root / "BENCHMARK.json").write_text("{}")
+    bench_pairs.export_working_tree(root, tmp_path / "change")
+    copied = sorted(str(p.relative_to(tmp_path / "change"))
+                    for p in (tmp_path / "change").rglob("*") if p.is_file())
+    assert copied == ["BENCHMARK.json", "perfbench/run.py", "perfbench/tests/test_a.py",
+                      "src/segrls/cli.py"]
+    assert (tmp_path / "change" / "src" / "segrls" / "cli.py").read_text() == "src/segrls/cli.py"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--pr", "x", "--base", "HEAD"],        # a workload needs its pair count
     ["verify:0", "--pr", "x", "--base", "HEAD"],

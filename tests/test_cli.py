@@ -1,8 +1,12 @@
+import datetime
 import math
 
+import numpy as np
 import pytest
 
-from segrls.cli import main
+from segrls import cli
+from segrls.cli import fmt, main
+from segrls.ingest import IndexedSeries
 from segrls.estimator import information_matrix
 from segrls.harmonic import make_harmonic_model
 from segrls.linalg import condition_number
@@ -264,6 +268,41 @@ class TestFit:
         code = run(["fit", "--input", str(path), "--format", "stockholm",
                     *FIT_FLAGS, "--output", str(out)])
         assert code == 0
+
+
+class TestRowRendering:
+    """The one-expression row formats and date helper render as fmt and date_of do."""
+
+    def values(self):
+        rng = np.random.default_rng(7)
+        # every class of float64: random bit patterns cover normals, subnormals,
+        # both zeros, infinities and nan payloads; then the edges spelled out
+        bits = rng.integers(0, 2**64, size=50_000, dtype=np.uint64, endpoint=False)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 123456789.5,
+                    999999999.5, 1e-5, 1e16]
+        return [*bits.view(np.float64).tolist(), *specials,
+                *rng.standard_normal(5_000).tolist(), *np.float64(specials)]
+
+    def test_percent_g_is_fmt(self):
+        for value in self.values():
+            assert "%.9g" % value == fmt(value), repr(value)
+
+    def test_fit_and_compare_rows(self):
+        vals = self.values()[:4000]
+        for i in range(0, len(vals) - 4, 4):
+            y, a, b, c = vals[i : i + 4]
+            assert cli._FIT_ROW % (i, "2001-02-03", y, a, b, c, "") == (
+                f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)},{fmt(c)},")
+            assert cli._COMPARE_ROW % (i, "2001-02-03", y, a, b) == (
+                f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)}")
+
+    @pytest.mark.parametrize("origin", [datetime.date(1999, 12, 25), datetime.date(1, 1, 1)])
+    def test_iso_dates_are_date_of(self, origin):
+        series = IndexedSeries(origin=origin, samples=())
+        iso = cli._iso_dates(series)
+        for k in range(1, 3000):
+            assert iso(k) == series.date_of(k).isoformat()
 
 
 def _footer_value(path, key):

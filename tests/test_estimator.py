@@ -12,9 +12,14 @@ from segrls.errors import (
     SingularUpdateError,
     WindowTooSmallError,
 )
-from segrls.estimator import RlsEstimator, Sample, information_matrix
+from segrls.estimator import ROW_BLOCK, RlsEstimator, Sample, information_matrix
 from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
-from segrls.profile import ExponentialProfile, SegmentedProfile, update_template
+from segrls.profile import (
+    ExponentialProfile,
+    SegmentedProfile,
+    UpdateTemplate,
+    update_template,
+)
 from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
 from segrls.verify import fig2_profile, standard_model, standard_theta
 
@@ -35,9 +40,17 @@ def init_on(series, profile=PROFILE, **kwargs):
 
 
 def state_of(est):
-    """Copies of everything a step may change, the rings of rows, values and residuals included."""
-    return (est.k, est.theta.copy(), est.gamma.copy(), est._rows.copy(),
-            est._values.copy(), np.array(est._residuals))
+    """Copies of everything a step may change and a later step or report reads.
+
+    That is k, theta, gamma, the residual buffer, and the block's rows and
+    values of the last L indices up to k (L the largest lag).  Block
+    positions past k hold nothing yet: a step writes its value there before
+    the update, and the next step to that index writes it again.
+    """
+    end = est.k + 1 - est._first_row
+    window = slice(end - est._lead, end)
+    return (est.k, est.theta.copy(), est.gamma.copy(), est._rows[window].copy(),
+            est._values[window].copy(), np.array(est._residuals))
 
 
 def assert_state_equal(est, before):
@@ -64,9 +77,10 @@ def first_harmonic_at(theta, k):
     return float(theta[0] + theta[1] * math.cos(angle) + theta[2] * math.sin(angle))
 
 
-def batch_values(*seeds):
+def batch_values(*seeds, length=160):
     """(length, B) values: the series of make_series(1.0, seed) for each seed, as columns."""
-    return np.array([[s.y for s in make_series(1.0, seed=seed)] for seed in seeds]).T
+    return np.array([[s.y for s in make_series(1.0, seed=seed, length=length)]
+                     for seed in seeds]).T
 
 
 def batch_samples(values):
@@ -123,6 +137,18 @@ class TestInit:
         with pytest.raises(RangeError):
             init_on(make_series(0.0), diagonal_loading=loading)
 
+    @pytest.mark.parametrize("template", [
+        UpdateTemplate((0, 50), (1.0, 0.5), (1, 0)),         # a sign that is not +/-1
+        UpdateTemplate((0, -1), (1.0, 0.5), (1, -1)),        # a negative lag
+        UpdateTemplate((0, 1.5), (1.0, 0.5), (1, -1)),       # a lag that is no integer
+        UpdateTemplate((0, 50), (1.0,), (1, -1)),            # a scale missing
+    ])
+    def test_template_is_checked_at_construction(self, monkeypatch, template):
+        # the step's update core checks no signature, so construction does
+        monkeypatch.setattr("segrls.estimator.update_template", lambda profile: template)
+        with pytest.raises(ValueError, match="template"):
+            RlsEstimator(PROFILE, MODEL)
+
     def test_unbounded_profile_uses_given_length(self):
         series = make_series(0.0)[:80]
         est = RlsEstimator.init(ExponentialProfile(0.97), MODEL, series)
@@ -163,10 +189,10 @@ class TestStep:
         ids=["segmented", "segmented-p3", "exponential", "infinite"],
     )
     def test_matches_direct_weighted_ls(self, profile, init_count):
-        # the ring of rows holds the largest lag + 1 samples: wrap it 3 times
+        # step three times past the largest lag + 1
         window = init_count or profile.w
-        ring = max(update_template(profile).lags) + 1
-        series = make_series(1.0, length=max(160, window + 3 * ring + 1))
+        reach = max(update_template(profile).lags) + 1
+        series = make_series(1.0, length=max(160, window + 3 * reach + 1))
         est = RlsEstimator.init(profile, MODEL, series[:window])
         for sample in series[window:]:
             est.step(sample)
@@ -242,7 +268,7 @@ class TestBatch:
         ids=["segmented", "exponential", "infinite"],
     )
     def test_columns_follow_scalar_estimators(self, profile):
-        # Fig-2 model and window; the steps wrap the Fig-2 ring (L + 1 = 401) three times
+        # Fig-2 model and window; the steps run through five row blocks
         model, window, batch = standard_model(), 400, 5
         steps = 3 * (max(update_template(fig2_profile()).lags) + 1)
         series = [
@@ -329,6 +355,95 @@ class TestBatch:
             est.step(samples[k - 1])
         assert err.value.index == k
         assert_state_equal(est, before)
+
+
+class TestStepAgainstPublicKernel:
+    """A step is batch_inverse_update on Gamma / decay and columns of regressor_at rows, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "profile, count",
+        [(PROFILE, PROFILE.w), (ExponentialProfile(0.97, 50), 50), (ExponentialProfile(0.97), 20)],
+        ids=["segmented", "exponential", "infinite"],
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    def test_gain_and_theta_equal_the_public_kernel(self, profile, count, batch):
+        steps = 3 * ROW_BLOCK + 10                      # four row blocks
+        length = count + steps
+        if batch:
+            values = batch_values(1, 2, 3, length=length)
+        else:
+            values = np.array([s.y for s in make_series(1.0, length=length)])
+        samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
+        est = RlsEstimator.init(profile, MODEL, samples[:count])
+        lags, scales, signs = est.template
+        scales = np.array(scales)
+        gamma, theta = est.gamma, est.theta
+        for k in range(count + 1, length + 1):
+            q = np.array([regressor_at(MODEL, k - lag) for lag in lags]).T * scales
+            y_aug = (scales * values[[k - 1 - lag for lag in lags]].T).T
+            gamma, theta = linalg.batch_inverse_update(
+                gamma / profile.decay, q, signs, theta, y_aug
+            )
+            est.step(samples[k - 1])
+            assert np.array_equal(est.gamma, gamma), k
+            assert np.array_equal(est.theta, theta), k
+
+
+class TestBlockBoundary:
+    """A failed first step of a row block leaves the state as it was; the next step is unaffected."""
+
+    def advance(self, steps):
+        """An estimator and an untouched twin, both stepped ``steps`` times past init."""
+        series = make_series(1.0, length=PROFILE.w + ROW_BLOCK + 10)
+        est, twin = init_on(series), init_on(series)
+        for sample in series[PROFILE.w : PROFILE.w + steps]:
+            est.step(sample)
+            twin.step(sample)
+        # the next step starts a row block
+        assert est.k + 1 - est._first_row == len(est._rows)
+        return series, est, twin
+
+    def assert_twins_agree(self, series, est, twin):
+        for sample in series[est.k : est.k + 3]:
+            est.step(sample)
+            twin.step(sample)
+            assert est.k == twin.k
+            assert np.array_equal(est.gamma, twin.gamma)
+            assert np.array_equal(est.theta, twin.theta)
+            assert est.fitted() == twin.fitted()
+            assert np.array_equal(est._residuals, twin._residuals)
+
+    @pytest.mark.parametrize("steps", [0, ROW_BLOCK], ids=["first-block", "second-block"])
+    def test_singular_update_leaves_state_unchanged(self, steps):
+        series, est, twin = self.advance(steps)
+        k = est.k + 1
+        gamma = est.gamma
+        make_next_update_singular(est)
+        before = state_of(est)
+        with pytest.raises(SingularUpdateError) as err:
+            est.step(series[k - 1])
+        assert err.value.index == k
+        assert_state_equal(est, before)
+        est.gamma = gamma
+        self.assert_twins_agree(series, est, twin)
+
+    @pytest.mark.parametrize("steps", [0, ROW_BLOCK], ids=["first-block", "second-block"])
+    def test_non_finite_value_leaves_state_unchanged(self, steps):
+        series, est, twin = self.advance(steps)
+        before = state_of(est)
+        with pytest.raises(RangeError):
+            est.step(Sample(est.k + 1, math.nan))
+        assert_state_equal(est, before)
+        self.assert_twins_agree(series, est, twin)
+
+    def test_nan_capacitance_estimate_raises(self):
+        series, est, _ = self.advance(ROW_BLOCK)
+        est.gamma = est.gamma.copy()
+        est.gamma[0, 0] = math.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SingularUpdateError, match="estimate nan") as err:
+                est.step(series[est.k])
+        assert err.value.index == est.k + 1
 
 
 class TestResiduals:
@@ -504,14 +619,27 @@ class TestInfoMatrix:
         "profile", [PROFILE, ExponentialProfile(0.97, 50)], ids=["segmented", "exponential"]
     )
     def test_windowed_matrix_from_the_ring_equals_a_rebuild(self, profile):
-        # the ring's rows are read oldest first, also after it has wrapped three times
-        series = make_series(1.0, length=profile.w + 3 * (profile.w + 1) + 5)
+        # the window's rows come from the row block, right after init and
+        # across three block changes, bit for bit as a rebuild
+        series = make_series(1.0, length=profile.w + 3 * ROW_BLOCK + 5)
         est = init_on(series, profile)
         for sample in series[profile.w - 1 :]:
             if sample.k > est.k:
                 est.step(sample)
             rebuilt = information_matrix(profile, MODEL, est.k, profile.w)
-            assert np.max(np.abs(est.info_matrix() - rebuilt)) <= 1e-13 * np.max(np.abs(rebuilt))
+            assert np.array_equal(est.info_matrix(), rebuilt)
+
+    def test_unbounded_history_grows_to_a_rebuild_bitwise(self):
+        # calls right after init, at uneven intervals and twice at one index
+        profile = ExponentialProfile(0.97)
+        series = make_series(1.0)
+        est = RlsEstimator.init(profile, MODEL, series[:20])
+        for sample in series[19:]:
+            if sample.k > est.k:
+                est.step(sample)
+            for _ in range((sample.k % 7 == 0) + (sample.k % 3 == 0)):
+                rebuilt = information_matrix(profile, MODEL, est.k, est.k)
+                assert np.array_equal(est.info_matrix(), rebuilt)
 
     def test_unbounded_profile_accumulates_history(self):
         series = make_series(1.0)[:90]

@@ -77,6 +77,13 @@ class TestBatchInverseUpdate:
             got = linalg.batch_inverse_update(np.eye(3), q, [-1.0, 1.0])
             assert got[0, 0] == pytest.approx(1.0 / delta, rel=1e-5)
 
+    def test_nan_capacitance_estimate_raises(self):
+        b_inv = np.eye(3)
+        b_inv[1, 1] = math.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SingularUpdateError, match="estimate nan"):
+                linalg.batch_inverse_update(b_inv, np.ones((3, 1)), [1.0])
+
     def test_signature_validated(self):
         with pytest.raises(ValueError):
             linalg.batch_inverse_update(np.eye(2), np.ones((2, 1)), [0.5])
