@@ -265,7 +265,8 @@ def _data_command(command):
 
 
 def _load_records(args):
-    with open(args.input, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which is not data
+    with open(args.input, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     if args.format == "stockholm":
         return parse_stockholm(text, value_column=args.value_column)
@@ -306,12 +307,8 @@ def _config_footer(args, model, extra=()) -> list[str]:
 # shared fit driver
 
 
-def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
-    """Initialize on the first window, then stream.
-
-    Returns the estimator and one (k, y, yhat, yhat1, residual, cond) row per
-    index from the window's last on; cond is None between --cond-every rows.
-    """
+def _init_fit(profile, model, series: IndexedSeries, args):
+    """The estimator initialized on the first window, and the window length."""
     samples = series.samples
     window = args.window if profile.w is None else profile.w
     if len(samples) < window + 1:
@@ -321,6 +318,17 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
     est = RlsEstimator.init(
         profile, model, samples[:window], diagonal_loading=args.epsilon
     )
+    return est, window
+
+
+def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
+    """Initialize on the first window, then stream.
+
+    Returns the estimator and one (k, y, yhat, yhat1, residual, cond) row per
+    index from the window's last on; cond is None between --cond-every rows.
+    """
+    est, window = _init_fit(profile, model, series, args)
+    samples = series.samples
     rows = []
     first = samples[window - 1].k
 
@@ -438,7 +446,9 @@ def cmd_forecast(args) -> int:
         return _fail_config(
             [f"--horizon {args.horizon} from the series end {last} passes year 9999"]
         )
-    est, _ = _run_fit(profile, model, series, args)
+    est, window = _init_fit(profile, model, series, args)
+    for sample in series.samples[window:]:
+        est.step(sample)
     band = est.forecast(args.horizon)
 
     days = [series.date_of(point.k) for point in band.points]

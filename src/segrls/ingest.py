@@ -3,19 +3,23 @@
 Two input layouts are supported: the whitespace-delimited observatory layout
 (year month day value ..., '#' comments) and a plain ``date,value`` CSV.
 Each parser reads its file in one ``numpy.loadtxt`` pass into columnar
-``Records`` and checks calendar validity and finiteness on whole arrays.  A
-refused file is read again with the same reader, narrowed by halves to its
-first refused line, and the stage that refuses that line picks the error: a
-token the reader or the ISO date shape refuses and a non-finite value are a
-``ParseError``, an off-calendar date (a date field past 64 bits too) is a
-``CalendarError``, each naming the line.  The CSV header follows the data's
-rule, so a quoted header is refused.  ``to_indexed`` turns the records into
-consecutively indexed samples, with an explicit policy for missing days.
+``Records`` and checks calendar validity and finiteness on whole arrays.
+When no '#' follows the leading comment and blank lines, the reader gets the
+lines after them as they are; otherwise, or if it refuses them, it gets the
+data lines alone.  A refused file is read again with the same reader,
+narrowed by halves to its first refused line, and the stage that refuses
+that line picks the error: a token the reader or the ISO date shape refuses
+and a non-finite value are a ``ParseError``, an off-calendar date (a date
+field past 64 bits too) is a ``CalendarError``, each naming the line.  The
+CSV header follows the data's rule, so a quoted header is refused.
+``to_indexed`` turns the records into consecutively indexed samples, with an
+explicit policy for missing days.
 """
 
 from __future__ import annotations
 
 import datetime
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +34,11 @@ _OBSERVATORY_ROW = np.dtype(
 )
 # one code point past YYYY-MM-DD, so a longer cell cannot hide in the truncation
 _CSV_ROW = np.dtype([("date", "U11"), ("value", np.float64)])
+_LAST_MONTH = (9999 - 1970) * 12 + 11  # December 9999, in months since January 1970
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
+# digit place values, as int32 so the fields stay 4 bytes a date
+_YEAR_PLACES = np.array([1000, 100, 10, 1], dtype=np.int32)
+_PLACES = _YEAR_PLACES[2:]
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ def parse_stockholm(text: str, value_column: int = 3) -> Records:
 
     lines = text.splitlines()
     expected = f"integer year, month and day and a float in column {value_column + 1}"
-    return _parse(lines, _data_lines(lines), convert, expected)
+    return _read(text, lines, _first_data_line(lines), convert, expected)
 
 
 def parse_csv(text: str) -> Records:
@@ -120,15 +128,15 @@ def parse_csv(text: str) -> Records:
         return _records(year, month, day, table["value"])
 
     lines = text.splitlines()
-    rows = _data_lines(lines)
-    if not rows:
+    start = _first_data_line(lines)
+    if start == len(lines):
         raise ParseError("empty input; expected a 'date,value' header")
-    if [cell.strip().lower() for cell in rows[0].split(",")] != ["date", "value"]:
+    if [cell.strip().lower() for cell in lines[start].split(",")] != ["date", "value"]:
         raise ParseError(
-            f"expected header 'date,value', got {_quote(rows[0])}",
-            line_number=next(_numbered_data_lines(lines))[0],
+            f"expected header 'date,value', got {_quote(lines[start])}",
+            line_number=start + 1,
         )
-    return _parse(lines, rows, convert, "'YYYY-MM-DD,float'", skip=1)
+    return _read(text, lines, start, convert, "'YYYY-MM-DD,float'", skip=1)
 
 
 class _OffCalendar(ValueError):
@@ -142,6 +150,11 @@ class _NotFinite(ValueError):
 def _data_lines(lines: list[str]) -> list[str]:
     """The lines that are neither blank nor '#' comments."""
     return [raw for raw in lines if (s := raw.strip()) and s[0] != "#"]
+
+
+def _first_data_line(lines: list[str]) -> int:
+    """Index of the first line that is neither blank nor a '#' comment; len(lines) if none."""
+    return next((i for i, raw in enumerate(lines) if _data_lines([raw])), len(lines))
 
 
 def _numbered_data_lines(lines: list[str]):
@@ -162,34 +175,46 @@ def _quote(text: str) -> str:
 
 
 def _load(rows: list[str], dtype: np.dtype, **kwargs) -> np.ndarray:
-    """One C-tokenized pass over ``rows``; '#' is data here, the rows hold no comments."""
+    """One C-tokenized pass over ``rows``; '#' is data here, the rows hold no comments.
+
+    The reader skips empty lines; rows that are all empty are no records,
+    without the reader's warning on stderr.
+    """
     if not rows:
         return np.empty(0, dtype=dtype)
-    return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
 
 
 def _iso_fields(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Year, month and day of ``YYYY-MM-DD`` cells; ValueError if any cell is not that."""
-    codes = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), 11)
-    digits = codes[:, _ISO_DIGITS].astype(np.int64) - ord("0")
+    codes = cells[:, None].view(np.uint32)  # (count, 11) code points, not copied
+    digits = codes[:, _ISO_DIGITS]
+    digits -= ord("0")  # a code point below '0' wraps past 9
     shaped = (
-        ((digits >= 0) & (digits <= 9)).all(axis=1)
+        (digits <= 9).all(axis=1)
         & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-")) & (codes[:, 10] == 0)
     )
     if not shaped.all():
         raise ValueError("a date cell is not YYYY-MM-DD")
-    return (digits[:, :4] @ [1000, 100, 10, 1], digits[:, 4:6] @ [10, 1],
-            digits[:, 6:] @ [10, 1])
+    digits = digits.astype(np.uint8)
+    return (digits[:, :4] @ _YEAR_PLACES, digits[:, 4:6] @ _PLACES,
+            digits[:, 6:] @ _PLACES)
 
 
 def _records(year, month, day, values) -> Records:
     """Columnar records; _OffCalendar or _NotFinite if a date or a value is refused."""
     months = (np.clip(year, 1, 9999) - 1970) * 12 + np.clip(month, 1, 12) - 1
-    first = months.astype("datetime64[M]").astype("datetime64[D]")
-    length = (months + 1).astype("datetime64[M]").astype("datetime64[D]") - first
+    # the first days of the months from the earliest record's to the one after
+    # the latest's: the calendar runs once a month, not once a record
+    lo = months.min(initial=_LAST_MONTH)
+    firsts = np.arange(lo, months.max(initial=lo) + 2).astype("datetime64[M]")
+    firsts = firsts.astype("datetime64[D]")
+    slot = months - lo
     valid = (
         (year >= 1) & (year <= 9999) & (month >= 1) & (month <= 12)
-        & (day >= 1) & (day <= length.astype(np.int64))
+        & (day >= 1) & (day <= np.diff(firsts).astype(np.int64)[slot])
     )
     if not valid.all():
         raise _OffCalendar
@@ -197,7 +222,25 @@ def _records(year, month, day, values) -> Records:
         raise _NotFinite
     # a contiguous copy, so the records do not keep the whole parsed table alive
     values = np.ascontiguousarray(values)
-    return Records(first + (day - 1).astype("timedelta64[D]"), values)
+    return Records(firsts[slot] + (day - 1).astype("timedelta64[D]"), values)
+
+
+def _read(text, lines, start, convert, expected, skip=0) -> Records:
+    """``convert`` the lines after the ``skip`` lines from ``lines[start]``, the first data line.
+
+    When no '#' follows ``start`` they go to ``convert`` in one pass: the
+    reader skips or refuses each line among them that ``str.strip`` sees as
+    blank, so an accepted pass holds the data lines' records.  Otherwise, or
+    if refused, ``_parse`` reads the data lines alone.  The '#' search starts
+    at the first match of ``lines[start]`` in ``text``, which is never after
+    that line's own place.
+    """
+    if start == len(lines) or text.find("#", text.find(lines[start])) < 0:
+        try:
+            return convert(lines[start + skip :])
+        except ValueError:
+            pass
+    return _parse(lines, _data_lines(lines), convert, expected, skip)
 
 
 def _parse(lines, rows, convert, expected, skip=0) -> Records:

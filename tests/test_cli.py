@@ -1,5 +1,6 @@
 import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,45 @@ class TestFit:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("fmt", ["csv", "stockholm"])
+    @pytest.mark.parametrize("first", ["data", "comment"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, fmt, first):
+        path = synth_file(tmp_path, length=80)
+        if fmt == "stockholm":
+            path = stockholm_file(tmp_path, path)
+        text = path.read_text()
+        if first == "data":
+            text = text[text.index("\ndate,") + 1 :] if fmt == "csv" else text.split("\n", 1)[1]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf" + text[:1].encode())
+        outputs = []
+        for source in (plain, marked):
+            out = tmp_path / f"{source.name}.out"
+            assert run(["fit", "--input", str(source), "--format", fmt, *FIT_FLAGS,
+                        "--output", str(out)]) == 0
+            outputs.append([line for line in out.read_text().splitlines()
+                            if not line.startswith("# input=")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("csv", "date,value\n\n\n"), ("stockholm", "# note\n\n# note\n  \n\n")],
+        ids=["csv-header-then-blank", "stockholm-comments-then-blank"],
+    )
+    def test_no_records_exit_3_without_a_warning(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--input", str(path), "--format", fmt, *FIT_FLAGS,
+                        "--output", str(tmp_path / "x.csv")])
+        assert code == 3 and not caught
+        err = capsys.readouterr().err
+        assert err == "data error: no records to index\n"
 
     def test_span_shorter_than_window_exit_3(self, tmp_path):
         data = synth_file(tmp_path, "short.csv", length=50)

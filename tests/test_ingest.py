@@ -1,3 +1,4 @@
+import calendar
 import datetime
 import random
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from segrls import ingest
 from segrls.errors import CalendarError, GapError, ParseError, RangeError
 from segrls.ingest import Records, SeriesRecord, parse_csv, parse_stockholm, to_indexed
 
@@ -55,6 +57,22 @@ class TestParseStockholm:
             parse_stockholm("1756 1 1 abc")
         with pytest.raises(ParseError):
             parse_stockholm("year 1 1 0.0")
+
+    def test_calendar_agrees_with_datetime(self):
+        """Every day of these years reads as datetime.date has it; days past a month are refused."""
+        years = [1, 4, 100, 400, 1582, 1700, 1900, 1970, 2000, 2023, 2024, 9999]
+        days = [datetime.date(y, m, 1) + datetime.timedelta(days=i)
+                for y in years for m in range(1, 13) for i in range(31)]
+        days = sorted({d for d in days if d.year in years})
+        records = parse_stockholm("".join(f"{d.year} {d.month} {d.day} 0\n" for d in days))
+        assert records.dates.tolist() == days
+        for y in years:
+            for m in range(1, 13):
+                for d in (0, calendar.monthrange(y, m)[1] + 1):
+                    with pytest.raises(CalendarError):
+                        parse_stockholm(f"{y} {m} {d} 0")
+        ends = parse_stockholm("1 1 1 0\n9999 12 31 0\n").dates.tolist()
+        assert ends == [datetime.date.min, datetime.date.max]
 
 
 class TestParseCsv:
@@ -402,6 +420,88 @@ def test_ingest_fuzz_names_the_first_refused_line():
         assert not any(refused_alone(fmt, raw) for raw in earlier), f"case {case}: {text!r}"
     # the draws reach every refusal stage: tokenizer or date shape, calendar, finiteness
     assert kinds == {(ParseError, False), (ParseError, True), (CalendarError, False)}
+
+
+# Pieces of the differential fuzz below: every break str.splitlines knows,
+# lines only str.strip sees as blank, comments before and among the data,
+# glued and trailing '#', and a few refused tokens.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+BLANK_LINES = ["", " ", "\t", "\x1f", "\xa0", "\u2003", " \x1f\xa0\u2003 "]
+COMMENT_LINES = ["# note", "  # indented", "#", "\t#1756 1 1 5"]
+VALUES = ["-1.2", "0", "+.5", "1e3", "2.675", "-0"]
+REFUSED_VALUES = ["abc", "nan", "1_0", "5#x"]
+
+
+def fuzz_text(rng, fmt):
+    """A small file of one layout built from the pieces above, with mixed line breaks."""
+    lines = [rng.choice(COMMENT_LINES + BLANK_LINES) for _ in range(rng.randint(0, 3))]
+    if fmt == "csv":
+        lines.append(rng.choice(["date,value", " Date , VALUE "]))
+    when = datetime.date(1756, 1, 1) + datetime.timedelta(days=rng.randrange(100_000))
+    for _ in range(rng.randint(0, 8)):
+        draw = rng.random()
+        if draw < 0.15:
+            lines.append(rng.choice(BLANK_LINES))
+            continue
+        if draw < 0.2:
+            lines.append(rng.choice(COMMENT_LINES))
+            continue
+        value = rng.choice(REFUSED_VALUES if draw < 0.25 else VALUES)
+        if fmt == "csv":
+            line = f"{when.isoformat()},{value}"
+        else:
+            line = f"{when.year} {when.month} {when.day} {value} 9.9"
+            if rng.random() < 0.05:
+                line += " # a trailing note"
+        lines.append(line)
+        when += datetime.timedelta(days=1)
+    ends = [rng.choice(LINE_BREAKS) for _ in lines]
+    if ends and rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(fmt, text):
+    """The records as dates and value bits, or the refusal's type and message."""
+    try:
+        records = parse(fmt, text)
+    except (ParseError, CalendarError) as err:
+        return type(err), str(err)
+    return records.dates.tolist(), [value.hex() for value in records.values.tolist()]
+
+
+def test_one_pass_reads_as_the_data_lines_alone(monkeypatch):
+    """The one-pass read and the data-lines route give the same records or the same refusal."""
+    rng = random.Random(11)
+    cases = [(fmt, fuzz_text(rng, fmt)) for _ in range(600) for fmt in ("csv", "stockholm")]
+
+    exact = ingest._parse
+    filtered = []  # per case, whether it took the data-lines route
+
+    def counted(*args):
+        filtered[-1] = True
+        return exact(*args)
+
+    monkeypatch.setattr(ingest, "_parse", counted)
+    fast = []
+    for fmt, text in cases:
+        filtered.append(False)
+        fast.append(outcome(fmt, text))
+
+    def data_lines_only(text, lines, start, convert, expected, skip=0):
+        return exact(lines, ingest._data_lines(lines), convert, expected, skip)
+
+    monkeypatch.setattr(ingest, "_read", data_lines_only)
+    for (fmt, text), got in zip(cases, fast):
+        assert got == outcome(fmt, text), f"{fmt}: {text!r}"
+    # the draws reach both routes, and both outcomes on the data-lines route
+    accepted = [isinstance(o[0], list) for o in fast]
+    assert sum(a and not f for a, f in zip(accepted, filtered)) > 200
+    assert sum(a and f for a, f in zip(accepted, filtered)) > 100
+    assert sum(not a for a in accepted) > 100
+
+
 # Gaps of 1, 2, 3 and 6 days between irregular values; spans that start or end
 # inside a gap.
 GAPPY = make_records(
