@@ -41,7 +41,6 @@ from .ingest import (
     parse_stockholm,
     to_indexed,
 )
-from .linalg import condition_number
 from .profile import ExponentialProfile, SegmentedProfile
 from .reference import SyntheticSpec, synth_generate
 
@@ -307,49 +306,28 @@ def _config_footer(args, model, extra=()) -> list[str]:
 # shared fit driver
 
 
-def _init_fit(profile, model, series: IndexedSeries, args):
-    """The estimator initialized on the first window, and the window length."""
-    samples = series.samples
+def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
+    """Initialize on the first window, then stream the rest of the span with ``run``.
+
+    Returns the estimator, the window length w and ``run``'s (yhat, yhat1,
+    cond), whose row i is index w + i.
+    """
+    values = series.values
     window = args.window if profile.w is None else profile.w
-    if len(samples) < window + 1:
+    if len(values) < window + 1:
         raise RangeError(
-            f"span has {len(samples)} samples; need more than the window {window}"
+            f"span has {len(values)} samples; need more than the window {window}"
         )
     est = RlsEstimator.init(
-        profile, model, samples[:window], diagonal_loading=args.epsilon
+        profile, model, zip(range(1, window + 1), values[:window].tolist()),
+        diagonal_loading=args.epsilon,
     )
-    return est, window
+    return est, window, est.run(values[window:], cond_every)
 
 
-def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
-    """Initialize on the first window, then stream.
-
-    Returns the estimator and one (k, y, yhat, yhat1, residual, cond) row per
-    index from the window's last on; cond is None between --cond-every rows.
-    """
-    est, window = _init_fit(profile, model, series, args)
-    samples = series.samples
-    rows = []
-    first = samples[window - 1].k
-
-    def emit(sample):
-        yhat, yhat1 = est.fitted()
-        cond = None
-        if cond_every and (sample.k - first) % cond_every == 0:
-            cond = condition_number(est.info_matrix())
-        rows.append((sample.k, sample.y, yhat, yhat1, sample.y - yhat, cond))
-
-    emit(samples[window - 1])
-    for sample in samples[window:]:
-        est.step(sample)
-        emit(sample)
-    return est, rows
-
-
-def _residual_stats(rows):
-    residuals = np.array([r[4] for r in rows])
+def _residual_stats(residuals):
     rmse = math.sqrt(float(np.mean(residuals**2)))
-    return residuals, rmse, float(np.mean(residuals)), float(np.std(residuals))
+    return rmse, float(np.mean(residuals)), float(np.std(residuals))
 
 
 # ----------------------------------------------------------------------
@@ -362,15 +340,21 @@ def cmd_fit(args) -> int:
     if errors:
         return _fail_config(errors)
     series, _ = _load_series(args, start, end)
-    est, rows = _run_fit(profile, model, series, args, cond_every=args.cond_every)
+    est, window, (yhat, yhat1, cond) = _run_fit(
+        profile, model, series, args, cond_every=args.cond_every
+    )
+    y = series.values[window - 1 :]
+    residuals = y - yhat
+    rmse, res_mean, res_std = _residual_stats(residuals)
+    steps = len(y) - 1
 
-    _, rmse, res_mean, res_std = _residual_stats(rows)
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
     iso = _iso_dates(series)
-    out.extend(_FIT_ROW % (k, iso(k), y, yhat, yhat1, resid, fmt(cond))
-               for k, y, yhat, yhat1, resid, cond in rows)
+    out.extend(_FIT_ROW % (k, iso(k), *row, fmt(c)) for k, *row, c in zip(
+        range(window, len(series.values) + 1),
+        y.tolist(), yhat.tolist(), yhat1.tolist(), residuals.tolist(), cond))
     out.extend(_config_footer(args, model, extra=[
-        f"# steps={len(rows) - 1}",
+        f"# steps={steps}",
         f"# rmse={fmt(rmse)}",
         f"# residual_mean={fmt(res_mean)}",
         f"# residual_std={fmt(res_std)}",
@@ -378,7 +362,7 @@ def cmd_fit(args) -> int:
         f"# filled_dates={','.join(d.isoformat() for d in series.filled)}",
     ]))
     _write_output(args.output, "\n".join(out) + "\n")
-    print(f"fit: {len(rows) - 1} steps, rmse {fmt(rmse)}", file=sys.stderr)
+    print(f"fit: {steps} steps, rmse {fmt(rmse)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -395,11 +379,13 @@ def cmd_compare(args) -> int:
         return _fail_config(errors)
 
     series, _ = _load_series(args, start, end)
-    _, rows_fit = _run_fit(fitted, model, series, args)
-    _, rows_base = _run_fit(baseline, model, series, args)
+    _, window, (yhat_fit, _, _) = _run_fit(fitted, model, series, args)
+    _, _, (yhat_base, _, _) = _run_fit(baseline, model, series, args)
+    y = series.values[window - 1 :]
+    res_fit, res_base = y - yhat_fit, y - yhat_base
 
-    res_fit, rmse_fit, _, std_fit = _residual_stats(rows_fit)
-    res_base, rmse_base, _, std_base = _residual_stats(rows_base)
+    rmse_fit, _, std_fit = _residual_stats(res_fit)
+    rmse_base, _, std_base = _residual_stats(res_base)
     ratio = rmse_fit / rmse_base if rmse_base else float("nan")
 
     # shared equal-width bins across both residual sets, per-profile counts
@@ -410,8 +396,9 @@ def cmd_compare(args) -> int:
 
     out = ["k,date,y,residual_fitted,residual_baseline"]
     iso = _iso_dates(series)
-    out.extend(_COMPARE_ROW % (k, iso(k), y, r_f, r_b)
-               for (k, y, _, _, r_f, _), (*_, r_b, _) in zip(rows_fit, rows_base))
+    out.extend(_COMPARE_ROW % (k, iso(k), *row) for k, *row in zip(
+        range(window, len(series.values) + 1),
+        y.tolist(), res_fit.tolist(), res_base.tolist()))
     out.append("")
     out.append("bin_left,bin_right,count_fitted,count_baseline")
     for i in range(41):
@@ -441,14 +428,12 @@ def cmd_forecast(args) -> int:
     if errors:
         return _fail_config(errors)
     series, records = _load_series(args, start, end)
-    last = series.date_of(series.samples[-1].k)
+    last = series.date_of(len(series.values))
     if args.horizon > (datetime.date.max - last).days:
         return _fail_config(
             [f"--horizon {args.horizon} from the series end {last} passes year 9999"]
         )
-    est, window = _init_fit(profile, model, series, args)
-    for sample in series.samples[window:]:
-        est.step(sample)
+    est, _, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 
     days = [series.date_of(point.k) for point in band.points]

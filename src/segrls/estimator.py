@@ -1,14 +1,15 @@
 """Sliding-window recursive least squares with low-rank gain updates.
 
 The estimator is initialized by a batch solve over the first window and then
-advanced one sample at a time.  Each step applies the profile's update
-template as a single signed low-rank correction: the gain matrix (inverse of
-the weighted information matrix) and the parameter vector are updated together
-by the core of ``linalg.batch_inverse_update``, whose only solve is a LAPACK
-inverse of the small r x r capacitance matrix, never by refactoring the full
-matrix.  The public kernel checks its arguments on every call; the core does
-not, so the estimator checks its update template once, at construction, and
-builds D = diag(signs) there.
+advanced one sample at a time, by ``step``, or over a value array by ``run``.
+Each step applies the profile's update template as a single signed low-rank
+correction: the gain matrix (inverse of the weighted information matrix) and
+the parameter vector are updated together by the core of
+``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of the
+small r x r capacitance matrix, never by refactoring the full matrix.  The
+public kernel checks its arguments on every call; the core does not, so the
+estimator checks its update template once, at construction, and builds
+D = diag(signs) there.
 
 Regressor rows are built in blocks: one ``regressor_matrix`` call gives the
 rows of the next ROW_BLOCK steps, and a block also keeps the rows and values
@@ -18,7 +19,7 @@ lagged columns and the windowed ``info_matrix`` read.
 The gain never depends on the values, only on the profile, the model and the
 sample indices.  So one estimator can carry B value series at once: when the
 samples hold (B,) arrays of values, theta is (n, B), the block's values are
-(count, B), and the fitted values, residuals, moving variance and forecast are
+(count, B), and the fitted values, moving variance and forecast are
 per-column arrays.  Each column follows the scalar recursion through the same
 gain, up to the summation order of the matrix products.
 """
@@ -38,7 +39,7 @@ from .errors import (
     SingularUpdateError,
     WindowTooSmallError,
 )
-from .harmonic import HarmonicModel, regressor_at, regressor_matrix
+from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile, update_template, weights
 
 # Steps served by one regressor_matrix call; a block holds L + ROW_BLOCK rows.
@@ -117,7 +118,7 @@ def _check_consecutive(indices: Sequence[int]) -> None:
 
 
 class RlsEstimator:
-    """Windowed RLS engine; single-owner, advance with step() in index order."""
+    """Windowed RLS engine; single-owner, advanced with step() or run() in index order."""
 
     def __init__(self, profile, model, *, diagonal_loading=0.0):
         if not 0.0 <= diagonal_loading < math.inf:
@@ -292,6 +293,27 @@ class RlsEstimator:
         self.gamma, self.theta, self.k, self._phi, self._yhat1 = gamma, theta, k, phi, yhat1
         self._residuals[(k - self._first_index) % self.window] = y - yhat1
 
+    def run(self, values, cond_every: int = 0):
+        """Step over the values of the indices after k; the fitted values from k on.
+
+        ``values`` holds floats, or is a (count, B) array for a batch; each
+        value is one ``step``.  Returns (yhat, yhat1, cond), each with row 0
+        for the current index and row i after the i-th step: yhat and yhat1
+        are ``fitted()``'s pair as (count + 1[, B]) arrays, and cond is a list
+        holding cond(``info_matrix()``) on each row i with i % cond_every == 0
+        and None on every other row, and on every row when cond_every is 0.
+        """
+        yhat = np.empty((len(values) + 1, *self._values.shape[1:]))
+        yhat1 = np.empty_like(yhat)
+        cond = [None] * len(yhat)
+        for i in range(len(yhat)):
+            if i:
+                self.step((self.k + 1, values[i - 1]))
+            yhat[i], yhat1[i] = self.fitted()
+            if cond_every and i % cond_every == 0:
+                cond[i] = linalg.condition_number(self.info_matrix())
+        return yhat, yhat1, cond
+
     def _next_block(self) -> None:
         """Start the block at the index after this one's end.
 
@@ -315,20 +337,10 @@ class RlsEstimator:
     def fitted(self) -> tuple[float, float]:
         """(phi_k^T theta, its dc + first-harmonic part) at the current index k.
 
-        Floats, or per-column arrays for a batch; so are the residual, the
-        moving variance and the forecast band.
+        Floats, or per-column arrays for a batch; so are the moving variance
+        and the forecast band.  The residual at k is y_k - fitted()[0].
         """
         return _plain(self._phi @ self.theta), _plain(self._yhat1)
-
-    def residual(self, sample: Sample) -> float:
-        """y - phi^T theta with the current parameters.
-
-        Called before stepping past the sample it is the one-step-ahead
-        prediction residual; after, the approximation residual.
-        """
-        k = int(sample[0])
-        phi = self._phi if k == self.k else regressor_at(self.model, k)
-        return _plain(sample[1] - phi @ self.theta)
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""

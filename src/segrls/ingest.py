@@ -12,7 +12,7 @@ that line picks the error: a token the reader or the ISO date shape refuses
 and a non-finite value are a ``ParseError``, an off-calendar date (a date
 field past 64 bits too) is a ``CalendarError``, each naming the line.  The
 CSV header follows the data's rule, so a quoted header is refused.
-``to_indexed`` turns the records into consecutively indexed samples, with an
+``to_indexed`` turns the records into consecutively indexed values, with an
 explicit policy for missing days.
 """
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalendarError, GapError, ParseError, RangeError
-from .estimator import Sample
 
 GAP_POLICIES = ("fail", "interpolate", "previous")
 
@@ -81,11 +80,10 @@ class Records:
 
 @dataclass(frozen=True)
 class IndexedSeries:
-    """Samples with k = 1 at ``origin`` and consecutive indices, no gaps."""
+    """Daily values with k = 1 at ``origin``, no gaps: index k is ``values[k - 1]``."""
 
     origin: datetime.date
-    samples: tuple[Sample, ...]
-    gap_policy: str = "fail"
+    values: np.ndarray
     filled: tuple[datetime.date, ...] = field(default=())
 
     def date_of(self, k: int) -> datetime.date:
@@ -228,16 +226,21 @@ def _records(year, month, day, values) -> Records:
 def _read(text, lines, start, convert, expected, skip=0) -> Records:
     """``convert`` the lines after the ``skip`` lines from ``lines[start]``, the first data line.
 
-    When no '#' follows ``start`` they go to ``convert`` in one pass: the
-    reader skips or refuses each line among them that ``str.strip`` sees as
-    blank, so an accepted pass holds the data lines' records.  Otherwise, or
-    if refused, ``_parse`` reads the data lines alone.  The '#' search starts
-    at the first match of ``lines[start]`` in ``text``, which is never after
-    that line's own place.
+    When no '#' follows ``start`` they go to ``convert`` in one pass, less
+    the lines after the data that ``str.strip`` sees as blank: the comma
+    reader would refuse those, and a refusal costs a second pass.  The
+    reader skips or refuses each such line among the data, so an accepted
+    pass holds the data lines' records.  Otherwise, or if refused,
+    ``_parse`` reads the data lines alone.  The '#' search starts at the
+    first match of ``lines[start]`` in ``text``, which is never after that
+    line's own place.
     """
     if start == len(lines) or text.find("#", text.find(lines[start])) < 0:
+        rows = lines[start + skip :]
+        while rows and not rows[-1].strip():
+            rows.pop()
         try:
-            return convert(lines[start + skip :])
+            return convert(rows)
         except ValueError:
             pass
     return _parse(lines, _data_lines(lines), convert, expected, skip)
@@ -330,9 +333,4 @@ def to_indexed(
             frac = (days[missing] - dates[left]).astype(np.int64) / span
             y[missing] = values[left] + frac * (values[right] - values[left])
 
-    return IndexedSeries(
-        origin=start,
-        samples=tuple(map(Sample, range(1, len(y) + 1), y.tolist())),
-        gap_policy=gap_policy,
-        filled=tuple(days[missing].tolist()),
-    )
+    return IndexedSeries(origin=start, values=y, filled=tuple(days[missing].tolist()))

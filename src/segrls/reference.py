@@ -273,10 +273,9 @@ def monte_carlo_bias(
     estimates = np.empty((trials, spec.model.dim))
     for first in range(0, trials, _MC_GROUP):
         seeds = [derive_seed(spec.seed, t) for t in range(first, min(first + _MC_GROUP, trials))]
-        series = [Sample(j, y) for j, y in enumerate(_synth_values(spec, seeds)[:k], start=1)]
-        est = RlsEstimator.init(profile, spec.model, series[:window])
-        for sample in series[window:]:
-            est.step(sample)
+        values = _synth_values(spec, seeds)[:k]
+        est = RlsEstimator.init(profile, spec.model, zip(range(1, window + 1), values))
+        est.run(values[window:])
         estimates[first : first + len(seeds)] = est.theta.T
 
     mean = estimates.mean(axis=0)

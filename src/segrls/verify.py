@@ -321,25 +321,21 @@ def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult
 # A6 / A10: data-driven fit quality and forecast coverage
 
 
-def fit_residuals(profile, model: HarmonicModel, samples: Sequence[Sample], window: int):
-    est = RlsEstimator.init(profile, model, samples[:window])
-    residuals = []
-    for sample in samples[window:]:
-        est.step(sample)
-        residuals.append(est.residual(sample))
-    return est, np.asarray(residuals)
-
-
 def criterion_a6(samples: Sequence[Sample], label: str = "A6") -> CriterionResult:
     """Segmented Fig-2 profile must beat the rank-2 exponential baseline."""
     start = time.perf_counter()
     if len(samples) < 3000:
         raise ValueError("criterion needs a span of at least 3000 days")
     model = standard_model()
-    _, res_seg = fit_residuals(fig2_profile(), model, samples, FIG2_W)
-    _, res_exp = fit_residuals(
-        ExponentialProfile(FIG2_LAMBDA, FIG2_W), model, samples, FIG2_W
-    )
+    values = np.array([s.y for s in samples[FIG2_W:]])
+
+    def residuals(profile):
+        """y - phi^T theta after each step past the window."""
+        yhat, _, _ = RlsEstimator.init(profile, model, samples[:FIG2_W]).run(values)
+        return values - yhat[1:]
+
+    res_seg = residuals(fig2_profile())
+    res_exp = residuals(ExponentialProfile(FIG2_LAMBDA, FIG2_W))
     rmse_seg = math.sqrt(float(np.mean(res_seg**2)))
     rmse_exp = math.sqrt(float(np.mean(res_exp**2)))
     std_seg = float(np.std(res_seg))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from segrls import cli
+from segrls import cli, linalg
 from segrls.cli import fmt, main
 from segrls.ingest import IndexedSeries
 from segrls.estimator import information_matrix
@@ -162,6 +162,28 @@ class TestFit:
                 # 1e-9 relative, plus half a unit in the 9th printed digit
                 tol = 1e-9 * want + 5e-9 * 10 ** math.floor(math.log10(want))
                 assert abs(float(text) - want) <= tol, (profile, k, text, want)
+
+    def test_steps_and_condition_numbers_the_benchmark_counts(self, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps RlsEstimator.step, reads sample[0] and
+        # counts the calls of both functions
+        data = synth_file(tmp_path, length=360)
+        steps, conds = [], []
+        step, cond = cli.RlsEstimator.step, linalg.condition_number
+
+        def counted_step(est, sample):
+            steps.append(int(sample[0]))
+            return step(est, sample)
+
+        def counted_cond(a):
+            conds.append(a)
+            return cond(a)
+
+        monkeypatch.setattr(cli.RlsEstimator, "step", counted_step)
+        monkeypatch.setattr(linalg, "condition_number", counted_cond)
+        assert run(["fit", "--input", str(data), *FIT_FLAGS, "--cond-every", "60",
+                    "--output", str(tmp_path / "fit.csv")]) == 0
+        assert steps == list(range(61, 361))
+        assert len(conds) == 300 // 60 + 1
 
     def test_bad_profile_parameters_exit_2(self, tmp_path, capsys):
         data = synth_file(tmp_path)
@@ -339,7 +361,7 @@ class TestRowRendering:
 
     @pytest.mark.parametrize("origin", [datetime.date(1999, 12, 25), datetime.date(1, 1, 1)])
     def test_iso_dates_are_date_of(self, origin):
-        series = IndexedSeries(origin=origin, samples=())
+        series = IndexedSeries(origin=origin, values=np.zeros(0))
         iso = cli._iso_dates(series)
         for k in range(1, 3000):
             assert iso(k) == series.date_of(k).isoformat()

@@ -302,7 +302,6 @@ class TestBatch:
 
         close(est.fitted()[0], columns(lambda s, one: s.fitted()[0]))
         close(est.fitted()[1], columns(lambda s, one: s.fitted()[1]))
-        close(est.residual(samples[-1]), columns(lambda s, one: s.residual(one[-1])))
         close(est.moving_variance(), columns(lambda s, one: s.moving_variance()))
         band = est.forecast(3)
         close(band.sigma, columns(lambda s, one: s.forecast(3).sigma))
@@ -313,7 +312,6 @@ class TestBatch:
         # the scalar read-outs stay plain floats
         single = singles[0]
         assert all(type(v) is float for v in single.fitted())
-        assert type(single.residual(series[0][-1])) is float
         assert type(single.moving_variance()) is float
         assert type(single.forecast(1).points[0].mean) is float
 
@@ -389,6 +387,51 @@ class TestStepAgainstPublicKernel:
             assert np.array_equal(est.theta, theta), k
 
 
+class TestRun:
+    """run is the step loop reading fitted() after each step, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "profile, count",
+        [(PROFILE, PROFILE.w), (ExponentialProfile(0.97, 50), 50), (ExponentialProfile(0.97), 20)],
+        ids=["segmented", "exponential", "infinite"],
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    @pytest.mark.parametrize("cond_every", [0, 7])
+    def test_rows_and_state_equal_the_step_loop(self, profile, count, batch, cond_every):
+        length = count + ROW_BLOCK + 40                 # two row blocks
+        if batch:
+            values = batch_values(1, 2, 3, length=length)
+        else:
+            values = np.array([s.y for s in make_series(1.0, length=length)])
+        samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
+        est = RlsEstimator.init(profile, MODEL, samples[:count])
+        loop = RlsEstimator.init(profile, MODEL, samples[:count])
+
+        yhat, yhat1, cond = est.run(values[count:], cond_every)
+        assert yhat.shape == yhat1.shape == (length - count + 1, *values.shape[1:])
+        assert len(cond) == len(yhat)
+        for i in range(len(yhat)):
+            if i:
+                loop.step(samples[count + i - 1])
+            full, first = loop.fitted()
+            assert np.array_equal(yhat[i], full) and np.array_equal(yhat1[i], first), i
+            if cond_every and i % cond_every == 0:
+                assert cond[i] == linalg.condition_number(loop.info_matrix()), i
+            else:
+                assert cond[i] is None, i
+        assert est.k == loop.k == length
+        assert np.array_equal(est.theta, loop.theta)
+        assert np.array_equal(est.gamma, loop.gamma)
+        assert np.array_equal(est.moving_variance(), loop.moving_variance())
+
+    def test_no_values_gives_the_current_row(self):
+        est = init_on(make_series(1.0))
+        yhat, yhat1, cond = est.run(np.zeros(0), cond_every=5)
+        assert (yhat.tolist(), yhat1.tolist()) == tuple([v] for v in est.fitted())
+        assert cond == [linalg.condition_number(est.info_matrix())]
+        assert est.k == PROFILE.w
+
+
 class TestBlockBoundary:
     """A failed first step of a row block leaves the state as it was; the next step is unaffected."""
 
@@ -452,7 +495,7 @@ class TestResiduals:
         est = init_on(series)
         for sample in series[PROFILE.w :]:
             est.step(sample)
-            assert abs(est.residual(sample)) <= 1e-8
+            assert abs(sample.y - est.fitted()[0]) <= 1e-8
 
     def test_fitted_values_equal_predictions_bitwise(self):
         # the kept phi_k stands in for a fresh regressor row at k
@@ -463,7 +506,6 @@ class TestResiduals:
                 est.step(sample)
             full = float(regressor_at(MODEL, sample.k) @ est.theta)
             assert est.fitted() == (full, first_harmonic_at(est.theta, sample.k))
-            assert est.residual(sample) == sample.y - full
 
     def test_first_harmonic_plus_higher_harmonics_is_the_full_fit(self):
         series = make_series(1.0)
@@ -478,32 +520,14 @@ class TestResiduals:
             )
             assert full == pytest.approx(first + higher, abs=1e-12)
 
-    def test_zero_theta_returns_measurement(self):
-        series = make_series(1.0)
-        est = init_on(series)
-        est.theta = np.zeros(MODEL.dim)
-        sample = series[PROFILE.w]
-        assert est.residual(sample) == sample.y
-
-    def test_one_step_ahead_uses_current_parameters(self):
-        series = make_series(1.0)
-        est = init_on(series)
-        incoming = series[PROFILE.w]
-        ahead = est.residual(incoming)
-        est.step(incoming)
-        post = est.residual(incoming)
-        assert ahead != post  # parameters moved on the update
-
     def test_noisy_residual_std_tracks_noise_level(self):
         # long-memory fit: shrinkage is mild, residual spread ~ sigma
         sigma = 1.5
         profile = ExponentialProfile(0.99, 200)
         series = make_series(sigma, seed=29, length=420)
         est = RlsEstimator.init(profile, MODEL, series[:200])
-        residuals = []
-        for sample in series[200:]:
-            est.step(sample)
-            residuals.append(est.residual(sample))
+        values = np.array([s.y for s in series[200:]])
+        residuals = values - est.run(values)[0][1:]
         assert np.std(residuals) == pytest.approx(sigma, rel=0.15)
 
 

@@ -121,14 +121,16 @@ class TestToIndexed:
             ["2000-01-01", "2000-01-02", "2000-01-03"], [1.25, -2.5, 0.125]
         )
         series = to_indexed(records)
-        assert [s.k for s in series.samples] == [1, 2, 3]
-        assert [s.y for s in series.samples] == [1.25, -2.5, 0.125]  # bit exact
+        assert series.values.dtype == np.float64
+        assert series.values.tolist() == [1.25, -2.5, 0.125]  # bit exact
         assert series.filled == ()
 
     def test_index_date_bijection(self):
         records = make_records(["2000-01-01", "2000-01-02", "2000-01-03"], [0, 0, 0])
         series = to_indexed(records)
-        assert [series.date_of(s.k) for s in series.samples] == [r.date for r in records]
+        assert [series.date_of(k) for k in range(1, len(series.values) + 1)] == [
+            r.date for r in records
+        ]
 
     def test_gap_fails_by_default(self):
         records = make_records(["2000-01-01", "2000-01-03"], [1.0, 3.0])
@@ -139,18 +141,18 @@ class TestToIndexed:
     def test_gap_interpolated_midpoint(self):
         records = make_records(["2000-01-01", "2000-01-03"], [1.0, 3.0])
         series = to_indexed(records, gap_policy="interpolate")
-        assert series.samples[1].y == pytest.approx(2.0)
+        assert series.values[1] == pytest.approx(2.0)
         assert series.filled == (day("2000-01-02"),)
 
     def test_multi_day_gap_linear(self):
         records = make_records(["2000-01-01", "2000-01-05"], [0.0, 4.0])
         series = to_indexed(records, gap_policy="interpolate")
-        assert [s.y for s in series.samples] == pytest.approx([0, 1, 2, 3, 4])
+        assert series.values.tolist() == pytest.approx([0, 1, 2, 3, 4])
 
     def test_gap_previous_holds_value(self):
         records = make_records(["2000-01-01", "2000-01-03"], [1.0, 3.0])
         series = to_indexed(records, gap_policy="previous")
-        assert series.samples[1].y == 1.0
+        assert series.values[1] == 1.0
 
     def test_span_must_lie_within_data(self):
         records = make_records(["2000-01-02", "2000-01-03"], [1.0, 2.0])
@@ -166,7 +168,7 @@ class TestToIndexed:
             ["2000-01-01", "2000-01-02", "2000-01-03", "2000-01-04"], [1, 2, 3, 4]
         )
         series = to_indexed(records, start=day("2000-01-02"), end=day("2000-01-03"))
-        assert [s.y for s in series.samples] == [2, 3]
+        assert series.values.tolist() == [2, 3]
         assert series.origin == day("2000-01-02")
 
     def test_unsorted_input_rejected(self):
@@ -471,6 +473,32 @@ def outcome(fmt, text):
     return records.dates.tolist(), [value.hex() for value in records.values.tolist()]
 
 
+@pytest.mark.parametrize("tail", ["  \n", " \t\n\n  \r\n", "\t"], ids=["spaces", "mixed", "no-newline"])
+@pytest.mark.parametrize("fmt", ["csv", "stockholm"])
+def test_whitespace_lines_after_the_data_cost_no_second_pass(monkeypatch, fmt, tail):
+    """An accepted file takes one reader pass, whatever whitespace-only lines end it."""
+    if fmt == "csv":
+        text = "date,value\n2000-01-01,1.5\n2000-01-02,-2\n2000-01-03,0.25\n"
+    else:
+        text = "2000 1 1 1.5\n2000 1 2 -2\n2000 1 3 0.25\n"
+    calls = []
+    load = ingest._load
+
+    def counted(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return load(rows, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_load", counted)
+    assert outcome(fmt, text + tail) == outcome(fmt, text)
+    assert calls == [3, 3]
+    # a refused line keeps its number and its message
+    bad = text.replace("-2", "x") + tail
+    monkeypatch.setattr(ingest, "_load", load)
+    err = outcome(fmt, bad)
+    assert err == outcome(fmt, text.replace("-2", "x"))
+    assert err[0] is ParseError and err[1].startswith(f"line {3 if fmt == 'csv' else 2}:")
+
+
 def test_one_pass_reads_as_the_data_lines_alone(monkeypatch):
     """The one-pass read and the data-lines route give the same records or the same refusal."""
     rng = random.Random(11)
@@ -545,7 +573,6 @@ def scalar_fill(records, start, end, policy):
 def test_gap_fill_is_bit_identical_to_the_scalar_formula(policy, start, end):
     series = to_indexed(GAPPY, start=day(start), end=day(end), gap_policy=policy)
     values, filled = scalar_fill(GAPPY, day(start), day(end), policy)
-    assert [s.y.hex() for s in series.samples] == [v.hex() for v in values]
-    assert [s.k for s in series.samples] == list(range(1, len(values) + 1))
+    assert [y.hex() for y in series.values.tolist()] == [v.hex() for v in values]
     assert series.filled == filled
     assert series.origin == day(start)
