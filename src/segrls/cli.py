@@ -318,10 +318,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
         raise RangeError(
             f"span has {len(values)} samples; need more than the window {window}"
         )
-    est = RlsEstimator.init(
-        profile, model, zip(range(1, window + 1), values[:window].tolist()),
-        diagonal_loading=args.epsilon,
-    )
+    est = RlsEstimator.init(profile, model, values[:window], diagonal_loading=args.epsilon)
     return est, window, est.run(values[window:], cond_every)
 
 
@@ -516,17 +513,17 @@ def cmd_synth(args) -> int:
         length=args.length,
     )
     try:
-        samples = synth_generate(spec)
+        values = synth_generate(spec)
     except RangeError as err:
         return _fail_config([str(err)])
     out = []
     out.extend(_config_footer(args, model, extra=[f"# theta_full={','.join(fmt(v) for v in theta)}"]))
     out.append("date,value")
-    for sample in samples:
-        day = origin + datetime.timedelta(days=sample.k - 1)
-        out.append(f"{day.isoformat()},{fmt(sample.y)}")
+    for i, y in enumerate(values.tolist()):
+        day = origin + datetime.timedelta(days=i)
+        out.append(f"{day.isoformat()},{fmt(y)}")
     _write_output(args.output, "\n".join(out) + "\n")
-    print(f"synth: wrote {len(samples)} samples", file=sys.stderr)
+    print(f"synth: wrote {len(values)} samples", file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,17 +17,17 @@ of the L samples before it (L the template's largest lag), which the step's
 lagged columns and the windowed ``info_matrix`` read.
 
 The gain never depends on the values, only on the profile, the model and the
-sample indices.  So one estimator can carry B value series at once: when the
-samples hold (B,) arrays of values, theta is (n, B), the block's values are
-(count, B), and the fitted values, moving variance and forecast are
-per-column arrays.  Each column follows the scalar recursion through the same
+sample indices.  So one estimator can carry B value series at once: when
+``init`` gets a (count, B) value array, theta is (n, B), each step takes B
+values, and the fitted values, moving variance and forecast are per-column
+arrays.  Each column follows the scalar recursion through the same
 gain, up to the summation order of the matrix products.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,8 @@ ROW_BLOCK = 256
 class Sample(NamedTuple):
     """One measurement at integer time index k.
 
-    ``y`` is a float, or a (B,) array holding B series' values at k: an
-    estimator initialized on such samples advances all B series through one
-    gain trajectory, and each later sample must hold B values too.
+    ``y`` is a float, or a (B,) array holding B series' values at k when
+    the estimator carries a batch of B series.
     """
 
     k: int
@@ -72,22 +71,17 @@ class ForecastBand(NamedTuple):
     sigma: float
 
 
-def information_matrix(profile, model, k: int, count: int, y=None):
-    """Directly weighted normal equations over the ``count`` indices ending at k.
-
-    Returns A = sum_j f(j) phi_{k-j} phi_{k-j}^T.  Given the window values
-    ``y`` (oldest first), returns (A, b, phi) with b = sum_j f(j) phi_{k-j}
-    y_{k-j} and phi the window's regressor rows, oldest first.
-    """
-    phi = regressor_matrix(model, np.arange(k - count + 1, k + 1))
-    a, wphi = _weighted_gram(profile, phi)
-    if y is None:
-        return a
-    return a, wphi.T @ np.asarray(y, dtype=float), phi
+def information_matrix(profile, model, k: int, count: int) -> np.ndarray:
+    """A = sum_j f(j) phi_{k-j} phi_{k-j}^T over the ``count`` indices ending at k."""
+    return _weighted_gram(profile, regressor_matrix(model, np.arange(k - count + 1, k + 1)))[0]
 
 
 def _weighted_gram(profile, phi):
-    """(A, weighted rows) for a window's regressor rows phi, oldest row first."""
+    """(A, weighted rows) for a window's regressor rows phi, oldest row first.
+
+    The one assembly of the weighted normal equations: batch init and the
+    direct oracle form b = (weighted rows)^T y from the rows it returns.
+    """
     wphi = phi * weights(profile, len(phi))[::-1, None]
     return linalg.symmetrize(wphi.T @ phi), wphi
 
@@ -107,14 +101,6 @@ def _first_harmonic(theta, phi):
 def _plain(x):
     """A scalar result as a float; a batch's per-column array as it is."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def _check_consecutive(indices: Sequence[int]) -> None:
-    for prev, cur in zip(indices, indices[1:]):
-        if cur != prev + 1:
-            raise IndexGapError(
-                f"sample indices must be consecutive; got {prev} then {cur}"
-            )
 
 
 class RlsEstimator:
@@ -139,9 +125,8 @@ class RlsEstimator:
         self.theta: np.ndarray | None = None
         self.k: int = 0
         self.window: int = 0
-        self._first_index: int = 0
-        # first-harmonic residuals of the last `window` samples, the first in
-        # slot 0: sample k sits in slot (k - first index) % window
+        # first-harmonic residuals of the last `window` samples: sample k sits
+        # in slot (k - 1) % window
         self._residuals = np.zeros(0)
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
         self._scales = np.array(template.scales)
@@ -159,8 +144,8 @@ class RlsEstimator:
         # block, and that step's correction columns, transposed: (r, n) each
         self._slots = self._lead + np.arange(ROW_BLOCK)[:, None] - np.array(lags)
         self._columns = np.zeros((0, len(lags), model.dim))
-        # the infinite profile's regressor rows from the first index on, built
-        # as info_matrix needs them
+        # the infinite profile's regressor rows from index 1 on, built as
+        # info_matrix needs them
         self._history = np.zeros((0, model.dim))
         self._phi: np.ndarray | None = None
         self._yhat1 = None
@@ -173,52 +158,51 @@ class RlsEstimator:
         cls,
         profile: ForgettingProfile,
         model: HarmonicModel,
-        samples: Iterable[Sample],
+        values,
         *,
         diagonal_loading: float = 0.0,
     ) -> "RlsEstimator":
-        """Batch-initialize over the first window.
+        """Batch-initialize over the first window, indices 1..len(values).
 
-        ``samples`` must hold exactly w consecutive samples for the windowed
-        profiles; the infinite-memory profile initializes over however many
-        samples are given (at least the model dimension).  Raises
-        WindowTooSmallError when the window cannot identify the model and
-        NotPositiveDefiniteError when the initial information matrix is not
-        SPD (insufficient excitation); a positive ``diagonal_loading`` adds
-        eps*I to the initial matrix instead, and the choice is recorded on
-        ``loading_applied``.  A non-finite value raises RangeError.  Sample
-        values that are (B,) arrays start a batch of B series (see Sample).
+        ``values`` holds the window's values, index k at ``values[k - 1]``:
+        a (count,) array, or a (count, B) array to start a batch of B series
+        that share one gain.  The windowed profiles need exactly w values;
+        the infinite-memory profile initializes over however many are given
+        (at least the model dimension).  Raises WindowTooSmallError when the
+        window cannot identify the model and NotPositiveDefiniteError when
+        the initial information matrix is not SPD (insufficient excitation);
+        a positive ``diagonal_loading`` adds eps*I to the initial matrix
+        instead, and the choice is recorded on ``loading_applied``.  A
+        non-finite value raises the RangeError ``step`` would.
         """
         est = cls(profile, model, diagonal_loading=diagonal_loading)
-        samples = list(samples)
-        shape = np.shape(samples[0][1]) if samples else ()
-        if len(shape) > 1:
-            raise ValueError(f"a sample value is a float or a 1-D array, got shape {shape}")
-        est._values = np.zeros((0, *shape))
-        indices = [int(s[0]) for s in samples]
-        y = np.array([est._value(k, s[1]) for k, s in zip(indices, samples)])
+        y = np.array(values, dtype=float)
+        if y.ndim not in (1, 2):
+            raise ValueError(f"values must be a (count,) or (count, B) array, got shape {y.shape}")
+        est._values = y[:0]           # _value reads the batch shape from it
+        bad = np.argwhere(~np.isfinite(y))
+        if len(bad):
+            # the first non-finite row raises step's error for its index
+            est._value(int(bad[0, 0]) + 1, y[bad[0, 0]])
         unbounded = profile.w is None
-        window = len(samples) if unbounded else profile.w
+        window = len(y) if unbounded else profile.w
         if window < model.dim:
             raise WindowTooSmallError(
                 f"window {window} is smaller than the model dimension {model.dim}"
             )
-        if not unbounded and len(samples) != window:
+        if not unbounded and len(y) != window:
             raise ValueError(
-                f"initialization needs exactly w={window} samples, got {len(samples)}"
+                f"initialization needs exactly w={window} samples, got {len(y)}"
             )
-        _check_consecutive(indices)
 
-        est.window = window
-        est.k = indices[-1]
-        est._first_index = indices[0]
-
-        a, b, phi = information_matrix(profile, model, est.k, window, y)
+        est.window = est.k = window
+        phi = regressor_matrix(model, np.arange(1, window + 1))
+        a, wphi = _weighted_gram(profile, phi)
         if est.diagonal_loading > 0.0:
             a = a + est.diagonal_loading * np.eye(model.dim)
             est.loading_applied = True
         est.gamma = linalg.spd_inverse(a)
-        est.theta = est.gamma @ b
+        est.theta = est.gamma @ (wphi.T @ y)
 
         # the first step starts a block from the window's last L rows and values
         est._rows, est._values = phi[window - est._lead:], y[window - est._lead:]
@@ -291,7 +275,7 @@ class RlsEstimator:
         phi = self._rows[i]
         yhat1 = _first_harmonic(theta, phi)
         self.gamma, self.theta, self.k, self._phi, self._yhat1 = gamma, theta, k, phi, yhat1
-        self._residuals[(k - self._first_index) % self.window] = y - yhat1
+        self._residuals[(k - 1) % self.window] = y - yhat1
 
     def run(self, values, cond_every: int = 0):
         """Step over the values of the indices after k; the fitted values from k on.
@@ -349,7 +333,7 @@ class RlsEstimator:
                 "moving variance needs at least two buffered residuals"
             )
         # oldest first: the slot after sample k's holds the oldest buffered residual
-        oldest = (self.k + 1 - self._first_index) % len(self._residuals)
+        oldest = self.k % len(self._residuals)
         r = np.roll(self._residuals, -oldest, axis=0)
         return _plain(np.mean(r * r, axis=0))
 
@@ -381,7 +365,7 @@ class RlsEstimator:
         of the indices since the last call.
         """
         if self.profile.w is None:
-            built = self._first_index + len(self._history)
+            built = 1 + len(self._history)
             if built <= self.k:
                 rows = regressor_matrix(self.model, np.arange(built, self.k + 1))
                 self._history = np.concatenate((self._history, rows))

@@ -4,8 +4,8 @@ The regressor at time index k is [1, cos(q_0 k), sin(q_0 k), ...,
 cos(q_h k), sin(q_h k)] with q_i = 2*pi*(i+1)/T, so a parameter vector is
 ordered [dc, a_0, b_0, ..., a_h, b_h].  Angles are always computed directly
 from k (no incremental rotation), so regenerating a regressor is exact.
-Predictions phi_k^T theta are formed by the estimator (``fitted``,
-``residual`` and ``forecast``), from the rows built here.
+Predictions phi_k^T theta are formed by the estimator (``fitted`` and
+``forecast``), from the rows built here.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ weighted sum is assembled from scratch instead of updated recursively, and
 the round-off reference inverts in long double by Gauss-Jordan, so agreement
 with the recursive estimator is meaningful.  The Monte-Carlo bias estimate is
 not an oracle but a use of the estimator: its trials differ only in their
-values, so they run as the columns of batch estimators (see
-``estimator.Sample``) that share one gain trajectory.
+values, so they run as the columns of batch estimators (a (count, B) value
+array given to ``RlsEstimator.init``) that share one gain trajectory.
+
+A series is a float array whose index k is ``values[k - 1]``; only
+``direct_weighted_ls`` takes ``estimator.Sample`` tuples.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .errors import (
     NotPositiveDefiniteError,
     RangeError,
 )
-from .estimator import RlsEstimator, Sample
+from .estimator import RlsEstimator, Sample, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
-from .profile import ForgettingProfile, weights
+from .profile import ForgettingProfile
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -97,13 +100,12 @@ class SyntheticSpec:
         object.__setattr__(self, "theta_star", theta)
 
 
-def synth_generate(spec: SyntheticSpec) -> list[Sample]:
-    """y_k = phi_k^T theta_star + sigma * g_k for k = 1..length.
+def synth_generate(spec: SyntheticSpec) -> np.ndarray:
+    """(length,) values y_k = phi_k^T theta_star + sigma * g_k, index k at [k - 1].
 
     Raises RangeError when a value overflows the float range.
     """
-    values = _synth_values(spec, [spec.seed])[:, 0]
-    return [Sample(k, float(y)) for k, y in enumerate(values, start=1)]
+    return _synth_values(spec, [spec.seed])[:, 0]
 
 
 def _synth_values(spec: SyntheticSpec, seeds: Sequence[int]) -> np.ndarray:
@@ -151,9 +153,7 @@ def direct_weighted_ls(
 
 def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray, k: int):
     """(A, theta) of the weighted normal equations over index k's window, oldest row first."""
-    wphi = rows * weights(profile, len(rows))[::-1, None]
-    a = wphi.T @ rows
-    a = (a + a.T) * 0.5
+    a, wphi = _weighted_gram(profile, rows)
     b = wphi.T @ values
     try:
         np.linalg.cholesky(a)
@@ -179,16 +179,17 @@ class TrajectoryReport:
 def compare_trajectory(
     profile: ForgettingProfile,
     model: HarmonicModel,
-    samples: Sequence[Sample],
+    values: np.ndarray,
     *,
     init_count: int | None = None,
 ) -> TrajectoryReport:
     """Run the recursion and the direct solve side by side over a series.
 
+    ``values`` holds the series, index k at ``values[k - 1]``.
     ``init_count`` sets the batch-initialization length for the unbounded
     profile (windowed profiles always initialize over w samples).
     """
-    samples = list(samples)
+    values = np.asarray(values, dtype=float)
     unbounded = profile.w is None
     if unbounded:
         if init_count is None:
@@ -196,20 +197,19 @@ def compare_trajectory(
         window = init_count
     else:
         window = profile.w
-    if len(samples) < window + 1:
+    if len(values) < window + 1:
         raise ValueError("need at least one step beyond the initial window")
 
-    est = RlsEstimator.init(profile, model, samples[:window])
+    est = RlsEstimator.init(profile, model, values[:window])
     theta_dev_max = 0.0
     gamma_dev_max = 0.0
     # every window's rows are slices of one series-wide regressor matrix
-    rows = regressor_matrix(model, np.array([s.k for s in samples], dtype=float))
-    values = np.array([s.y for s in samples], dtype=float)
+    rows = regressor_matrix(model, np.arange(1, len(values) + 1))
 
-    for available, sample in enumerate(samples[window:], start=window + 1):
-        est.step(sample)
-        span = slice(0 if unbounded else available - profile.w, available)
-        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span], sample.k)
+    for k in range(window + 1, len(values) + 1):
+        est.step((k, values[k - 1]))
+        span = slice(0 if unbounded else k - profile.w, k)
+        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span], k)
         gamma_direct = np.linalg.inv(a_direct)
         theta_dev = float(
             np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
@@ -223,7 +223,7 @@ def compare_trajectory(
     return TrajectoryReport(
         theta_dev_max=theta_dev_max,
         gamma_dev_max=gamma_dev_max,
-        steps=len(samples) - window,
+        steps=len(values) - window,
     )
 
 
@@ -259,7 +259,7 @@ def monte_carlo_bias(
 
     Trial t is spec's series with seed ``derive_seed(spec.seed, t)``.  The
     gain does not depend on the values, so the trials run as the columns of
-    batch estimators (see ``estimator.Sample``), ``_MC_GROUP`` at a time.
+    batch estimators, ``_MC_GROUP`` at a time.
     """
     if trials < 100:
         raise RangeError("at least 100 trials are required for the bias estimate")
@@ -274,7 +274,7 @@ def monte_carlo_bias(
     for first in range(0, trials, _MC_GROUP):
         seeds = [derive_seed(spec.seed, t) for t in range(first, min(first + _MC_GROUP, trials))]
         values = _synth_values(spec, seeds)[:k]
-        est = RlsEstimator.init(profile, spec.model, zip(range(1, window + 1), values))
+        est = RlsEstimator.init(profile, spec.model, values[:window])
         est.run(values[window:])
         estimates[first : first + len(seeds)] = est.theta.T
 

@@ -1,8 +1,9 @@
 """Verification suites: each acceptance criterion as a callable check.
 
 The synthetic criteria are fully self-contained; the two data-driven checks
-(fit-quality ordering and forecast coverage) take a prepared sample sequence
-so they can run against the observatory series or any daily file.
+(fit-quality ordering and forecast coverage) take a daily value array, index
+k at ``values[k - 1]``, so they can run against the observatory series or
+any daily file.
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import linalg
-from .estimator import RlsEstimator, Sample, information_matrix
+from .estimator import RlsEstimator, information_matrix
 from .harmonic import HarmonicModel, make_harmonic_model
 from .profile import (
     ExponentialProfile,
@@ -84,7 +83,7 @@ def fig2_profile() -> SegmentedProfile:
     return SegmentedProfile(FIG2_BETA, FIG2_LAMBDA, FIG2_M, FIG2_P, FIG2_W)
 
 
-def _standard_series(seed: int, noise_sigma: float = NOISE_SIGMA) -> list[Sample]:
+def _standard_series(seed: int, noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
     model = standard_model()
     spec = SyntheticSpec(
         model=model,
@@ -232,8 +231,8 @@ def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
         window = init_count or prof.w
         est = RlsEstimator.init(prof, model, series[:window])
         worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
-        for sample in series[window:]:
-            est.step(sample)
+        for k in range(window + 1, len(series) + 1):
+            est.step((k, series[k - 1]))
             worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-8
@@ -321,18 +320,18 @@ def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult
 # A6 / A10: data-driven fit quality and forecast coverage
 
 
-def criterion_a6(samples: Sequence[Sample], label: str = "A6") -> CriterionResult:
+def criterion_a6(values: np.ndarray, label: str = "A6") -> CriterionResult:
     """Segmented Fig-2 profile must beat the rank-2 exponential baseline."""
     start = time.perf_counter()
-    if len(samples) < 3000:
+    if len(values) < 3000:
         raise ValueError("criterion needs a span of at least 3000 days")
     model = standard_model()
-    values = np.array([s.y for s in samples[FIG2_W:]])
+    rest = values[FIG2_W:]
 
     def residuals(profile):
         """y - phi^T theta after each step past the window."""
-        yhat, _, _ = RlsEstimator.init(profile, model, samples[:FIG2_W]).run(values)
-        return values - yhat[1:]
+        yhat, _, _ = RlsEstimator.init(profile, model, values[:FIG2_W]).run(rest)
+        return rest - yhat[1:]
 
     res_seg = residuals(fig2_profile())
     res_exp = residuals(ExponentialProfile(FIG2_LAMBDA, FIG2_W))
@@ -351,25 +350,23 @@ def criterion_a6(samples: Sequence[Sample], label: str = "A6") -> CriterionResul
     )
 
 
-def criterion_a10(samples: Sequence[Sample], label: str = "A10") -> CriterionResult:
+def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
     """30-day-ahead first-harmonic band must cover >= 0.90 of a held-out year."""
     start = time.perf_counter()
     model = standard_model()
-    cutoff = len(samples) - A10_HOLDOUT_DAYS
+    cutoff = len(values) - A10_HOLDOUT_DAYS
     if cutoff <= FIG2_W + A10_HORIZON:
         raise ValueError("series too short for the held-out span")
-    est = RlsEstimator.init(fig2_profile(), model, samples[:FIG2_W])
-    by_index = {s.k: s.y for s in samples}
-    first_target = samples[cutoff].k
+    est = RlsEstimator.init(fig2_profile(), model, values[:FIG2_W])
     hits = 0
     total = 0
-    for sample in samples[FIG2_W:]:
-        est.step(sample)
-        target = est.k + A10_HORIZON
-        if target >= first_target and target in by_index:
+    for k in range(FIG2_W + 1, len(values) + 1):
+        est.step((k, values[k - 1]))
+        target = k + A10_HORIZON
+        if cutoff < target <= len(values):
             point = est.forecast(A10_HORIZON).points[-1]
             total += 1
-            hits += int(point.lower <= by_index[target] <= point.upper)
+            hits += int(point.lower <= values[target - 1] <= point.upper)
     coverage = hits / total if total else float("nan")
     elapsed = time.perf_counter() - start
     passed = total > 0 and coverage >= 0.90

@@ -14,7 +14,6 @@ import pytest
 
 from segrls import verify
 from segrls.cli import main
-from segrls.estimator import Sample
 from segrls.ingest import parse_stockholm, to_indexed
 from segrls.reference import SyntheticSpec, synth_generate
 
@@ -72,7 +71,7 @@ def _stockholm_samples():
     with open(path, "r", encoding="utf-8") as handle:
         records = parse_stockholm(handle.read())
     series = to_indexed(records, gap_policy="interpolate")
-    return list(map(Sample, range(1, len(series.values) + 1), series.values.tolist()))
+    return series.values
 
 
 def _surrogate_samples(length):

@@ -79,13 +79,22 @@ def first_harmonic_at(theta, k):
 
 def batch_values(*seeds, length=160):
     """(length, B) values: the series of make_series(1.0, seed) for each seed, as columns."""
-    return np.array([[s.y for s in make_series(1.0, seed=seed, length=length)]
-                     for seed in seeds]).T
+    return np.array([make_series(1.0, seed=seed, length=length) for seed in seeds]).T
 
 
-def batch_samples(values):
-    """Samples k = 1.. whose values are the rows of a (length, B) array."""
-    return [Sample(k, row) for k, row in enumerate(values, start=1)]
+def samples_of(values):
+    """Samples k = 1.. of a value array, index k holding values[k - 1]."""
+    return [Sample(k, float(y)) for k, y in enumerate(values, start=1)]
+
+
+def assert_init_raises_the_step_error(values, i, text):
+    """init over ``values`` raises ``text``, the RangeError step gives for values[i] at index i + 1."""
+    with pytest.raises(RangeError) as at_init:
+        RlsEstimator.init(PROFILE, MODEL, values)
+    est = RlsEstimator.init(ExponentialProfile(0.97), MODEL, values[:i])
+    with pytest.raises(RangeError) as at_step:
+        est.step((i + 1, values[i]))
+    assert str(at_init.value) == str(at_step.value) == text
 
 
 class TestInit:
@@ -103,30 +112,29 @@ class TestInit:
             RlsEstimator.init(PROFILE, MODEL, make_series(0.0)[: PROFILE.w - 1])
 
     def test_non_finite_value_rejected(self):
-        series = make_series(0.0)[: PROFILE.w]
-        series[10] = Sample(series[10].k, math.inf)
-        with pytest.raises(RangeError):
-            RlsEstimator.init(PROFILE, MODEL, series)
+        # position i is index i + 1: init names the first bad value as step would
+        values = make_series(1.0)[: PROFILE.w]
+        values[20], values[25] = math.inf, math.nan
+        assert_init_raises_the_step_error(values, 20, "non-finite value inf at index 21")
 
-    def test_consecutive_indices_required(self):
-        series = make_series(0.0)[: PROFILE.w]
-        series[10] = Sample(series[10].k + 5, series[10].y)
-        with pytest.raises(IndexGapError):
-            RlsEstimator.init(PROFILE, MODEL, series)
+    @pytest.mark.parametrize("shape", [(), (PROFILE.w, 2, 1)], ids=["0d", "3d"])
+    def test_values_must_be_one_or_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="values must be"):
+            RlsEstimator.init(PROFILE, MODEL, np.ones(shape))
 
     def test_deficient_excitation_raises(self):
         # 35 parameters over 35 consecutive days: the low harmonics of the
         # annual cycle are numerically collinear on so short a window
         model = make_harmonic_model(365.25, 16)
         profile = ExponentialProfile(0.99, model.dim)
-        series = [Sample(k, math.sin(0.1 * k)) for k in range(1, model.dim + 1)]
+        series = [math.sin(0.1 * k) for k in range(1, model.dim + 1)]
         with pytest.raises(NotPositiveDefiniteError):
             RlsEstimator.init(profile, model, series)
 
     def test_diagonal_loading_recovers(self):
         model = make_harmonic_model(365.25, 16)
         profile = ExponentialProfile(0.99, model.dim)
-        series = [Sample(k, math.sin(0.1 * k)) for k in range(1, model.dim + 1)]
+        series = [math.sin(0.1 * k) for k in range(1, model.dim + 1)]
         est = RlsEstimator.init(profile, model, series, diagonal_loading=1e-6)
         assert est.loading_applied
         plain = init_on(make_series(0.0))
@@ -174,7 +182,7 @@ class TestStep:
         series = make_series(0.0)
         est = init_on(series)
         norm = np.linalg.norm(THETA_STAR)
-        for sample in series[PROFILE.w :]:
+        for sample in enumerate(series[PROFILE.w :], PROFILE.w + 1):
             est.step(sample)
             assert np.linalg.norm(est.theta - THETA_STAR) <= 1e-8 * norm
 
@@ -193,17 +201,18 @@ class TestStep:
         window = init_count or profile.w
         reach = max(update_template(profile).lags) + 1
         series = make_series(1.0, length=max(160, window + 3 * reach + 1))
+        samples = samples_of(series)
         est = RlsEstimator.init(profile, MODEL, series[:window])
-        for sample in series[window:]:
+        for sample in samples[window:]:
             est.step(sample)
-            _, theta_direct = direct_weighted_ls(profile, MODEL, series, est.k)
+            _, theta_direct = direct_weighted_ls(profile, MODEL, samples, est.k)
             dev = np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
             assert dev <= 1e-6
 
     def test_gain_matches_inverted_information_matrix(self):
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w :]:
+        for sample in enumerate(series[PROFILE.w :], PROFILE.w + 1):
             est.step(sample)
         a = est.info_matrix()
         gamma_direct = np.linalg.inv(a)
@@ -213,7 +222,7 @@ class TestStep:
     def test_gain_stays_bitwise_symmetric(self):
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w : PROFILE.w + 20]:
+        for sample in enumerate(series[PROFILE.w : PROFILE.w + 20], PROFILE.w + 1):
             est.step(sample)
             assert np.array_equal(est.gamma, est.gamma.T)
 
@@ -221,7 +230,7 @@ class TestStep:
         # asymmetry ahead of the defensive re-symmetrization stays at round-off
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w : PROFILE.w + 10]:
+        for sample in enumerate(series[PROFILE.w : PROFILE.w + 10], PROFILE.w + 1):
             est.step(sample)
         k = est.k + 1
         lags = np.array(est.template.lags)
@@ -238,13 +247,13 @@ class TestStep:
     def test_singular_update_leaves_state_unchanged(self):
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w : PROFILE.w + 5]:
+        for sample in enumerate(series[PROFILE.w : PROFILE.w + 5], PROFILE.w + 1):
             est.step(sample)
         k = est.k + 1
         make_next_update_singular(est)
         before = state_of(est)
         with pytest.raises(SingularUpdateError) as err:
-            est.step(series[k - 1])
+            est.step((k, series[k - 1]))
         assert err.value.index == k
         assert_state_equal(est, before)
 
@@ -252,7 +261,7 @@ class TestStep:
     def test_non_finite_value_leaves_state_unchanged(self, bad):
         series = make_series(1.0)
         est = init_on(series)
-        est.step(series[PROFILE.w])
+        est.step((PROFILE.w + 1, series[PROFILE.w]))
         before = state_of(est)
         with pytest.raises(RangeError):
             est.step(Sample(est.k + 1, bad))
@@ -275,9 +284,8 @@ class TestBatch:
             synth_generate(SyntheticSpec(model, standard_theta(model), 2.0, seed, window + steps))
             for seed in range(batch)
         ]
-        values = np.array([[s.y for s in one] for one in series]).T
-        samples = batch_samples(values)
-        est = RlsEstimator.init(profile, model, samples[:window])
+        values = np.array(series).T
+        est = RlsEstimator.init(profile, model, values[:window])
         singles = [RlsEstimator.init(profile, model, one[:window]) for one in series]
 
         def check():
@@ -287,10 +295,10 @@ class TestBatch:
                 assert dev <= 1e-12 * np.linalg.norm(single.theta), (est.k, col)
 
         check()
-        for j in range(window, window + steps):
-            est.step(samples[j])
+        for k in range(window + 1, window + steps + 1):
+            est.step((k, values[k - 1]))
             for single, one in zip(singles, series):
-                single.step(one[j])
+                single.step((k, one[k - 1]))
             check()
 
         def columns(read):
@@ -317,9 +325,8 @@ class TestBatch:
 
     def test_non_finite_value_in_one_column_leaves_state_unchanged(self):
         values = batch_values(1, 2, 3)
-        samples = batch_samples(values)
-        est = RlsEstimator.init(PROFILE, MODEL, samples[: PROFILE.w])
-        est.step(samples[PROFILE.w])
+        est = RlsEstimator.init(PROFILE, MODEL, values[: PROFILE.w])
+        est.step((PROFILE.w + 1, values[PROFILE.w]))
         before = state_of(est)
         bad = values[est.k].copy()
         bad[1] = math.nan
@@ -328,29 +335,28 @@ class TestBatch:
         assert_state_equal(est, before)
 
     def test_non_finite_value_at_init_names_its_index(self):
-        values = batch_values(1, 2)
-        values[9, 1] = math.inf
-        with pytest.raises(RangeError, match="column 1 at index 10$"):
-            RlsEstimator.init(PROFILE, MODEL, batch_samples(values)[: PROFILE.w])
+        values = batch_values(1, 2, 3)[: PROFILE.w]
+        values[9, 1], values[30, 0] = math.inf, math.nan
+        assert_init_raises_the_step_error(values, 9, "non-finite value inf in column 1 at index 10")
 
     def test_value_count_must_match_the_batch(self):
         values = batch_values(1, 2)
-        est = RlsEstimator.init(PROFILE, MODEL, batch_samples(values)[: PROFILE.w])
+        est = RlsEstimator.init(PROFILE, MODEL, values[: PROFILE.w])
         before = state_of(est)
         with pytest.raises(ValueError, match=f"expected 2 values at index {est.k + 1}"):
             est.step(Sample(est.k + 1, values[est.k, :1]))
         assert_state_equal(est, before)
 
     def test_singular_update_leaves_state_unchanged(self):
-        samples = batch_samples(batch_values(1, 2, 3))
-        est = RlsEstimator.init(PROFILE, MODEL, samples[: PROFILE.w])
-        for sample in samples[PROFILE.w : PROFILE.w + 5]:
+        values = batch_values(1, 2, 3)
+        est = RlsEstimator.init(PROFILE, MODEL, values[: PROFILE.w])
+        for sample in enumerate(values[PROFILE.w : PROFILE.w + 5], PROFILE.w + 1):
             est.step(sample)
         k = est.k + 1
         make_next_update_singular(est)
         before = state_of(est)
         with pytest.raises(SingularUpdateError) as err:
-            est.step(samples[k - 1])
+            est.step((k, values[k - 1]))
         assert err.value.index == k
         assert_state_equal(est, before)
 
@@ -370,9 +376,8 @@ class TestStepAgainstPublicKernel:
         if batch:
             values = batch_values(1, 2, 3, length=length)
         else:
-            values = np.array([s.y for s in make_series(1.0, length=length)])
-        samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
-        est = RlsEstimator.init(profile, MODEL, samples[:count])
+            values = make_series(1.0, length=length)
+        est = RlsEstimator.init(profile, MODEL, values[:count])
         lags, scales, signs = est.template
         scales = np.array(scales)
         gamma, theta = est.gamma, est.theta
@@ -382,7 +387,7 @@ class TestStepAgainstPublicKernel:
             gamma, theta = linalg.batch_inverse_update(
                 gamma / profile.decay, q, signs, theta, y_aug
             )
-            est.step(samples[k - 1])
+            est.step((k, values[k - 1]))
             assert np.array_equal(est.gamma, gamma), k
             assert np.array_equal(est.theta, theta), k
 
@@ -402,17 +407,16 @@ class TestRun:
         if batch:
             values = batch_values(1, 2, 3, length=length)
         else:
-            values = np.array([s.y for s in make_series(1.0, length=length)])
-        samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
-        est = RlsEstimator.init(profile, MODEL, samples[:count])
-        loop = RlsEstimator.init(profile, MODEL, samples[:count])
+            values = make_series(1.0, length=length)
+        est = RlsEstimator.init(profile, MODEL, values[:count])
+        loop = RlsEstimator.init(profile, MODEL, values[:count])
 
         yhat, yhat1, cond = est.run(values[count:], cond_every)
         assert yhat.shape == yhat1.shape == (length - count + 1, *values.shape[1:])
         assert len(cond) == len(yhat)
         for i in range(len(yhat)):
             if i:
-                loop.step(samples[count + i - 1])
+                loop.step((count + i, values[count + i - 1]))
             full, first = loop.fitted()
             assert np.array_equal(yhat[i], full) and np.array_equal(yhat1[i], first), i
             if cond_every and i % cond_every == 0:
@@ -439,7 +443,7 @@ class TestBlockBoundary:
         """An estimator and an untouched twin, both stepped ``steps`` times past init."""
         series = make_series(1.0, length=PROFILE.w + ROW_BLOCK + 10)
         est, twin = init_on(series), init_on(series)
-        for sample in series[PROFILE.w : PROFILE.w + steps]:
+        for sample in enumerate(series[PROFILE.w : PROFILE.w + steps], PROFILE.w + 1):
             est.step(sample)
             twin.step(sample)
         # the next step starts a row block
@@ -447,7 +451,7 @@ class TestBlockBoundary:
         return series, est, twin
 
     def assert_twins_agree(self, series, est, twin):
-        for sample in series[est.k : est.k + 3]:
+        for sample in enumerate(series[est.k : est.k + 3], est.k + 1):
             est.step(sample)
             twin.step(sample)
             assert est.k == twin.k
@@ -464,7 +468,7 @@ class TestBlockBoundary:
         make_next_update_singular(est)
         before = state_of(est)
         with pytest.raises(SingularUpdateError) as err:
-            est.step(series[k - 1])
+            est.step((k, series[k - 1]))
         assert err.value.index == k
         assert_state_equal(est, before)
         est.gamma = gamma
@@ -485,7 +489,7 @@ class TestBlockBoundary:
         est.gamma[0, 0] = math.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(SingularUpdateError, match="estimate nan") as err:
-                est.step(series[est.k])
+                est.step((est.k + 1, series[est.k]))
         assert err.value.index == est.k + 1
 
 
@@ -493,24 +497,24 @@ class TestResiduals:
     def test_noiseless_converged_fit(self):
         series = make_series(0.0)
         est = init_on(series)
-        for sample in series[PROFILE.w :]:
-            est.step(sample)
-            assert abs(sample.y - est.fitted()[0]) <= 1e-8
+        for k, y in enumerate(series[PROFILE.w :], PROFILE.w + 1):
+            est.step((k, y))
+            assert abs(y - est.fitted()[0]) <= 1e-8
 
     def test_fitted_values_equal_predictions_bitwise(self):
         # the kept phi_k stands in for a fresh regressor row at k
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w - 1 : PROFILE.w + 60]:
-            if sample.k > est.k:
-                est.step(sample)
-            full = float(regressor_at(MODEL, sample.k) @ est.theta)
-            assert est.fitted() == (full, first_harmonic_at(est.theta, sample.k))
+        for k, y in enumerate(series[PROFILE.w - 1 : PROFILE.w + 60], PROFILE.w):
+            if k > est.k:
+                est.step((k, y))
+            full = float(regressor_at(MODEL, k) @ est.theta)
+            assert est.fitted() == (full, first_harmonic_at(est.theta, k))
 
     def test_first_harmonic_plus_higher_harmonics_is_the_full_fit(self):
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w : PROFILE.w + 40]:
+        for sample in enumerate(series[PROFILE.w : PROFILE.w + 40], PROFILE.w + 1):
             est.step(sample)
             full, first = est.fitted()
             higher = sum(
@@ -526,7 +530,7 @@ class TestResiduals:
         profile = ExponentialProfile(0.99, 200)
         series = make_series(sigma, seed=29, length=420)
         est = RlsEstimator.init(profile, MODEL, series[:200])
-        values = np.array([s.y for s in series[200:]])
+        values = series[200:]
         residuals = values - est.run(values)[0][1:]
         assert np.std(residuals) == pytest.approx(sigma, rel=0.15)
 
@@ -558,9 +562,9 @@ class TestMovingVariance:
         series = make_series(1.0, length=PROFILE.w * 2 + 7)
         est = init_on(series)
         residuals = []
-        for sample in series[PROFILE.w :]:
-            est.step(sample)
-            residuals.append(sample.y - est.fitted()[1])
+        for k, y in enumerate(series[PROFILE.w :], PROFILE.w + 1):
+            est.step((k, y))
+            residuals.append(y - est.fitted()[1])
         assert est.moving_variance() == float(np.mean(np.square(residuals[-PROFILE.w :])))
 
     def test_tracks_excluded_harmonic_power_plus_noise(self):
@@ -569,7 +573,7 @@ class TestMovingVariance:
         profile = ExponentialProfile(0.99, 200)
         series = make_series(sigma, seed=41, length=420)
         est = RlsEstimator.init(profile, MODEL, series[:200])
-        for sample in series[200:]:
+        for sample in enumerate(series[200:], 201):
             est.step(sample)
         expected = float(np.sum(THETA_STAR[3:] ** 2)) / 2.0 + sigma**2
         assert est.moving_variance() == pytest.approx(expected, rel=0.20)
@@ -600,7 +604,7 @@ class TestForecast:
         )
         series = synth_generate(spec)
         est = init_on(series)
-        for sample in series[PROFILE.w :]:
+        for sample in enumerate(series[PROFILE.w :], PROFILE.w + 1):
             est.step(sample)
         band = est.forecast(10)
         for point in band.points:
@@ -623,7 +627,7 @@ class TestInfoMatrix:
     def test_gain_times_info_is_identity_after_steps(self):
         series = make_series(1.0)
         est = init_on(series)
-        for sample in series[PROFILE.w :]:
+        for sample in enumerate(series[PROFILE.w :], PROFILE.w + 1):
             est.step(sample)
         product = est.gamma @ est.info_matrix()
         assert np.max(np.abs(product - np.eye(MODEL.dim))) <= 1e-6
@@ -633,8 +637,7 @@ class TestInfoMatrix:
         # with lambda -> 1 the weighting is uniform and A is nearly diagonal
         model = make_harmonic_model(8.0, 0)
         profile = ExponentialProfile(1.0 - 1e-12, 8)
-        series = [Sample(k, 0.0) for k in range(1, 9)]
-        est = RlsEstimator.init(profile, model, series, diagonal_loading=0.0)
+        est = RlsEstimator.init(profile, model, np.zeros(8), diagonal_loading=0.0)
         a = est.info_matrix()
         off = a - np.diag(np.diagonal(a))
         assert np.max(np.abs(off)) <= 1e-9 * np.max(np.abs(np.diagonal(a)))
@@ -647,9 +650,9 @@ class TestInfoMatrix:
         # across three block changes, bit for bit as a rebuild
         series = make_series(1.0, length=profile.w + 3 * ROW_BLOCK + 5)
         est = init_on(series, profile)
-        for sample in series[profile.w - 1 :]:
-            if sample.k > est.k:
-                est.step(sample)
+        for k, y in enumerate(series[profile.w - 1 :], profile.w):
+            if k > est.k:
+                est.step((k, y))
             rebuilt = information_matrix(profile, MODEL, est.k, profile.w)
             assert np.array_equal(est.info_matrix(), rebuilt)
 
@@ -658,17 +661,17 @@ class TestInfoMatrix:
         profile = ExponentialProfile(0.97)
         series = make_series(1.0)
         est = RlsEstimator.init(profile, MODEL, series[:20])
-        for sample in series[19:]:
-            if sample.k > est.k:
-                est.step(sample)
-            for _ in range((sample.k % 7 == 0) + (sample.k % 3 == 0)):
+        for k, y in enumerate(series[19:], 20):
+            if k > est.k:
+                est.step((k, y))
+            for _ in range((k % 7 == 0) + (k % 3 == 0)):
                 rebuilt = information_matrix(profile, MODEL, est.k, est.k)
                 assert np.array_equal(est.info_matrix(), rebuilt)
 
     def test_unbounded_profile_accumulates_history(self):
         series = make_series(1.0)[:90]
         est = RlsEstimator.init(ExponentialProfile(0.97), MODEL, series[:60])
-        for sample in series[60:]:
+        for sample in enumerate(series[60:], 61):
             est.step(sample)
         a = est.info_matrix()
         gamma_direct = np.linalg.inv(a)

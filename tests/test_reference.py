@@ -23,6 +23,7 @@ from segrls.reference import (
     random_uniforms,
     synth_generate,
 )
+from segrls.verify import fig2_profile, standard_model, standard_theta
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
 THETA_STAR = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
@@ -33,6 +34,11 @@ def spec(sigma, seed=11, length=160, theta=THETA_STAR):
     return SyntheticSpec(
         model=MODEL, theta_star=theta, noise_sigma=sigma, seed=seed, length=length
     )
+
+
+def samples_of(values):
+    """Samples k = 1.. of a value array, index k holding values[k - 1]."""
+    return [Sample(k, float(y)) for k, y in enumerate(values, start=1)]
 
 
 class TestGenerators:
@@ -67,19 +73,19 @@ class TestGenerators:
 class TestSynthGenerate:
     def test_noiseless_is_exact_signal(self):
         series = synth_generate(spec(0.0))
-        for sample in series[:20]:
-            clean = float(regressor_at(MODEL, sample.k) @ THETA_STAR)
-            assert sample.y == pytest.approx(clean, abs=1e-14)
+        assert series.shape == (160,) and series.dtype == np.float64
+        for k, y in enumerate(series[:20], 1):
+            clean = float(regressor_at(MODEL, k) @ THETA_STAR)
+            assert y == pytest.approx(clean, abs=1e-14)
 
     def test_unit_variance_noise(self):
-        series = synth_generate(spec(1.0, length=10_000, theta=np.zeros(MODEL.dim)))
-        values = np.array([s.y for s in series])
+        values = synth_generate(spec(1.0, length=10_000, theta=np.zeros(MODEL.dim)))
         assert np.var(values) == pytest.approx(1.0, rel=0.05)
 
     def test_same_seed_identical(self):
         a = synth_generate(spec(2.0, seed=9))
         b = synth_generate(spec(2.0, seed=9))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_spec_validation(self):
         with pytest.raises(RangeError):
@@ -100,7 +106,7 @@ class TestSynthGenerate:
 
 class TestDirectWeightedLs:
     def test_noiseless_recovers_truth(self):
-        series = synth_generate(spec(0.0))
+        series = samples_of(synth_generate(spec(0.0)))
         _, theta = direct_weighted_ls(PROFILE, MODEL, series, 100)
         assert np.linalg.norm(theta - THETA_STAR) <= 1e-8 * np.linalg.norm(THETA_STAR)
 
@@ -109,7 +115,7 @@ class TestDirectWeightedLs:
 
         series = synth_generate(spec(1.0))
         k = 90
-        a, theta = direct_weighted_ls(PROFILE, MODEL, series, k)
+        a, theta = direct_weighted_ls(PROFILE, MODEL, samples_of(series), k)
         # reassemble the normal equations in shuffled order
         rng = np.random.default_rng(0)
         order = rng.permutation(PROFILE.w)
@@ -119,7 +125,7 @@ class TestDirectWeightedLs:
         for j in order:
             phi = regressor_at(MODEL, k - j)
             a_shuffled += f[j] * np.outer(phi, phi)
-            b_shuffled += f[j] * phi * series[k - 1 - j].y
+            b_shuffled += f[j] * phi * series[k - 1 - j]
         theta_shuffled = np.linalg.solve(a_shuffled, b_shuffled)
         assert np.linalg.norm(theta - theta_shuffled) <= 1e-10 * np.linalg.norm(theta)
 
@@ -133,7 +139,7 @@ class TestDirectWeightedLs:
             SyntheticSpec(model=model, theta_star=theta_star, noise_sigma=0.0,
                           seed=2, length=7)
         )
-        _, theta = direct_weighted_ls(prof, model, series, 7)
+        _, theta = direct_weighted_ls(prof, model, samples_of(series), 7)
         assert np.linalg.norm(theta - theta_star) <= 1e-9 * np.linalg.norm(theta_star)
 
     def test_rank_deficient_rejected(self):
@@ -144,7 +150,7 @@ class TestDirectWeightedLs:
             direct_weighted_ls(prof, model, series, model.dim)
 
     def test_out_of_range_index(self):
-        series = synth_generate(spec(0.0))
+        series = samples_of(synth_generate(spec(0.0)))
         with pytest.raises(ValueError):
             direct_weighted_ls(PROFILE, MODEL, series, 10_000)
 
@@ -160,24 +166,41 @@ ORACLE_PROFILES = [
 class TestCompareTrajectory:
     @pytest.mark.parametrize("profile, window", ORACLE_PROFILES)
     def test_window_slices_equal_direct_weighted_ls(self, profile, window):
-        series = synth_generate(spec(1.0, length=240))
-        rows = regressor_matrix(MODEL, np.array([s.k for s in series], dtype=float))
-        values = np.array([s.y for s in series])
-        for k in range(window, len(series) + 1):
+        values = synth_generate(spec(1.0, length=240))
+        samples = samples_of(values)
+        rows = regressor_matrix(MODEL, np.arange(1, len(values) + 1))
+        for k in range(window, len(values) + 1):
             start = 0 if profile.w is None else k - profile.w
             a, theta = _direct_solve(profile, rows[start:k], values[start:k], k)
-            a_ref, theta_ref = direct_weighted_ls(profile, MODEL, series, k)
+            a_ref, theta_ref = direct_weighted_ls(profile, MODEL, samples, k)
             assert np.array_equal(a, a_ref) and np.array_equal(theta, theta_ref), k
+
+    @pytest.mark.parametrize("profile, k", [
+        pytest.param(fig2_profile(), 700, id="segmented"),
+        pytest.param(ExponentialProfile(0.99), 700, id="infinite"),
+    ])
+    def test_sample_oracle_equals_the_array_solve_on_the_fig2_model(self, profile, k):
+        # perfbench's gates build Sample(k, float(y)) from index 1 and call
+        # direct_weighted_ls on this model: it must stay the array solve, bit for bit
+        model = standard_model()
+        values = synth_generate(SyntheticSpec(model, standard_theta(model), 2.0, 3, 900))
+        samples = samples_of(values)
+        start = 0 if profile.w is None else k - profile.w
+        rows = regressor_matrix(model, np.arange(1, len(values) + 1))
+        a, theta = _direct_solve(profile, rows[start:k], values[start:k], k)
+        a_ref, theta_ref = direct_weighted_ls(profile, model, samples, k)
+        assert np.array_equal(a, a_ref) and np.array_equal(theta, theta_ref)
 
     @pytest.mark.parametrize("profile, window", ORACLE_PROFILES)
     def test_deviations_equal_a_per_step_direct_solve(self, profile, window):
         series = synth_generate(spec(1.0, length=240))
+        samples = samples_of(series)
         report = compare_trajectory(profile, MODEL, series, init_count=window)
         est = RlsEstimator.init(profile, MODEL, series[:window])
         theta_dev_max = gamma_dev_max = 0.0
-        for sample in series[window:]:
+        for sample in samples[window:]:
             est.step(sample)
-            a, theta = direct_weighted_ls(profile, MODEL, series, est.k)
+            a, theta = direct_weighted_ls(profile, MODEL, samples, est.k)
             gamma = np.linalg.inv(a)
             theta_dev_max = max(theta_dev_max, float(
                 np.linalg.norm(est.theta - theta) / np.linalg.norm(theta)))
@@ -234,7 +257,7 @@ class TestMonteCarloBias:
         for t in range(trials):
             series = synth_generate(spec(1.0, seed=derive_seed(base.seed, t), length=90))
             est = RlsEstimator.init(profile, MODEL, series[:window])
-            for sample in series[window:k]:
+            for sample in enumerate(series[window:k], window + 1):
                 est.step(sample)
             estimates.append(est.theta)
         estimates = np.array(estimates)
