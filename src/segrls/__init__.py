@@ -24,13 +24,8 @@ from .errors import (
     WindowError,
     WindowTooSmallError,
 )
-from .estimator import ForecastBand, HorizonPoint, RlsEstimator, Sample
-from .harmonic import (
-    HarmonicModel,
-    make_harmonic_model,
-    regressor_at,
-    regressor_matrix,
-)
+from .estimator import ForecastBand, RlsEstimator, Sample
+from .harmonic import HarmonicModel, make_harmonic_model, regressor_matrix
 from .profile import (
     ExponentialProfile,
     SegmentedProfile,
@@ -56,7 +51,6 @@ __all__ = [
     "ForecastBand",
     "GapError",
     "HarmonicModel",
-    "HorizonPoint",
     "IndexGapError",
     "InsufficientDataError",
     "IntermediateSingularityError",
@@ -77,7 +71,6 @@ __all__ = [
     "direct_weighted_ls",
     "make_harmonic_model",
     "monte_carlo_bias",
-    "regressor_at",
     "regressor_matrix",
     "synth_generate",
     "update_template",

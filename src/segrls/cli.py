@@ -37,6 +37,7 @@ from .ingest import (
     GAP_POLICIES,
     IndexedSeries,
     Records,
+    iso_dates,
     parse_csv,
     parse_stockholm,
     to_indexed,
@@ -73,13 +74,6 @@ def fmt(value) -> str:
 # fit's cond_a column is fmt's text, empty between --cond-every rows.
 _FIT_ROW = "%d,%s,%.9g,%.9g,%.9g,%.9g,%s"
 _COMPARE_ROW = "%d,%s,%.9g,%.9g,%.9g"
-
-
-def _iso_dates(series: IndexedSeries):
-    """k -> the ISO date of index k, as series.date_of(k).isoformat() but without a timedelta."""
-    before_origin = series.origin.toordinal() - 1
-    day = datetime.date.fromordinal
-    return lambda k: day(before_origin + k).isoformat()
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +340,7 @@ def cmd_fit(args) -> int:
     steps = len(y) - 1
 
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
-    iso = _iso_dates(series)
+    iso = iso_dates(series.origin)
     out.extend(_FIT_ROW % (k, iso(k), *row, fmt(c)) for k, *row, c in zip(
         range(window, len(series.values) + 1),
         y.tolist(), yhat.tolist(), yhat1.tolist(), residuals.tolist(), cond))
@@ -392,7 +386,7 @@ def cmd_compare(args) -> int:
     counts_base, _ = np.histogram(res_base, bins=edges)
 
     out = ["k,date,y,residual_fitted,residual_baseline"]
-    iso = _iso_dates(series)
+    iso = iso_dates(series.origin)
     out.extend(_COMPARE_ROW % (k, iso(k), *row) for k, *row in zip(
         range(window, len(series.values) + 1),
         y.tolist(), res_fit.tolist(), res_base.tolist()))
@@ -425,31 +419,34 @@ def cmd_forecast(args) -> int:
     if errors:
         return _fail_config(errors)
     series, records = _load_series(args, start, end)
-    last = series.date_of(len(series.values))
-    if args.horizon > (datetime.date.max - last).days:
+    iso = iso_dates(series.origin)
+    last = len(series.values)
+    try:
+        iso(last + args.horizon)        # the horizon's last index needs a date
+    except (ValueError, OverflowError):
         return _fail_config(
-            [f"--horizon {args.horizon} from the series end {last} passes year 9999"]
+            [f"--horizon {args.horizon} from the series end {iso(last)} passes year 9999"]
         )
     est, _, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 
-    days = [series.date_of(point.k) for point in band.points]
+    indices = range(last + 1, last + args.horizon + 1)
+    days = [iso(k) for k in indices]
     pos, recorded = records.find(np.array(days, dtype="datetime64[D]"))
     out = ["k,date,mean,lower,upper,observed,in_band"]
     hits = 0
     total = 0
-    for point, day, i, found in zip(band.points, days, pos.tolist(), recorded.tolist()):
+    bands = np.column_stack((band.mean, band.lower, band.upper)).tolist()
+    for k, day, (mean, lower, upper), i, found in zip(
+            indices, days, bands, pos.tolist(), recorded.tolist()):
         observed = float(records.values[i]) if found else None
         in_band = ""
         if observed is not None:
-            inside = point.lower <= observed <= point.upper
+            inside = lower <= observed <= upper
             hits += int(inside)
             total += 1
             in_band = str(int(inside))
-        out.append(
-            f"{point.k},{day.isoformat()},{fmt(point.mean)},{fmt(point.lower)},"
-            f"{fmt(point.upper)},{fmt(observed)},{in_band}"
-        )
+        out.append(f"{k},{day},{fmt(mean)},{fmt(lower)},{fmt(upper)},{fmt(observed)},{in_band}")
     coverage = fmt(hits / total) if total else "na"
     out.extend(_config_footer(args, model, extra=[
         f"# sigma={fmt(band.sigma)}",
@@ -519,9 +516,8 @@ def cmd_synth(args) -> int:
     out = []
     out.extend(_config_footer(args, model, extra=[f"# theta_full={','.join(fmt(v) for v in theta)}"]))
     out.append("date,value")
-    for i, y in enumerate(values.tolist()):
-        day = origin + datetime.timedelta(days=i)
-        out.append(f"{day.isoformat()},{fmt(y)}")
+    iso = iso_dates(origin)
+    out.extend(f"{iso(k)},{fmt(y)}" for k, y in enumerate(values.tolist(), start=1))
     _write_output(args.output, "\n".join(out) + "\n")
     print(f"synth: wrote {len(values)} samples", file=sys.stderr)
     return EXIT_OK

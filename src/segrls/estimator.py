@@ -7,9 +7,9 @@ correction: the gain matrix (inverse of the weighted information matrix) and
 the parameter vector are updated together by the core of
 ``linalg.batch_inverse_update``, whose only solve is a LAPACK inverse of the
 small r x r capacitance matrix, never by refactoring the full matrix.  The
-public kernel checks its arguments on every call; the core does not, so the
-estimator checks its update template once, at construction, and builds
-D = diag(signs) there.
+public kernel checks its arguments on every call; the core does not.  The
+profile's own checks make ``update_template`` valid, so the estimator only
+unpacks it, once, at construction, and builds D = diag(signs) there.
 
 Regressor rows are built in blocks: one ``regressor_matrix`` call gives the
 rows of the next ROW_BLOCK steps, and a block also keeps the rows and values
@@ -57,18 +57,13 @@ class Sample(NamedTuple):
     y: float | np.ndarray
 
 
-class HorizonPoint(NamedTuple):
-    k: int
-    mean: float
-    lower: float
-    upper: float
-
-
 class ForecastBand(NamedTuple):
-    """First-harmonic forecast with a symmetric three-sigma band."""
+    """First-harmonic mean and +/-3 sigma bounds, (h[, B]) arrays with one row per step ahead."""
 
-    points: tuple[HorizonPoint, ...]
-    sigma: float
+    mean: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    sigma: float | np.ndarray
 
 
 def information_matrix(profile, model, k: int, count: int) -> np.ndarray:
@@ -98,6 +93,11 @@ def _first_harmonic(theta, phi):
     return theta[0] + theta[1] * phi[1] + theta[2] * phi[2]
 
 
+def _by_entry(rows, theta):
+    """Regressor rows (count, n) transposed to (n, count), or (n, count, 1) for a batch theta."""
+    return rows.T if theta.ndim == 1 else rows.T[..., None]
+
+
 def _plain(x):
     """A scalar result as a float; a batch's per-column array as it is."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
@@ -113,12 +113,6 @@ class RlsEstimator:
         self.model: HarmonicModel = model
         self.template = template = update_template(profile)
         lags = template.lags
-        if not all(int(lag) == lag >= 0 for lag in lags):
-            raise ValueError(f"template lags must be integers >= 0, got {lags}")
-        if not len(template.scales) == len(template.signs) == len(lags):
-            raise ValueError("the template needs one scale and one sign per lag")
-        if not set(template.signs) <= {1, -1}:
-            raise ValueError(f"template signs must be +1 or -1, got {template.signs}")
         self.diagonal_loading = float(diagonal_loading)
         self.loading_applied = False
         self.gamma: np.ndarray | None = None
@@ -209,8 +203,7 @@ class RlsEstimator:
         est._first_row = est.k + 1 - est._lead
         est._phi = phi[-1]
         est._yhat1 = _first_harmonic(est.theta, est._phi)
-        rows_t = phi.T if y.ndim == 1 else phi.T[..., None]
-        est._residuals = y - _first_harmonic(est.theta, rows_t)
+        est._residuals = y - _first_harmonic(est.theta, _by_entry(phi, est.theta))
         return est
 
     def _value(self, k: int, value):
@@ -322,7 +315,7 @@ class RlsEstimator:
         """(phi_k^T theta, its dc + first-harmonic part) at the current index k.
 
         Floats, or per-column arrays for a batch; so are the moving variance
-        and the forecast band.  The residual at k is y_k - fitted()[0].
+        and the forecast band's sigma.  The residual at k is y_k - fitted()[0].
         """
         return _plain(self._phi @ self.theta), _plain(self._yhat1)
 
@@ -340,20 +333,15 @@ class RlsEstimator:
     def forecast(self, horizon: int) -> ForecastBand:
         """First-harmonic forecast for 1..horizon steps ahead with +/-3 sigma bounds.
 
-        Sigma is the windowed residual estimate frozen at forecast time; the
-        band does not widen with the horizon.
+        Row i is index k + 1 + i.  Sigma is the windowed residual estimate
+        frozen at forecast time; the band does not widen with the horizon.
         """
         if horizon < 1:
             raise RangeError("horizon must be >= 1")
         sigma = _plain(np.sqrt(self.moving_variance()))
-        points = []
-        for tau in range(1, horizon + 1):
-            angle = self.model.frequencies[0] * float(self.k + tau)
-            mean = _plain(_first_harmonic(self.theta, (1.0, math.cos(angle), math.sin(angle))))
-            points.append(
-                HorizonPoint(self.k + tau, mean, mean - 3.0 * sigma, mean + 3.0 * sigma)
-            )
-        return ForecastBand(points=tuple(points), sigma=sigma)
+        rows = regressor_matrix(self.model, np.arange(self.k + 1, self.k + horizon + 1))
+        mean = _first_harmonic(self.theta, _by_entry(rows, self.theta))
+        return ForecastBand(mean, mean - 3.0 * sigma, mean + 3.0 * sigma, sigma)
 
     def info_matrix(self) -> np.ndarray:
         """Weighted regressor outer-product sum A_k, assembled from scratch.

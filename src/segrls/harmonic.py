@@ -1,11 +1,12 @@
-"""Harmonic regression model: frequency grid and regressor vectors.
+"""Harmonic regression model: frequency grid and regressor rows.
 
 The regressor at time index k is [1, cos(q_0 k), sin(q_0 k), ...,
 cos(q_h k), sin(q_h k)] with q_i = 2*pi*(i+1)/T, so a parameter vector is
-ordered [dc, a_0, b_0, ..., a_h, b_h].  Angles are always computed directly
-from k (no incremental rotation), so regenerating a regressor is exact.
-Predictions phi_k^T theta are formed by the estimator (``fitted`` and
-``forecast``), from the rows built here.
+ordered [dc, a_0, b_0, ..., a_h, b_h].  ``regressor_matrix`` is the only
+place the package takes these cosines and sines.  Angles are computed
+directly from k (no incremental rotation), so a row built again, alone or in
+a block, is the same to the bit.  The estimator forms the predictions
+phi_k^T theta (``fitted`` and ``forecast``) from these rows.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ class HarmonicModel:
 
 def make_harmonic_model(period: float, harmonics: int) -> HarmonicModel:
     return HarmonicModel(period=period, harmonics=harmonics)
-
-
-def regressor_at(model: HarmonicModel, k: int) -> np.ndarray:
-    """Regressor vector phi_k of length model.dim."""
-    angles = model.frequencies * float(k)
-    phi = np.empty(model.dim)
-    phi[0] = 1.0
-    phi[1::2] = np.cos(angles)
-    phi[2::2] = np.sin(angles)
-    return phi
 
 
 def regressor_matrix(model: HarmonicModel, indices) -> np.ndarray:

@@ -86,8 +86,15 @@ class IndexedSeries:
     values: np.ndarray
     filled: tuple[datetime.date, ...] = field(default=())
 
-    def date_of(self, k: int) -> datetime.date:
-        return self.origin + datetime.timedelta(days=k - 1)
+
+def iso_dates(origin: datetime.date):
+    """k -> the ISO date of index k, k = 1 falling on ``origin``, from date ordinals.
+
+    Past 9999-12-31 it raises ValueError (OverflowError past the C long range).
+    """
+    before_origin = origin.toordinal() - 1
+    day = datetime.date.fromordinal
+    return lambda k: day(before_origin + k).isoformat()
 
 
 def parse_stockholm(text: str, value_column: int = 3) -> Records:

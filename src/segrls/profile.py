@@ -13,6 +13,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -47,6 +48,12 @@ def _check_factor(name: str, value: float) -> None:
         raise RangeError(f"{name} must lie strictly in (0, 1), got {value!r}")
 
 
+def _check_count(name: str, value: int, what: str = "a positive integer") -> None:
+    """A lag count: a positive Python or numpy integer, never a float such as 40.0."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise RangeError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SegmentedProfile:
     """Segmented forgetting profile.
@@ -65,12 +72,9 @@ class SegmentedProfile:
     def __post_init__(self):
         _check_factor("beta", self.beta)
         _check_factor("lambda", self.lam)
-        if self.m < 1:
-            raise RangeError(f"m must be a positive integer, got {self.m!r}")
-        if self.p < 1:
-            raise RangeError(f"p must be a positive integer, got {self.p!r}")
-        if self.w < 1:
-            raise RangeError(f"w must be a positive integer, got {self.w!r}")
+        _check_count("m", self.m)
+        _check_count("p", self.p)
+        _check_count("w", self.w)
         if self.beta == self.lam:
             raise DegenerateColumnError(
                 "beta == lambda gives zero-scale fast-segment columns"
@@ -105,8 +109,8 @@ class ExponentialProfile:
 
     def __post_init__(self):
         _check_factor("lambda", self.lam)
-        if self.w is not None and self.w < 1:
-            raise RangeError(f"w must be a positive integer or None, got {self.w!r}")
+        if self.w is not None:
+            _check_count("w", self.w, "a positive integer or None")
 
     @property
     def decay(self) -> float:

@@ -364,9 +364,9 @@ def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
         est.step((k, values[k - 1]))
         target = k + A10_HORIZON
         if cutoff < target <= len(values):
-            point = est.forecast(A10_HORIZON).points[-1]
+            band = est.forecast(A10_HORIZON)
             total += 1
-            hits += int(point.lower <= values[target - 1] <= point.upper)
+            hits += int(band.lower[-1] <= values[target - 1] <= band.upper[-1])
     coverage = hits / total if total else float("nan")
     elapsed = time.perf_counter() - start
     passed = total > 0 and coverage >= 0.90

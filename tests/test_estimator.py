@@ -12,12 +12,17 @@ from segrls.errors import (
     SingularUpdateError,
     WindowTooSmallError,
 )
-from segrls.estimator import ROW_BLOCK, RlsEstimator, Sample, information_matrix
-from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
+from segrls.estimator import (
+    ROW_BLOCK,
+    RlsEstimator,
+    Sample,
+    _first_harmonic,
+    information_matrix,
+)
+from segrls.harmonic import make_harmonic_model, regressor_matrix
 from segrls.profile import (
     ExponentialProfile,
     SegmentedProfile,
-    UpdateTemplate,
     update_template,
 )
 from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
@@ -145,17 +150,13 @@ class TestInit:
         with pytest.raises(RangeError):
             init_on(make_series(0.0), diagonal_loading=loading)
 
-    @pytest.mark.parametrize("template", [
-        UpdateTemplate((0, 50), (1.0, 0.5), (1, 0)),         # a sign that is not +/-1
-        UpdateTemplate((0, -1), (1.0, 0.5), (1, -1)),        # a negative lag
-        UpdateTemplate((0, 1.5), (1.0, 0.5), (1, -1)),       # a lag that is no integer
-        UpdateTemplate((0, 50), (1.0,), (1, -1)),            # a scale missing
-    ])
-    def test_template_is_checked_at_construction(self, monkeypatch, template):
-        # the step's update core checks no signature, so construction does
-        monkeypatch.setattr("segrls.estimator.update_template", lambda profile: template)
-        with pytest.raises(ValueError, match="template"):
-            RlsEstimator(PROFILE, MODEL)
+    def test_numpy_integer_profile_runs_as_python_integers(self):
+        numpy_ints = SegmentedProfile(0.85, 0.97, np.int64(30), np.int32(1), np.int64(50))
+        series = make_series(1.0)
+        runs = [init_on(series, profile).run(series[50:], cond_every=25)
+                for profile in (PROFILE, numpy_ints)]
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
 
     def test_unbounded_profile_uses_given_length(self):
         series = make_series(0.0)[:80]
@@ -313,15 +314,17 @@ class TestBatch:
         close(est.moving_variance(), columns(lambda s, one: s.moving_variance()))
         band = est.forecast(3)
         close(band.sigma, columns(lambda s, one: s.forecast(3).sigma))
-        for h, point in enumerate(band.points):
-            for field in ("mean", "lower", "upper"):
-                close(getattr(point, field),
-                      columns(lambda s, one: getattr(s.forecast(3).points[h], field)))
-        # the scalar read-outs stay plain floats
+        for field in ("mean", "lower", "upper"):
+            assert getattr(band, field).shape == (3, batch)
+            for h in range(3):
+                close(getattr(band, field)[h],
+                      columns(lambda s, one: getattr(s.forecast(3), field)[h]))
+        # the scalar read-outs stay plain floats; a scalar band is (h,) arrays
         single = singles[0]
         assert all(type(v) is float for v in single.fitted())
         assert type(single.moving_variance()) is float
-        assert type(single.forecast(1).points[0].mean) is float
+        assert type(single.forecast(1).sigma) is float
+        assert single.forecast(1).mean.shape == (1,)
 
     def test_non_finite_value_in_one_column_leaves_state_unchanged(self):
         values = batch_values(1, 2, 3)
@@ -362,7 +365,7 @@ class TestBatch:
 
 
 class TestStepAgainstPublicKernel:
-    """A step is batch_inverse_update on Gamma / decay and columns of regressor_at rows, bit for bit."""
+    """A step is batch_inverse_update on Gamma / decay and columns of single rows, bit for bit."""
 
     @pytest.mark.parametrize(
         "profile, count",
@@ -382,7 +385,7 @@ class TestStepAgainstPublicKernel:
         scales = np.array(scales)
         gamma, theta = est.gamma, est.theta
         for k in range(count + 1, length + 1):
-            q = np.array([regressor_at(MODEL, k - lag) for lag in lags]).T * scales
+            q = np.array([regressor_matrix(MODEL, [k - lag])[0] for lag in lags]).T * scales
             y_aug = (scales * values[[k - 1 - lag for lag in lags]].T).T
             gamma, theta = linalg.batch_inverse_update(
                 gamma / profile.decay, q, signs, theta, y_aug
@@ -508,7 +511,7 @@ class TestResiduals:
         for k, y in enumerate(series[PROFILE.w - 1 : PROFILE.w + 60], PROFILE.w):
             if k > est.k:
                 est.step((k, y))
-            full = float(regressor_at(MODEL, k) @ est.theta)
+            full = float(regressor_matrix(MODEL, [k])[0] @ est.theta)
             assert est.fitted() == (full, first_harmonic_at(est.theta, k))
 
     def test_first_harmonic_plus_higher_harmonics_is_the_full_fit(self):
@@ -587,14 +590,19 @@ class TestForecast:
         est._residuals = [1.0, -1.0]
         band = est.forecast(4)
         assert band.sigma == pytest.approx(1.0)
-        for point in band.points:
-            assert (point.mean, point.lower, point.upper) == (5.0, 2.0, 8.0)
+        assert band.mean.tolist() == [5.0] * 4
+        assert band.lower.tolist() == [2.0] * 4
+        assert band.upper.tolist() == [8.0] * 4
 
     def test_horizon_indices_consecutive(self):
+        # row i of the band is index k + 1 + i
         series = make_series(1.0)
         est = init_on(series)
         band = est.forecast(30)
-        assert [p.k for p in band.points] == list(range(est.k + 1, est.k + 31))
+        assert band.mean.shape == (30,)
+        assert band.mean.tolist() == [
+            first_harmonic_at(est.theta, k) for k in range(est.k + 1, est.k + 31)
+        ]
 
     def test_pure_first_harmonic_noiseless_band_is_tight(self):
         theta = np.zeros(MODEL.dim)
@@ -607,10 +615,33 @@ class TestForecast:
         for sample in enumerate(series[PROFILE.w :], PROFILE.w + 1):
             est.step(sample)
         band = est.forecast(10)
-        for point in band.points:
-            truth = first_harmonic_at(theta, point.k)
-            assert point.mean == pytest.approx(truth, abs=1e-7)
-            assert point.upper - point.lower <= 1e-6
+        truth = [first_harmonic_at(theta, k) for k in range(est.k + 1, est.k + 11)]
+        np.testing.assert_allclose(band.mean, truth, rtol=0, atol=1e-7)
+        assert np.all(band.upper - band.lower <= 1e-6)
+
+    @pytest.mark.parametrize(
+        "profile, count",
+        [(PROFILE, PROFILE.w), (ExponentialProfile(0.97, 50), 50), (ExponentialProfile(0.97), 20)],
+        ids=["segmented", "exponential", "infinite"],
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    def test_mean_is_the_first_harmonic_of_single_rows(self, profile, count, batch):
+        # bit for bit: _first_harmonic on a regressor row built alone for each index
+        length = count + 70
+        if batch:
+            values = batch_values(1, 2, 3, length=length)
+        else:
+            values = make_series(1.0, length=length)
+        est = RlsEstimator.init(profile, MODEL, values[:count])
+        est.run(values[count:])
+        band = est.forecast(25)
+        sigma = np.sqrt(est.moving_variance())
+        assert band.mean.shape == (25, *values.shape[1:])
+        for i, k in enumerate(range(est.k + 1, est.k + 26)):
+            mean = _first_harmonic(est.theta, regressor_matrix(MODEL, [k])[0])
+            assert np.array_equal(band.mean[i], mean), k
+            assert np.array_equal(band.lower[i], mean - 3.0 * sigma), k
+            assert np.array_equal(band.upper[i], mean + 3.0 * sigma), k
 
     def test_bad_horizon(self):
         est = init_on(make_series(0.0))
@@ -682,7 +713,7 @@ class TestInfoMatrix:
 
 def rotation(model, j):
     """R^j with phi_{k+j} = R^j phi_k: a 1 for dc, then a 2x2 rotation by q_i j per frequency."""
-    phi = regressor_at(model, j)
+    phi = regressor_matrix(model, [j])[0]
     r = np.zeros((model.dim, model.dim))
     r[0, 0] = 1.0
     for i in range(1, model.dim, 2):

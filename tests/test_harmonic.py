@@ -5,7 +5,7 @@ import pytest
 
 from segrls.errors import NyquistError, RangeError
 from segrls.estimator import _first_harmonic
-from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
+from segrls.harmonic import make_harmonic_model, regressor_matrix
 
 
 class TestModel:
@@ -38,33 +38,35 @@ class TestModel:
 class TestRegressor:
     def test_at_zero(self):
         model = make_harmonic_model(365.25, 2)
-        phi = regressor_at(model, 0)
+        phi = regressor_matrix(model, [0])[0]
         assert phi[0] == 1.0
         assert np.allclose(phi[1::2], 1.0)  # cosines
         assert np.allclose(phi[2::2], 0.0)  # sines
 
     def test_quarter_period(self):
         model = make_harmonic_model(4.0, 0)  # q_0 = pi/2
-        phi = regressor_at(model, 1)
+        phi = regressor_matrix(model, [1])[0]
         assert phi[1] == pytest.approx(0.0, abs=1e-15)
         assert phi[2] == pytest.approx(1.0)
 
     def test_squared_norm(self):
         model = make_harmonic_model(365.25, 16)
         for k in (0, 1, 17, 365, 10_000):
-            phi = regressor_at(model, k)
+            phi = regressor_matrix(model, [k])[0]
             assert float(phi @ phi) == pytest.approx(model.harmonics + 2, rel=1e-14)
 
     def test_deterministic_regeneration(self):
         model = make_harmonic_model(365.25, 16)
-        assert np.array_equal(regressor_at(model, 12345), regressor_at(model, 12345))
+        first, again = regressor_matrix(model, [12345]), regressor_matrix(model, [12345])
+        assert np.array_equal(first, again)
 
     def test_matrix_matches_rows(self):
+        # each row of a block is the row a separate call builds for its index alone
         model = make_harmonic_model(50.0, 3)
-        indices = [3, 7, 11]
+        indices = [3, 7, 11, 0, 200_000]
         mat = regressor_matrix(model, indices)
         for row, k in zip(mat, indices):
-            assert np.array_equal(row, regressor_at(model, k))
+            assert np.array_equal(row, regressor_matrix(model, [k])[0])
 
 
 class TestPredict:
@@ -74,7 +76,7 @@ class TestPredict:
         self.model = make_harmonic_model(365.25, 4)
 
     def predict(self, theta, k):
-        return float(regressor_at(self.model, k) @ theta)
+        return float(regressor_matrix(self.model, [k])[0] @ theta)
 
     def test_zero_theta(self):
         assert self.predict(np.zeros(self.model.dim), 17) == 0.0
@@ -101,10 +103,10 @@ class TestFirstHarmonic:
     def test_higher_harmonics_excluded(self):
         theta = np.zeros(self.model.dim)
         theta[3:] = 9.0
-        phi = regressor_at(self.model, 123)
+        phi = regressor_matrix(self.model, [123])[0]
         assert _first_harmonic(theta, phi) == pytest.approx(0.0, abs=1e-12)
 
     def test_dc_plus_first_cosine_at_zero(self):
         theta = np.zeros(self.model.dim)
         theta[:5] = [2.0, 3.0, 0.0, 9.0, 9.0]
-        assert _first_harmonic(theta, regressor_at(self.model, 0)) == pytest.approx(5.0)
+        assert _first_harmonic(theta, regressor_matrix(self.model, [0])[0]) == pytest.approx(5.0)

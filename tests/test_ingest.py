@@ -8,7 +8,14 @@ import pytest
 
 from segrls import ingest
 from segrls.errors import CalendarError, GapError, ParseError, RangeError
-from segrls.ingest import Records, SeriesRecord, parse_csv, parse_stockholm, to_indexed
+from segrls.ingest import (
+    Records,
+    SeriesRecord,
+    iso_dates,
+    parse_csv,
+    parse_stockholm,
+    to_indexed,
+)
 
 STOCKHOLM_SAMPLE = """\
 # Stockholm daily mean temperatures (sample)
@@ -128,8 +135,9 @@ class TestToIndexed:
     def test_index_date_bijection(self):
         records = make_records(["2000-01-01", "2000-01-02", "2000-01-03"], [0, 0, 0])
         series = to_indexed(records)
-        assert [series.date_of(k) for k in range(1, len(series.values) + 1)] == [
-            r.date for r in records
+        iso = iso_dates(series.origin)
+        assert [iso(k) for k in range(1, len(series.values) + 1)] == [
+            r.date.isoformat() for r in records
         ]
 
     def test_gap_fails_by_default(self):
@@ -182,6 +190,34 @@ class TestToIndexed:
     def test_empty_input(self):
         with pytest.raises(RangeError):
             to_indexed(make_records([], []))
+
+
+class TestIsoDates:
+    """The index-to-date map against date arithmetic at both ends of the calendar."""
+
+    @pytest.mark.parametrize("first, last", [
+        ("0001-01-01", "0009-03-01"),
+        ("9991-10-30", "9999-12-31"),
+    ], ids=["origin-0001-01-01", "ends-9999-12-31"])
+    def test_dates_follow_date_arithmetic(self, first, last):
+        first, last = day(first), day(last)
+        days = (last - first).days + 1
+        dates = np.datetime64(first, "D") + np.arange(days)
+        series = to_indexed(make_records(dates, np.zeros(days)))
+        iso = iso_dates(series.origin)
+        want = [(first + datetime.timedelta(days=k - 1)).isoformat() for k in range(1, days + 1)]
+        assert [iso(k) for k in range(1, len(series.values) + 1)] == want
+        assert want[-1] == last.isoformat()
+
+    def test_no_date_past_9999_or_before_0001(self):
+        iso = iso_dates(day("9999-12-22"))
+        assert iso(10) == "9999-12-31"
+        with pytest.raises(ValueError):
+            iso(11)
+        with pytest.raises(OverflowError):
+            iso(10**30)
+        with pytest.raises(ValueError):
+            iso_dates(day("0001-01-01"))(0)
 
 
 def line_of(err):

@@ -76,6 +76,34 @@ class TestConstruction:
         with pytest.raises(RangeError):
             ExponentialProfile(0.9, 0)
 
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (lambda v: SegmentedProfile(**dict(FIG2, m=v)), 10.5),
+            (lambda v: SegmentedProfile(**dict(FIG2, p=v)), 1.0),
+            (lambda v: SegmentedProfile(**dict(FIG2, w=v)), 40.5),
+            (lambda v: SegmentedProfile(**dict(FIG2, w=v)), 400.0),
+            (lambda v: SegmentedProfile(**dict(FIG2, w=v)), "400"),
+            (lambda v: ExponentialProfile(0.9, v), 40.0),
+            (lambda v: ExponentialProfile(0.9, v), np.float64(40.0)),
+        ],
+        ids=["segmented-m", "segmented-p", "segmented-w", "segmented-w-float",
+             "segmented-w-text", "exponential-w", "exponential-w-numpy-float"],
+    )
+    def test_lag_counts_must_be_integers(self, make, value):
+        # m, p and w count lags: a float, even a whole one, is refused at construction
+        with pytest.raises(RangeError, match="must be a positive integer"):
+            make(value)
+
+    def test_numpy_integer_lag_counts_accepted(self):
+        plain = SegmentedProfile(**FIG2)
+        numpy_ints = SegmentedProfile(0.89, 0.99, np.int64(250), np.int32(1), np.int64(400))
+        assert numpy_ints == plain
+        assert update_template(numpy_ints) == update_template(plain)
+        assert np.array_equal(weights(numpy_ints, 500), weights(plain, 500))
+        exponential = ExponentialProfile(0.99, np.int16(400))
+        assert update_template(exponential) == update_template(ExponentialProfile(0.99, 400))
+
 
 class TestWeight:
     def test_fig2_values(self):

@@ -6,7 +6,7 @@ import pytest
 from segrls import linalg
 from segrls.errors import IntermediateSingularityError, NotPositiveDefiniteError, RangeError
 from segrls.estimator import RlsEstimator, Sample
-from segrls.harmonic import make_harmonic_model, regressor_at, regressor_matrix
+from segrls.harmonic import make_harmonic_model, regressor_matrix
 from segrls.profile import ExponentialProfile, SegmentedProfile
 from segrls.reference import (
     SyntheticSpec,
@@ -75,7 +75,7 @@ class TestSynthGenerate:
         series = synth_generate(spec(0.0))
         assert series.shape == (160,) and series.dtype == np.float64
         for k, y in enumerate(series[:20], 1):
-            clean = float(regressor_at(MODEL, k) @ THETA_STAR)
+            clean = float(regressor_matrix(MODEL, [k])[0] @ THETA_STAR)
             assert y == pytest.approx(clean, abs=1e-14)
 
     def test_unit_variance_noise(self):
@@ -123,7 +123,7 @@ class TestDirectWeightedLs:
         a_shuffled = np.zeros_like(a)
         b_shuffled = np.zeros(MODEL.dim)
         for j in order:
-            phi = regressor_at(MODEL, k - j)
+            phi = regressor_matrix(MODEL, [k - j])[0]
             a_shuffled += f[j] * np.outer(phi, phi)
             b_shuffled += f[j] * phi * series[k - 1 - j]
         theta_shuffled = np.linalg.solve(a_shuffled, b_shuffled)
