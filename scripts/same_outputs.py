@@ -9,9 +9,12 @@ with the working tree's ``perfbench.workloads.build`` for seeds 1-3, and both
 sides read the same files.  The commands are, for each seed: the
 ``fit_long`` fit, the twelve ``archive_forecast`` forecasts, and the three
 ``profiles_diag`` fits with and without ``--cond-every``; then, once:
-``compare`` on the seed-1 diagnostic series, an infinite-profile forecast on
-the seed-1 archive, ``synth --origin 0001-01-01``, a forecast whose horizon
-ends on 9999-12-31 and one that passes it, and ``verify --trials 100``.
+``compare`` and a diagonally loaded fit (``--epsilon 1e-9 --cond-every 60``,
+the one command whose footer reads ``loading_applied=True``) on the seed-1
+diagnostic series, an infinite-profile forecast on the seed-1 archive,
+``synth --origin 0001-01-01``, a forecast whose horizon ends on 9999-12-31
+and one that passes it, and ``verify --trials 100`` with the default seed
+and with ``--seed 20250805``.
 
 Each command runs as ``python -m segrls.cli`` in a fresh interpreter, with
 the side's ``src/`` first on PYTHONPATH and ``--output`` pointing into a directory
@@ -99,6 +102,9 @@ def commands(work: Path) -> list[list[str]]:
     diag = work / "profiles_diag-1" / "diag.csv"
     lines.append(["compare", "--input", str(diag), *workloads.MODEL_FLAGS,
                   *workloads.FIG2_FLAGS, "--output", "compare.out.csv"])
+    lines.append(["fit", "--input", str(diag), *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+                  "--epsilon", "1e-9", "--cond-every", str(workloads.COND_EVERY),
+                  "--output", "epsilon.out.csv"])
     # the first seed-1 archive forecast, with the infinite profile's flags for Fig-2's
     argv = next(line for line in lines if line[0] == "forecast")
     i = argv.index("--profile")
@@ -113,6 +119,7 @@ def commands(work: Path) -> list[list[str]]:
                       *workloads.FIG2_FLAGS, "--horizon", str(horizon),
                       "--output", f"late{horizon}.out.csv"])
     lines.append(["verify", "--trials", "100"])
+    lines.append(["verify", "--trials", "100", "--seed", "20250805"])
     return lines
 
 

@@ -349,7 +349,7 @@ def cmd_fit(args) -> int:
         f"# rmse={fmt(rmse)}",
         f"# residual_mean={fmt(res_mean)}",
         f"# residual_std={fmt(res_std)}",
-        f"# loading_applied={est.loading_applied}",
+        f"# loading_applied={est.diagonal_loading > 0.0}",
         f"# filled_dates={','.join(d.isoformat() for d in series.filled)}",
     ]))
     _write_output(args.output, "\n".join(out) + "\n")

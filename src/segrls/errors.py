@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import numbers
+
 
 class SegrlsError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,15 @@ class SegrlsError(Exception):
 
 class RangeError(SegrlsError):
     """A scalar parameter lies outside its admissible range."""
+
+
+def _check_count(value, minimum: int, message: str) -> None:
+    """Raise RangeError(message) unless ``value`` is an integer >= ``minimum``.
+
+    Python and numpy integers pass; a float never does, not even a whole one such as 40.0.
+    """
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise RangeError(message)
 
 
 class DropConditionError(SegrlsError):

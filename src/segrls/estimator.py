@@ -38,6 +38,7 @@ from .errors import (
     RangeError,
     SingularUpdateError,
     WindowTooSmallError,
+    _check_count,
 )
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile, update_template, weights
@@ -114,7 +115,6 @@ class RlsEstimator:
         self.template = template = update_template(profile)
         lags = template.lags
         self.diagonal_loading = float(diagonal_loading)
-        self.loading_applied = False
         self.gamma: np.ndarray | None = None
         self.theta: np.ndarray | None = None
         self.k: int = 0
@@ -125,7 +125,7 @@ class RlsEstimator:
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
         self._scales = np.array(template.scales)
         self._d = np.diag(np.array(template.signs, dtype=float))
-        self._decay = profile.decay
+        self._decay = profile.lam
         # the block of regressor rows and values: index k sits at position
         # k - self._first_row.  It holds the L indices before the step that
         # started it and the ROW_BLOCK from it on; init makes the values
@@ -166,8 +166,7 @@ class RlsEstimator:
         window cannot identify the model and NotPositiveDefiniteError when
         the initial information matrix is not SPD (insufficient excitation);
         a positive ``diagonal_loading`` adds eps*I to the initial matrix
-        instead, and the choice is recorded on ``loading_applied``.  A
-        non-finite value raises the RangeError ``step`` would.
+        instead.  A non-finite value raises the RangeError ``step`` would.
         """
         est = cls(profile, model, diagonal_loading=diagonal_loading)
         y = np.array(values, dtype=float)
@@ -194,7 +193,6 @@ class RlsEstimator:
         a, wphi = _weighted_gram(profile, phi)
         if est.diagonal_loading > 0.0:
             a = a + est.diagonal_loading * np.eye(model.dim)
-            est.loading_applied = True
         est.gamma = linalg.spd_inverse(a)
         est.theta = est.gamma @ (wphi.T @ y)
 
@@ -280,6 +278,7 @@ class RlsEstimator:
         holding cond(``info_matrix()``) on each row i with i % cond_every == 0
         and None on every other row, and on every row when cond_every is 0.
         """
+        _check_count(cond_every, 0, f"cond_every must be an integer >= 0, got {cond_every!r}")
         yhat = np.empty((len(values) + 1, *self._values.shape[1:]))
         yhat1 = np.empty_like(yhat)
         cond = [None] * len(yhat)
@@ -336,8 +335,7 @@ class RlsEstimator:
         Row i is index k + 1 + i.  Sigma is the windowed residual estimate
         frozen at forecast time; the band does not widen with the horizon.
         """
-        if horizon < 1:
-            raise RangeError("horizon must be >= 1")
+        _check_count(horizon, 1, "horizon must be >= 1")
         sigma = _plain(np.sqrt(self.moving_variance()))
         rows = regressor_matrix(self.model, np.arange(self.k + 1, self.k + horizon + 1))
         mean = _first_harmonic(self.theta, _by_entry(rows, self.theta))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NyquistError, RangeError
+from .errors import NyquistError, RangeError, _check_count
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class HarmonicModel:
     def __post_init__(self):
         if not 0.0 < self.period < math.inf:
             raise RangeError(f"period must be positive and finite, got {self.period!r}")
-        if self.harmonics < 0:
-            raise RangeError(f"harmonics must be >= 0, got {self.harmonics!r}")
+        _check_count(self.harmonics, 0, f"harmonics must be >= 0, got {self.harmonics!r}")
         # the top frequency is checked before the grid of harmonics is allocated
         top = 2.0 * math.pi * (self.harmonics + 1) / self.period
         if top >= math.pi:

@@ -13,7 +13,6 @@ closed form.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -24,6 +23,7 @@ from .errors import (
     DropConditionError,
     RangeError,
     WindowError,
+    _check_count,
 )
 
 
@@ -48,12 +48,6 @@ def _check_factor(name: str, value: float) -> None:
         raise RangeError(f"{name} must lie strictly in (0, 1), got {value!r}")
 
 
-def _check_count(name: str, value: int, what: str = "a positive integer") -> None:
-    """A lag count: a positive Python or numpy integer, never a float such as 40.0."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise RangeError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SegmentedProfile:
     """Segmented forgetting profile.
@@ -72,9 +66,9 @@ class SegmentedProfile:
     def __post_init__(self):
         _check_factor("beta", self.beta)
         _check_factor("lambda", self.lam)
-        _check_count("m", self.m)
-        _check_count("p", self.p)
-        _check_count("w", self.w)
+        _check_count(self.m, 1, f"m must be a positive integer, got {self.m!r}")
+        _check_count(self.p, 1, f"p must be a positive integer, got {self.p!r}")
+        _check_count(self.w, 1, f"w must be a positive integer, got {self.w!r}")
         if self.beta == self.lam:
             raise DegenerateColumnError(
                 "beta == lambda gives zero-scale fast-segment columns"
@@ -95,10 +89,6 @@ class SegmentedProfile:
                 f"fast segment does not fit the window: p+1={self.p + 1} >= w={self.w}"
             )
 
-    @property
-    def decay(self) -> float:
-        return self.lam
-
 
 @dataclass(frozen=True)
 class ExponentialProfile:
@@ -110,11 +100,7 @@ class ExponentialProfile:
     def __post_init__(self):
         _check_factor("lambda", self.lam)
         if self.w is not None:
-            _check_count("w", self.w, "a positive integer or None")
-
-    @property
-    def decay(self) -> float:
-        return self.lam
+            _check_count(self.w, 1, f"w must be a positive integer or None, got {self.w!r}")
 
 
 ForgettingProfile = Union[SegmentedProfile, ExponentialProfile]
@@ -143,7 +129,7 @@ def weights(profile: ForgettingProfile, count: int) -> np.ndarray:
 
 
 def update_template(profile: ForgettingProfile) -> UpdateTemplate:
-    """Column lags, scales and signs realizing f(j+1) - decay*f(j) at every lag.
+    """Column lags, scales and signs realizing f(j+1) - lambda*f(j) at every lag.
 
     Lag 0 carries the new sample (scale 1, sign +1).  For the segmented
     profile, lags 1..p adjust the fast segment, lag p+1 realizes the drop and

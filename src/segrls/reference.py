@@ -25,6 +25,7 @@ from .errors import (
     IntermediateSingularityError,
     NotPositiveDefiniteError,
     RangeError,
+    _check_count,
 )
 from .estimator import RlsEstimator, Sample, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
@@ -95,8 +96,7 @@ class SyntheticSpec:
             raise RangeError("theta_star must be finite")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise RangeError("noise sigma must be finite and >= 0")
-        if self.length < 1:
-            raise RangeError("length must be >= 1")
+        _check_count(self.length, 1, "length must be >= 1")
         object.__setattr__(self, "theta_star", theta)
 
 
@@ -240,8 +240,6 @@ _MC_GROUP = 25
 class BiasReport:
     bias: np.ndarray
     standard_error: np.ndarray
-    trials: int
-    at_index: int
 
     def within(self, n_sigmas: float) -> bool:
         return bool(np.all(np.abs(self.bias) <= n_sigmas * self.standard_error))
@@ -280,9 +278,7 @@ def monte_carlo_bias(
 
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
-    return BiasReport(
-        bias=mean - spec.theta_star, standard_error=se, trials=trials, at_index=k
-    )
+    return BiasReport(bias=mean - spec.theta_star, standard_error=se)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +292,6 @@ class AccumulationReport:
     median_batch: float
     median_chain: float
     singular_incidents: int
-    trials: int
 
 
 # trials per stacked long-double inverse: larger stacks cost peak memory, not time
@@ -440,5 +435,4 @@ def accumulation_experiment(
         median_batch=float(np.median(batch_errors)),
         median_chain=float(np.median(chain_errors)),
         singular_incidents=incidents,
-        trials=trials,
     )

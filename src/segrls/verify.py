@@ -4,6 +4,10 @@ The synthetic criteria are fully self-contained; the two data-driven checks
 (fit-quality ordering and forecast coverage) take a daily value array, index
 k at ``values[k - 1]``, so they can run against the observatory series or
 any daily file.
+
+Every criterion ends in ``_result``, the one place that measures a check's
+elapsed time and applies its time budget (``budget_s``, given at each call):
+a check that ran past its budget fails even when its condition holds.
 """
 
 from __future__ import annotations
@@ -62,6 +66,12 @@ class CriterionResult:
         return f"[{self.name}] {status} ({self.elapsed:.1f}s) {self.detail}"
 
 
+def _result(name, start, passed, detail, budget_s=math.inf) -> CriterionResult:
+    """The result of a check begun at ``start``; past ``budget_s`` seconds it fails."""
+    elapsed = time.perf_counter() - start
+    return CriterionResult(name, passed and elapsed <= budget_s, detail, elapsed)
+
+
 def standard_model() -> HarmonicModel:
     return make_harmonic_model(STANDARD_PERIOD, STANDARD_HARMONICS)
 
@@ -104,20 +114,10 @@ def criterion_a1(seed: int = DEFAULT_SEED) -> CriterionResult:
     model = standard_model()
     series = _standard_series(seed)
     report = compare_trajectory(fig2_profile(), model, series)
-    elapsed = time.perf_counter() - start
-    passed = (
-        report.theta_dev_max <= 1e-6
-        and report.gamma_dev_max <= 1e-6
-        and elapsed <= 60.0
-    )
-    return CriterionResult(
-        "A1",
-        passed,
-        f"segmented: max theta dev {report.theta_dev_max:.2e}, "
-        f"max gamma dev {report.gamma_dev_max:.2e} over {report.steps} steps "
-        f"(tol 1e-6)",
-        elapsed,
-    )
+    return _result("A1", start, report.theta_dev_max <= 1e-6 and report.gamma_dev_max <= 1e-6,
+                   f"segmented: max theta dev {report.theta_dev_max:.2e}, "
+                   f"max gamma dev {report.gamma_dev_max:.2e} over {report.steps} steps "
+                   f"(tol 1e-6)", budget_s=60.0)
 
 
 def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -128,17 +128,11 @@ def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
     rep_inf = compare_trajectory(
         ExponentialProfile(FIG2_LAMBDA), model, series, init_count=FIG2_W
     )
-    elapsed = time.perf_counter() - start
     worst_theta = max(rep_fin.theta_dev_max, rep_inf.theta_dev_max)
     worst_gamma = max(rep_fin.gamma_dev_max, rep_inf.gamma_dev_max)
-    passed = worst_theta <= 1e-6 and worst_gamma <= 1e-6 and elapsed <= 60.0
-    return CriterionResult(
-        "A2",
-        passed,
-        f"rank-2 and rank-1 profiles: max theta dev {worst_theta:.2e}, "
-        f"max gamma dev {worst_gamma:.2e} (tol 1e-6)",
-        elapsed,
-    )
+    return _result("A2", start, worst_theta <= 1e-6 and worst_gamma <= 1e-6,
+                   f"rank-2 and rank-1 profiles: max theta dev {worst_theta:.2e}, "
+                   f"max gamma dev {worst_gamma:.2e} (tol 1e-6)", budget_s=60.0)
 
 
 # ----------------------------------------------------------------------
@@ -179,15 +173,9 @@ def criterion_a3(seed: int = DEFAULT_SEED) -> CriterionResult:
     got = linalg.batch_inverse_update(b_inv, np.column_stack([x, x]), [1.0, -1.0])
     cancel = np.linalg.norm(got - b_inv) / np.linalg.norm(b_inv)
 
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-9 and cancel <= 1e-12 and elapsed <= 10.0
-    return CriterionResult(
-        "A3",
-        passed,
-        f"{A3_TRIALS} trials: worst rel error {worst:.2e} (tol 1e-9), "
-        f"add/remove cancellation {cancel:.2e} (tol 1e-12)",
-        elapsed,
-    )
+    return _result("A3", start, worst <= 1e-9 and cancel <= 1e-12,
+                   f"{A3_TRIALS} trials: worst rel error {worst:.2e} (tol 1e-9), "
+                   f"add/remove cancellation {cancel:.2e} (tol 1e-12)", budget_s=10.0)
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +189,9 @@ def criterion_a4() -> CriterionResult:
     worst = float(np.max(np.abs(tail[1:] - prof.lam * tail[:-1]) / tail[1:]))
     template = update_template(prof)
     shape_ok = template.rank == prof.p + 3 and template.signs == (1, -1, -1, -1)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-12 and shape_ok
-    return CriterionResult(
-        "A4",
-        passed,
-        f"telescoping max rel {worst:.2e} (tol 1e-12); rank {template.rank} "
-        f"signs {list(template.signs)}",
-        elapsed,
-    )
+    return _result("A4", start, worst <= 1e-12 and shape_ok,
+                   f"telescoping max rel {worst:.2e} (tol 1e-12); rank {template.rank} "
+                   f"signs {list(template.signs)}")
 
 
 # ----------------------------------------------------------------------
@@ -223,25 +205,19 @@ def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
     series = _standard_series(seed, noise_sigma=0.0)[: FIG2_W + A5_STEPS]
     norm = np.linalg.norm(theta_star)
     worst = 0.0
-    for prof, init_count in (
-        (fig2_profile(), None),
-        (ExponentialProfile(FIG2_LAMBDA, FIG2_W), None),
-        (ExponentialProfile(FIG2_LAMBDA), FIG2_W),
+    # every profile starts from the first FIG2_W values: the window, or the infinite's init
+    for prof in (
+        fig2_profile(),
+        ExponentialProfile(FIG2_LAMBDA, FIG2_W),
+        ExponentialProfile(FIG2_LAMBDA),
     ):
-        window = init_count or prof.w
-        est = RlsEstimator.init(prof, model, series[:window])
+        est = RlsEstimator.init(prof, model, series[:FIG2_W])
         worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
-        for k in range(window + 1, len(series) + 1):
+        for k in range(FIG2_W + 1, len(series) + 1):
             est.step((k, series[k - 1]))
             worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-8
-    return CriterionResult(
-        "A5",
-        passed,
-        f"noiseless recovery, three profiles: worst rel dev {worst:.2e} (tol 1e-8)",
-        elapsed,
-    )
+    return _result("A5", start, worst <= 1e-8,
+                   f"noiseless recovery, three profiles: worst rel dev {worst:.2e} (tol 1e-8)")
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +236,9 @@ def criterion_a7() -> CriterionResult:
             ExponentialProfile(FIG1_LAMBDA, FIG1_W),
         )
     )
-    elapsed = time.perf_counter() - start
-    passed = cond_fast > cond_seg > cond_slow
-    return CriterionResult(
-        "A7",
-        passed,
-        f"cond ordering fast {cond_fast:.3e} > segmented {cond_seg:.3e} "
-        f"> slow {cond_slow:.3e}",
-        elapsed,
-    )
+    return _result("A7", start, cond_fast > cond_seg > cond_slow,
+                   f"cond ordering fast {cond_fast:.3e} > segmented {cond_seg:.3e} "
+                   f"> slow {cond_slow:.3e}")
 
 
 # ----------------------------------------------------------------------
@@ -278,16 +248,10 @@ def criterion_a7() -> CriterionResult:
 def criterion_a8(seed: int = DEFAULT_SEED, trials: int = 100) -> CriterionResult:
     start = time.perf_counter()
     report = accumulation_experiment(35, 8, 1e8, trials, seed=seed)
-    elapsed = time.perf_counter() - start
-    passed = report.median_batch <= report.median_chain and elapsed <= 30.0
-    return CriterionResult(
-        "A8",
-        passed,
-        f"median error batch {report.median_batch:.2e} <= chain "
-        f"{report.median_chain:.2e} over {trials} trials "
-        f"({report.singular_incidents} chain singularities)",
-        elapsed,
-    )
+    return _result("A8", start, report.median_batch <= report.median_chain,
+                   f"median error batch {report.median_batch:.2e} <= chain "
+                   f"{report.median_chain:.2e} over {trials} trials "
+                   f"({report.singular_incidents} chain singularities)", budget_s=30.0)
 
 
 # ----------------------------------------------------------------------
@@ -297,23 +261,19 @@ def criterion_a8(seed: int = DEFAULT_SEED, trials: int = 100) -> CriterionResult
 def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult:
     start = time.perf_counter()
     model = standard_model()
+    k = FIG2_W + 30
     spec = SyntheticSpec(
         model=model,
         theta_star=standard_theta(model),
         noise_sigma=NOISE_SIGMA,
         seed=seed,
-        length=FIG2_W + 30,
+        length=k,
     )
-    report = monte_carlo_bias(fig2_profile(), spec, trials, FIG2_W + 30)
-    elapsed = time.perf_counter() - start
+    report = monte_carlo_bias(fig2_profile(), spec, trials, k)
     ratio = float(np.max(np.abs(report.bias) / report.standard_error))
-    passed = report.within(4.0) and elapsed <= 300.0
-    return CriterionResult(
-        "A9",
-        passed,
-        f"{trials} trials at k={report.at_index}: worst |bias|/SE {ratio:.2f} (limit 4)",
-        elapsed,
-    )
+    return _result("A9", start, report.within(4.0),
+                   f"{trials} trials at k={k}: worst |bias|/SE {ratio:.2f} (limit 4)",
+                   budget_s=300.0)
 
 
 # ----------------------------------------------------------------------
@@ -339,15 +299,10 @@ def criterion_a6(values: np.ndarray, label: str = "A6") -> CriterionResult:
     rmse_exp = math.sqrt(float(np.mean(res_exp**2)))
     std_seg = float(np.std(res_seg))
     std_exp = float(np.std(res_exp))
-    elapsed = time.perf_counter() - start
-    passed = rmse_seg < rmse_exp and std_seg < std_exp and elapsed <= 300.0
-    return CriterionResult(
-        label,
-        passed,
-        f"RMSE segmented {rmse_seg:.4f} vs exponential {rmse_exp:.4f} "
-        f"(ratio {rmse_seg / rmse_exp:.3f}); residual std {std_seg:.4f} vs {std_exp:.4f}",
-        elapsed,
-    )
+    return _result(label, start, rmse_seg < rmse_exp and std_seg < std_exp,
+                   f"RMSE segmented {rmse_seg:.4f} vs exponential {rmse_exp:.4f} "
+                   f"(ratio {rmse_seg / rmse_exp:.3f}); "
+                   f"residual std {std_seg:.4f} vs {std_exp:.4f}", budget_s=300.0)
 
 
 def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
@@ -368,15 +323,9 @@ def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
             total += 1
             hits += int(band.lower[-1] <= values[target - 1] <= band.upper[-1])
     coverage = hits / total if total else float("nan")
-    elapsed = time.perf_counter() - start
-    passed = total > 0 and coverage >= 0.90
-    return CriterionResult(
-        label,
-        passed,
-        f"coverage {coverage:.3f} over {total} forecasts (threshold 0.90, "
-        f"an operationalization of the qualitative claim)",
-        elapsed,
-    )
+    return _result(label, start, total > 0 and coverage >= 0.90,
+                   f"coverage {coverage:.3f} over {total} forecasts (threshold 0.90, "
+                   f"an operationalization of the qualitative claim)")
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ passed, when the file is absent).  Synthetic surrogate versions of those two
 checks always run so the full pipeline is exercised either way.
 """
 
+import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +104,43 @@ def test_a6_surrogate_fit_quality_ordering():
 
 def test_a10_surrogate_forecast_coverage():
     _check(verify.criterion_a10(_surrogate_samples(1600), label="A10-surrogate"))
+
+
+# ----------------------------------------------------------------------
+# time budgets: applied in verify._result, one per criterion
+
+
+def test_a_check_past_its_budget_fails_even_when_its_condition_holds():
+    late = verify._result("A0", time.perf_counter() - 2.0, True, "ok", budget_s=1.0)
+    assert not late.passed and late.elapsed >= 2.0
+    assert late.line().startswith("[A0] FAIL (")
+    in_time = verify._result("A0", time.perf_counter(), True, "ok", budget_s=1.0)
+    assert in_time.passed and in_time.line().startswith("[A0] PASS (")
+
+
+def test_a_check_without_a_budget_never_fails_on_time():
+    slow = verify._result("A0", time.perf_counter() - 1e6, True, "ok")
+    assert slow.passed and slow.line().startswith("[A0] PASS (")
+    assert not verify._result("A0", time.perf_counter() - 1e6, False, "no").passed
+
+
+def test_every_criterion_has_its_budget(monkeypatch):
+    budgets = {}
+    result = verify._result
+
+    def spy(name, start, passed, detail, budget_s=math.inf):
+        budgets[name] = budget_s
+        return result(name, start, passed, detail, budget_s)
+
+    monkeypatch.setattr(verify, "_result", spy)
+    verify.run_synthetic_suite(trials=100)
+    verify.criterion_a6(_surrogate_samples(3400), label="A6-surrogate")
+    verify.criterion_a10(_surrogate_samples(1600), label="A10-surrogate")
+    assert budgets == {
+        "A1": 60.0, "A2": 60.0, "A3": 10.0, "A4": math.inf, "A5": math.inf,
+        "A6-surrogate": 300.0, "A7": math.inf, "A8": 30.0, "A9": 300.0,
+        "A10-surrogate": math.inf,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,7 @@ def make_next_update_singular(est):
     signs = np.array(est.template.signs, dtype=float)
     p = np.linalg.pinv(regressor_matrix(est.model, k - lags).T * scales)
     # gamma / lam = -P^T D P makes U = D - (P Q)^T D (P Q) vanish
-    est.gamma = -est.profile.decay * p.T @ np.diag(signs) @ p
+    est.gamma = -est.profile.lam * p.T @ np.diag(signs) @ p
 
 
 def first_harmonic_at(theta, k):
@@ -140,10 +140,11 @@ class TestInit:
         model = make_harmonic_model(365.25, 16)
         profile = ExponentialProfile(0.99, model.dim)
         series = [math.sin(0.1 * k) for k in range(1, model.dim + 1)]
+        # the window test_deficient_excitation_raises refuses initializes with loading
         est = RlsEstimator.init(profile, model, series, diagonal_loading=1e-6)
-        assert est.loading_applied
-        plain = init_on(make_series(0.0))
-        assert not plain.loading_applied
+        loaded = information_matrix(profile, model, model.dim, model.dim) + 1e-6 * np.eye(model.dim)
+        assert np.allclose(est.gamma @ loaded, np.eye(model.dim), atol=1e-6)
+        assert np.isfinite(est.theta).all()
 
     @pytest.mark.parametrize("loading", [-1.0, math.nan, math.inf])
     def test_bad_diagonal_loading_rejected(self, loading):
@@ -388,7 +389,7 @@ class TestStepAgainstPublicKernel:
             q = np.array([regressor_matrix(MODEL, [k - lag])[0] for lag in lags]).T * scales
             y_aug = (scales * values[[k - 1 - lag for lag in lags]].T).T
             gamma, theta = linalg.batch_inverse_update(
-                gamma / profile.decay, q, signs, theta, y_aug
+                gamma / profile.lam, q, signs, theta, y_aug
             )
             est.step((k, values[k - 1]))
             assert np.array_equal(est.gamma, gamma), k
@@ -647,6 +648,42 @@ class TestForecast:
         est = init_on(make_series(0.0))
         with pytest.raises(RangeError):
             est.forecast(0)
+
+
+class TestCounts:
+    """Counts outside the profiles: a Python or numpy integer in range, else RangeError."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda est: make_harmonic_model(365.25, 1.5), "harmonics must be >= 0, got 1.5"),
+        (lambda est: make_harmonic_model(365.25, -1), "harmonics must be >= 0, got -1"),
+        (lambda est: SyntheticSpec(MODEL, THETA_STAR, 1.0, 0, 10.5), "length must be >= 1"),
+        (lambda est: SyntheticSpec(MODEL, THETA_STAR, 1.0, 0, 0), "length must be >= 1"),
+        (lambda est: est.forecast(2.5), "horizon must be >= 1"),
+        (lambda est: est.forecast(0), "horizon must be >= 1"),
+        (lambda est: est.run(np.zeros(9), cond_every=2.5),
+         "cond_every must be an integer >= 0, got 2.5"),
+        (lambda est: est.run(np.zeros(9), cond_every=-3),
+         "cond_every must be an integer >= 0, got -3"),
+    ], ids=["harmonics-float", "harmonics-negative", "length-float", "length-zero",
+            "horizon-float", "horizon-zero", "cond-every-float", "cond-every-negative"])
+    def test_refused(self, call, text):
+        est = init_on(make_series(1.0))
+        with pytest.raises(RangeError) as err:
+            call(est)
+        assert str(err.value) == text
+        assert est.k == PROFILE.w
+
+    def test_numpy_integers_accepted(self):
+        assert make_harmonic_model(40.0, np.int64(2)) == MODEL
+        spec = SyntheticSpec(MODEL, THETA_STAR, 1.0, 11, np.int32(160))
+        series = synth_generate(spec)
+        assert np.array_equal(series, make_series(1.0))
+        est = init_on(series)
+        assert np.array_equal(est.forecast(np.int64(3)).mean, est.forecast(3).mean)
+        runs = [init_on(series).run(series[PROFILE.w:], cond_every)
+                for cond_every in (7, np.int64(7))]
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
 
 
 class TestInfoMatrix:

@@ -29,7 +29,7 @@ EXP_REMOVAL_SCALE = 0.13397967485796195  # 0.99**200
 class TestConstruction:
     def test_fig2_parameters_valid(self):
         prof = SegmentedProfile(**FIG2)
-        assert prof.w == 400 and prof.decay == 0.99
+        assert prof.w == 400 and prof.lam == 0.99
 
     def test_fig1_factors_valid(self):
         # lambda^(m+1) < 0.92 requires m >= 2 here
