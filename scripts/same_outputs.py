@@ -13,8 +13,10 @@ sides read the same files.  The commands are, for each seed: the
 the one command whose footer reads ``loading_applied=True``) on the seed-1
 diagnostic series, an infinite-profile forecast on the seed-1 archive,
 ``synth --origin 0001-01-01``, a forecast whose horizon ends on 9999-12-31
-and one that passes it, and ``verify --trials 100`` with the default seed
-and with ``--seed 20250805``.
+and one that passes it, two fits of a 40-day series that fail (exit 3: the
+span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
+window of 35, which is rank deficient), and ``verify --trials 100`` with
+the default seed and with ``--seed 20250805``.
 
 Each command runs as ``python -m segrls.cli`` in a fresh interpreter, with
 the side's ``src/`` first on PYTHONPATH and ``--output`` pointing into a directory
@@ -45,6 +47,8 @@ ELAPSED = re.compile(r"^(\[\w+\] \w+ )\(\d+(?:\.\d+)?s\)", re.MULTILINE)
 LAST_DAY = datetime.date(9999, 12, 31)
 LATE_DAYS = 700
 LATE_HORIZON = 90
+# a series longer than the model dimension (35) and shorter than the Fig-2 window
+SHORT_DAYS = 40
 
 
 def mask(text: str) -> str:
@@ -77,11 +81,10 @@ def run_command(src: Path, argv: list[str], outdir: Path) -> dict:
             "output": sha256(output) if output else None}
 
 
-def _late_series(path: Path) -> None:
-    """A dated CSV of LATE_DAYS days that ends LATE_HORIZON days before LAST_DAY."""
-    first = LAST_DAY - datetime.timedelta(days=LATE_HORIZON + LATE_DAYS - 1)
+def _dated_series(path: Path, first: datetime.date, days: int) -> None:
+    """A dated CSV of ``days`` deterministic values from ``first`` on."""
     rows = [f"{first + datetime.timedelta(days=i)},{10.0 * ((i * 7919) % 101) / 101.0 - 5.0!r}"
-            for i in range(LATE_DAYS)]
+            for i in range(days)]
     path.write_text("date,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -112,12 +115,22 @@ def commands(work: Path) -> list[list[str]]:
                   *argv[i + len(workloads.FIG2_FLAGS):]])
     lines.append(["synth", "--origin", "0001-01-01", "--length", "2000", "--seed", "5",
                   "--output", "synth.out.csv"])
+    # a series that ends LATE_HORIZON days before LAST_DAY
     late = work / "late.csv"
-    _late_series(late)
+    _dated_series(late, LAST_DAY - datetime.timedelta(days=LATE_HORIZON + LATE_DAYS - 1),
+                  LATE_DAYS)
     for horizon in (LATE_HORIZON, LATE_HORIZON + 1):
         lines.append(["forecast", "--input", str(late), *workloads.MODEL_FLAGS,
                       *workloads.FIG2_FLAGS, "--horizon", str(horizon),
                       "--output", f"late{horizon}.out.csv"])
+    # exit 3: the span is shorter than the Fig-2 window; exit 4: n = 35 over a
+    # 35-day window, which is numerically rank deficient
+    short = work / "short.csv"
+    _dated_series(short, datetime.date(2000, 1, 1), SHORT_DAYS)
+    lines.append(["fit", "--input", str(short), *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+                  "--output", "short.out.csv"])
+    lines.append(["fit", "--input", str(short), *workloads.MODEL_FLAGS, "--profile",
+                  "exponential", "--window", "35", "--output", "deficient.out.csv"])
     lines.append(["verify", "--trials", "100"])
     lines.append(["verify", "--trials", "100", "--seed", "20250805"])
     return lines

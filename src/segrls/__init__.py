@@ -13,7 +13,6 @@ from .errors import (
     DropConditionError,
     GapError,
     IndexGapError,
-    InsufficientDataError,
     IntermediateSingularityError,
     NotPositiveDefiniteError,
     NyquistError,
@@ -52,7 +51,6 @@ __all__ = [
     "GapError",
     "HarmonicModel",
     "IndexGapError",
-    "InsufficientDataError",
     "IntermediateSingularityError",
     "NotPositiveDefiniteError",
     "NyquistError",

@@ -22,8 +22,6 @@ from . import verify as verify_mod
 from .errors import (
     CalendarError,
     GapError,
-    InsufficientDataError,
-    IntermediateSingularityError,
     NotPositiveDefiniteError,
     ParseError,
     RangeError,
@@ -56,9 +54,7 @@ _DATA_ERRORS = (OSError, UnicodeError, ParseError, CalendarError, GapError, Rang
 _NUMERICAL_ERRORS = (
     NotPositiveDefiniteError,
     SingularUpdateError,
-    IntermediateSingularityError,
     WindowTooSmallError,
-    InsufficientDataError,
 )
 
 
@@ -331,7 +327,7 @@ def cmd_fit(args) -> int:
     if errors:
         return _fail_config(errors)
     series, _ = _load_series(args, start, end)
-    est, window, (yhat, yhat1, cond) = _run_fit(
+    _, window, (yhat, yhat1, cond) = _run_fit(
         profile, model, series, args, cond_every=args.cond_every
     )
     y = series.values[window - 1 :]
@@ -349,7 +345,7 @@ def cmd_fit(args) -> int:
         f"# rmse={fmt(rmse)}",
         f"# residual_mean={fmt(res_mean)}",
         f"# residual_std={fmt(res_std)}",
-        f"# loading_applied={est.diagonal_loading > 0.0}",
+        f"# loading_applied={args.epsilon > 0.0}",
         f"# filled_dates={','.join(d.isoformat() for d in series.filled)}",
     ]))
     _write_output(args.output, "\n".join(out) + "\n")

@@ -60,10 +60,6 @@ class IndexGapError(SegrlsError):
     """Sample index is not consecutive with the estimator state."""
 
 
-class InsufficientDataError(SegrlsError):
-    """Not enough buffered data for the requested statistic."""
-
-
 class ParseError(SegrlsError):
     """Malformed input line."""
 

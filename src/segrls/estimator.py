@@ -34,7 +34,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     IndexGapError,
-    InsufficientDataError,
     RangeError,
     SingularUpdateError,
     WindowTooSmallError,
@@ -69,6 +68,8 @@ class ForecastBand(NamedTuple):
 
 def information_matrix(profile, model, k: int, count: int) -> np.ndarray:
     """A = sum_j f(j) phi_{k-j} phi_{k-j}^T over the ``count`` indices ending at k."""
+    _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
+    _check_count(count, 1, f"count must be >= 1, got {count!r}")
     return _weighted_gram(profile, regressor_matrix(model, np.arange(k - count + 1, k + 1)))[0]
 
 
@@ -99,53 +100,36 @@ def _by_entry(rows, theta):
     return rows.T if theta.ndim == 1 else rows.T[..., None]
 
 
+def _value_array(values) -> np.ndarray:
+    """``values`` as a float (count,) or (count, B) array; a ValueError for any other shape."""
+    y = np.asarray(values, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"values must be a (count,) or (count, B) array, got shape {y.shape}")
+    return y
+
+
+def _non_finite(k, y) -> RangeError:
+    """The RangeError for sample k's value y, a float or a (B,) array, that is not finite."""
+    if np.ndim(y) == 0:
+        return RangeError(f"non-finite value {float(y)!r} at index {k}")
+    col = int(np.argmin(np.isfinite(y)))
+    return RangeError(f"non-finite value {float(y[col])!r} in column {col} at index {k}")
+
+
 def _plain(x):
     """A scalar result as a float; a batch's per-column array as it is."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 class RlsEstimator:
-    """Windowed RLS engine; single-owner, advanced with step() or run() in index order."""
+    """Windowed RLS engine; single-owner, advanced with step() or run() in index order.
 
-    def __init__(self, profile, model, *, diagonal_loading=0.0):
-        if not 0.0 <= diagonal_loading < math.inf:
-            raise RangeError("diagonal loading must be finite and >= 0")
-        self.profile: ForgettingProfile = profile
-        self.model: HarmonicModel = model
-        self.template = template = update_template(profile)
-        lags = template.lags
-        self.diagonal_loading = float(diagonal_loading)
-        self.gamma: np.ndarray | None = None
-        self.theta: np.ndarray | None = None
-        self.k: int = 0
-        self.window: int = 0
-        # first-harmonic residuals of the last `window` samples: sample k sits
-        # in slot (k - 1) % window
-        self._residuals = np.zeros(0)
-        # template unpacked once; columns are scale_i * phi_{k - lag_i}
-        self._scales = np.array(template.scales)
-        self._d = np.diag(np.array(template.signs, dtype=float))
-        self._decay = profile.lam
-        # the block of regressor rows and values: index k sits at position
-        # k - self._first_row.  It holds the L indices before the step that
-        # started it and the ROW_BLOCK from it on; init makes the values
-        # (count, B) for samples holding B values.
-        self._lead = max(lags)
-        self._rows = np.zeros((0, model.dim))
-        self._values = np.zeros(0)
-        self._first_row = 0
-        # the block positions of the lagged samples of the j-th step of a
-        # block, and that step's correction columns, transposed: (r, n) each
-        self._slots = self._lead + np.arange(ROW_BLOCK)[:, None] - np.array(lags)
-        self._columns = np.zeros((0, len(lags), model.dim))
-        # the infinite profile's regressor rows from index 1 on, built as
-        # info_matrix needs them
-        self._history = np.zeros((0, model.dim))
-        self._phi: np.ndarray | None = None
-        self._yhat1 = None
+    ``init`` is the only way to build one: it sets every attribute, once,
+    from the batch solve over the first window.
+    """
 
-    # ------------------------------------------------------------------
-    # construction
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an RlsEstimator with RlsEstimator.init(profile, model, values)")
 
     @classmethod
     def init(
@@ -168,15 +152,13 @@ class RlsEstimator:
         a positive ``diagonal_loading`` adds eps*I to the initial matrix
         instead.  A non-finite value raises the RangeError ``step`` would.
         """
-        est = cls(profile, model, diagonal_loading=diagonal_loading)
-        y = np.array(values, dtype=float)
-        if y.ndim not in (1, 2):
-            raise ValueError(f"values must be a (count,) or (count, B) array, got shape {y.shape}")
-        est._values = y[:0]           # _value reads the batch shape from it
+        if not 0.0 <= diagonal_loading < math.inf:
+            raise RangeError("diagonal loading must be finite and >= 0")
+        y = _value_array(values).copy()
         bad = np.argwhere(~np.isfinite(y))
         if len(bad):
             # the first non-finite row raises step's error for its index
-            est._value(int(bad[0, 0]) + 1, y[bad[0, 0]])
+            raise _non_finite(int(bad[0, 0]) + 1, y[bad[0, 0]])
         unbounded = profile.w is None
         window = len(y) if unbounded else profile.w
         if window < model.dim:
@@ -188,40 +170,63 @@ class RlsEstimator:
                 f"initialization needs exactly w={window} samples, got {len(y)}"
             )
 
-        est.window = est.k = window
         phi = regressor_matrix(model, np.arange(1, window + 1))
         a, wphi = _weighted_gram(profile, phi)
-        if est.diagonal_loading > 0.0:
-            a = a + est.diagonal_loading * np.eye(model.dim)
+        if diagonal_loading > 0.0:
+            a = a + diagonal_loading * np.eye(model.dim)
+
+        est = cls.__new__(cls)
+        est.profile, est.model = profile, model
+        est.template = template = update_template(profile)
+        lags = template.lags
         est.gamma = linalg.spd_inverse(a)
         est.theta = est.gamma @ (wphi.T @ y)
-
-        # the first step starts a block from the window's last L rows and values
-        est._rows, est._values = phi[window - est._lead:], y[window - est._lead:]
-        est._first_row = est.k + 1 - est._lead
+        est.k = est.window = window
+        # template unpacked once; columns are scale_i * phi_{k - lag_i}
+        est._scales = np.array(template.scales)
+        est._d = np.diag(np.array(template.signs, dtype=float))
+        est._decay = profile.lam
+        # the block of regressor rows and values: index k sits at position
+        # k - est._first_row.  It holds the L indices before the step that
+        # started it and the ROW_BLOCK from it on.  The first block holds the
+        # window's last L rows and values, (L, B) for a batch, and serves no
+        # step: the first step starts the next one.
+        est._lead = lead = max(lags)
+        est._rows, est._values = phi[window - lead:], y[window - lead:]
+        est._first_row = window + 1 - lead
+        # the block positions of the lagged samples of the j-th step of a
+        # block, and that step's correction columns, transposed: (r, n) each
+        est._slots = lead + np.arange(ROW_BLOCK)[:, None] - np.array(lags)
+        est._columns = np.zeros((0, len(lags), model.dim))
+        # the infinite profile's regressor rows from index 1 on, built as
+        # info_matrix needs them
+        est._history = np.zeros((0, model.dim))
         est._phi = phi[-1]
         est._yhat1 = _first_harmonic(est.theta, est._phi)
+        # first-harmonic residuals of the last `window` samples: sample k sits
+        # in slot (k - 1) % window
         est._residuals = y - _first_harmonic(est.theta, _by_entry(phi, est.theta))
         return est
 
     def _value(self, k: int, value):
         """Sample k's value: a float, or a (B,) array for a batch; refuses non-finite ones."""
         if self._values.ndim == 1:
-            y = float(value)
+            try:
+                y = float(value)
+            except TypeError:
+                raise ValueError(
+                    f"expected one value at index {k}, got shape {np.shape(value)}"
+                ) from None
             if not math.isfinite(y):
-                raise RangeError(f"non-finite value {y!r} at index {k}")
+                raise _non_finite(k, y)
             return y
         y = np.asarray(value, dtype=float)
         if y.shape != self._values.shape[1:]:
             raise ValueError(
                 f"expected {self._values.shape[1]} values at index {k}, got shape {y.shape}"
             )
-        finite = np.isfinite(y)
-        if not finite.all():
-            col = int(np.argmin(finite))
-            raise RangeError(
-                f"non-finite value {float(y[col])!r} in column {col} at index {k}"
-            )
+        if not np.isfinite(y).all():
+            raise _non_finite(k, y)
         return y
 
     # ------------------------------------------------------------------
@@ -231,16 +236,16 @@ class RlsEstimator:
         """Consume the next sample (index state.k + 1) and update theta, gamma.
 
         A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
-        as B^{-1}.  A batch estimator takes B values per sample.  A non-finite
-        y raises RangeError.  When the step raises, nothing that a later step
-        or read-out uses has changed: it may only have started the next row
-        block, and written y at k's block position, past the current index.
+        as B^{-1}.  A batch estimator takes B values per sample, a scalar one
+        a number; a value of another shape raises ValueError, a non-finite
+        one RangeError.  An index other than k + 1 raises IndexGapError.
+        When the step raises, nothing that a later step or read-out uses has
+        changed: it may only have started the next row block, and written y
+        at k's block position, past the current index.
         """
-        if self.gamma is None:
-            raise RuntimeError("estimator is not initialized; call init() first")
-        k = int(sample[0])
-        if k != self.k + 1:
-            raise IndexGapError(f"expected sample index {self.k + 1}, got {k}")
+        k = self.k + 1
+        if sample[0] != k:
+            raise IndexGapError(f"expected sample index {k}, got {sample[0]}")
         y = self._value(k, sample[1])
 
         i = k - self._first_row
@@ -279,6 +284,7 @@ class RlsEstimator:
         and None on every other row, and on every row when cond_every is 0.
         """
         _check_count(cond_every, 0, f"cond_every must be an integer >= 0, got {cond_every!r}")
+        values = _value_array(values)
         yhat = np.empty((len(values) + 1, *self._values.shape[1:]))
         yhat1 = np.empty_like(yhat)
         cond = [None] * len(yhat)
@@ -320,10 +326,6 @@ class RlsEstimator:
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""
-        if len(self._residuals) < 2:
-            raise InsufficientDataError(
-                "moving variance needs at least two buffered residuals"
-            )
         # oldest first: the slot after sample k's holds the oldest buffered residual
         oldest = self.k % len(self._residuals)
         r = np.roll(self._residuals, -oldest, axis=0)

@@ -112,8 +112,7 @@ def weights(profile: ForgettingProfile, count: int) -> np.ndarray:
     f(j) is beta^j on lags 0..p and lambda^(m+j-p) after that for the
     segmented law, lambda^j for the exponential laws.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count!r}")
+    _check_count(count, 0, f"count must be >= 0, got {count!r}")
     j = np.arange(count, dtype=float)
     if isinstance(profile, ExponentialProfile):
         f = np.power(profile.lam, j)

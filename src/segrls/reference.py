@@ -27,7 +27,7 @@ from .errors import (
     RangeError,
     _check_count,
 )
-from .estimator import RlsEstimator, Sample, _weighted_gram
+from .estimator import RlsEstimator, Sample, _value_array, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile
 
@@ -44,7 +44,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_base(seed: int, stream: int) -> np.ndarray:
-    raw = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    raw = np.array([int(seed) % 2**64, stream % 2**64], dtype=np.uint64)
     return _mix64(raw[:1] + _GOLDEN * raw[1:])
 
 
@@ -96,6 +96,7 @@ class SyntheticSpec:
             raise RangeError("theta_star must be finite")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise RangeError("noise sigma must be finite and >= 0")
+        _check_count(self.seed, -math.inf, f"seed must be an integer, got {self.seed!r}")
         _check_count(self.length, 1, "length must be >= 1")
         object.__setattr__(self, "theta_star", theta)
 
@@ -139,6 +140,7 @@ def direct_weighted_ls(
     (or the whole available history for the unbounded profile).  No
     recursion anywhere.
     """
+    _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
     first = samples[0].k
     if not first <= k <= samples[-1].k:
         raise ValueError(f"index {k} outside the sample range {first}..{samples[-1].k}")
@@ -169,6 +171,16 @@ def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarr
 # recursion vs direct trajectory comparison
 
 
+def _init_window(profile: ForgettingProfile, init_count: int | None) -> int:
+    """The batch-initialization length: w, or ``init_count`` for the unbounded profile."""
+    if profile.w is not None:
+        return profile.w
+    if init_count is None:
+        raise ValueError("init_count is required for the unbounded profile")
+    _check_count(init_count, 1, f"init_count must be an integer >= 1, got {init_count!r}")
+    return init_count
+
+
 @dataclass
 class TrajectoryReport:
     theta_dev_max: float
@@ -189,14 +201,9 @@ def compare_trajectory(
     ``init_count`` sets the batch-initialization length for the unbounded
     profile (windowed profiles always initialize over w samples).
     """
-    values = np.asarray(values, dtype=float)
+    values = _value_array(values)
     unbounded = profile.w is None
-    if unbounded:
-        if init_count is None:
-            raise ValueError("init_count is required for the unbounded profile")
-        window = init_count
-    else:
-        window = profile.w
+    window = _init_window(profile, init_count)
     if len(values) < window + 1:
         raise ValueError("need at least one step beyond the initial window")
 
@@ -259,12 +266,9 @@ def monte_carlo_bias(
     gain does not depend on the values, so the trials run as the columns of
     batch estimators, ``_MC_GROUP`` at a time.
     """
-    if trials < 100:
-        raise RangeError("at least 100 trials are required for the bias estimate")
-    unbounded = profile.w is None
-    window = (init_count if unbounded else profile.w)
-    if window is None:
-        raise ValueError("init_count is required for the unbounded profile")
+    _check_count(trials, 100, "at least 100 trials are required for the bias estimate")
+    _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
+    window = _init_window(profile, init_count)
     if not window < k <= spec.length:
         raise ValueError(f"index k={k} must lie in ({window}, {spec.length}]")
 
@@ -391,6 +395,8 @@ def accumulation_experiment(
     are counted, not raised; the affected trial records an infinite chain
     error.
     """
+    for name, count in (("n", n), ("steps", steps), ("trials", trials)):
+        _check_count(count, 1, f"{name} must be an integer >= 1, got {count!r}")
     batch_errors = np.empty(trials)
     chain_errors = np.empty(trials)
     incidents = 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from segrls import linalg
 from segrls.errors import (
     IndexGapError,
-    InsufficientDataError,
     NotPositiveDefiniteError,
     RangeError,
     SingularUpdateError,
@@ -24,13 +24,22 @@ from segrls.profile import (
     ExponentialProfile,
     SegmentedProfile,
     update_template,
+    weights,
 )
-from segrls.reference import SyntheticSpec, direct_weighted_ls, synth_generate
+from segrls.reference import (
+    SyntheticSpec,
+    accumulation_experiment,
+    compare_trajectory,
+    direct_weighted_ls,
+    monte_carlo_bias,
+    synth_generate,
+)
 from segrls.verify import fig2_profile, standard_model, standard_theta
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
 THETA_STAR = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
 PROFILE = SegmentedProfile(beta=0.85, lam=0.97, m=30, p=1, w=50)
+SPEC = SyntheticSpec(model=MODEL, theta_star=THETA_STAR, noise_sigma=1.0, seed=3, length=90)
 
 
 def make_series(sigma, seed=11, length=160):
@@ -165,6 +174,32 @@ class TestInit:
         assert est.window == 80
         assert est.k == 80
 
+    def test_the_constructor_builds_nothing(self):
+        with pytest.raises(TypeError, match=r"RlsEstimator\.init\(profile, model, values\)"):
+            RlsEstimator(PROFILE, MODEL)
+
+    @pytest.mark.parametrize(
+        "profile, count",
+        [(PROFILE, PROFILE.w), (ExponentialProfile(0.97, 50), 50), (ExponentialProfile(0.97), 20)],
+        ids=["segmented", "exponential", "infinite"],
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    def test_read_outs_work_right_after_init(self, profile, count, batch):
+        values = batch_values(1, 2, 3)[:count] if batch else make_series(1.0)[:count]
+        est = RlsEstimator.init(profile, MODEL, values)
+        shape = values.shape[1:]
+        rows = regressor_matrix(MODEL, np.arange(1, count + 1))
+        fitted = rows[-1] @ est.theta
+        assert np.array_equal(est.fitted()[0], fitted)
+        assert np.array_equal(est.fitted()[1], _first_harmonic(est.theta, rows[-1]))
+        residuals = values - np.array([_first_harmonic(est.theta, row) for row in rows])
+        assert est.moving_variance() == pytest.approx(np.mean(residuals**2, axis=0), rel=1e-12)
+        band = est.forecast(1)
+        assert band.mean.shape == (1, *shape)
+        assert np.shape(band.sigma) == shape
+        info = information_matrix(profile, MODEL, count, count)
+        assert np.allclose(est.info_matrix(), info, rtol=1e-12, atol=0.0)
+
 
 class TestStep:
     def test_index_gap_rejected(self):
@@ -175,10 +210,34 @@ class TestStep:
         with pytest.raises(IndexGapError):
             est.step(Sample(est.k, 0.0))
 
-    def test_uninitialized_estimator_rejected(self):
-        est = RlsEstimator(PROFILE, MODEL)
-        with pytest.raises(RuntimeError):
-            est.step(Sample(1, 0.0))
+    def test_non_integer_index_is_a_gap(self):
+        est = init_on(make_series(1.0))
+        before = state_of(est)
+        with pytest.raises(IndexGapError, match=r"^expected sample index 51, got 51\.5$"):
+            est.step((est.k + 1.5, 0.0))
+        assert_state_equal(est, before)
+        # an index equal to the next one steps, and k stays a Python integer
+        est.step((51.0, 0.0))
+        est.step((np.int64(52), 0.0))
+        assert type(est.k) is int and est.k == 52
+
+    @pytest.mark.parametrize(
+        "value", [[1.0, 2.0], np.array([1.0]), np.ones((2, 2))], ids=["list", "one", "2x2"]
+    )
+    def test_value_of_a_wrong_shape_names_its_index(self, value):
+        est = init_on(make_series(1.0))
+        before = state_of(est)
+        text = f"expected one value at index 51, got shape {np.shape(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            est.step((est.k + 1, value))
+        assert_state_equal(est, before)
+
+    def test_run_over_batch_values_names_the_first_index(self):
+        est = init_on(make_series(1.0))
+        before = state_of(est)
+        with pytest.raises(ValueError, match=r"^expected one value at index 51, got shape \(2,\)$"):
+            est.run(np.ones((5, 2)))
+        assert_state_equal(est, before)
 
     def test_noiseless_fixed_point(self):
         series = make_series(0.0)
@@ -555,12 +614,6 @@ class TestMovingVariance:
         est._residuals = [2.5, -2.5, 2.5, -2.5]
         assert est.moving_variance() == pytest.approx(2.5**2)
 
-    def test_insufficient_data(self):
-        est = init_on(make_series(0.0))
-        est._residuals = [1.0]
-        with pytest.raises(InsufficientDataError):
-            est.moving_variance()
-
     def test_mean_is_taken_oldest_first(self):
         # the buffered residuals are summed in sample order, as a plain window would be
         series = make_series(1.0, length=PROFILE.w * 2 + 7)
@@ -651,7 +704,7 @@ class TestForecast:
 
 
 class TestCounts:
-    """Counts outside the profiles: a Python or numpy integer in range, else RangeError."""
+    """Counts and indices outside the CLI: a Python or numpy integer in range, else RangeError."""
 
     @pytest.mark.parametrize("call, text", [
         (lambda est: make_harmonic_model(365.25, 1.5), "harmonics must be >= 0, got 1.5"),
@@ -664,8 +717,30 @@ class TestCounts:
          "cond_every must be an integer >= 0, got 2.5"),
         (lambda est: est.run(np.zeros(9), cond_every=-3),
          "cond_every must be an integer >= 0, got -3"),
+        (lambda est: weights(PROFILE, 10.5), "count must be >= 0, got 10.5"),
+        (lambda est: weights(PROFILE, -3), "count must be >= 0, got -3"),
+        (lambda est: information_matrix(PROFILE, MODEL, 80, 30.5), "count must be >= 1, got 30.5"),
+        (lambda est: information_matrix(PROFILE, MODEL, 80.5, 30), "k must be an integer, got 80.5"),
+        (lambda est: information_matrix(PROFILE, MODEL, 80, 0), "count must be >= 1, got 0"),
+        (lambda est: SyntheticSpec(MODEL, THETA_STAR, 1.0, 1.5, 10), "seed must be an integer, got 1.5"),
+        (lambda est: direct_weighted_ls(PROFILE, MODEL, samples_of(np.zeros(60)), 55.5),
+         "k must be an integer, got 55.5"),
+        (lambda est: compare_trajectory(ExponentialProfile(0.97), MODEL, np.zeros(60), init_count=20.5),
+         "init_count must be an integer >= 1, got 20.5"),
+        (lambda est: monte_carlo_bias(PROFILE, SPEC, 100, 80.5), "k must be an integer, got 80.5"),
+        (lambda est: monte_carlo_bias(PROFILE, SPEC, 100.5, 80),
+         "at least 100 trials are required for the bias estimate"),
+        (lambda est: monte_carlo_bias(ExponentialProfile(0.97), SPEC, 100, 80, init_count=-3),
+         "init_count must be an integer >= 1, got -3"),
+        (lambda est: accumulation_experiment(2.5, 4, 10.0, 2), "n must be an integer >= 1, got 2.5"),
+        (lambda est: accumulation_experiment(3, 0, 10.0, 2), "steps must be an integer >= 1, got 0"),
+        (lambda est: accumulation_experiment(3, 4, 10.0, 0), "trials must be an integer >= 1, got 0"),
     ], ids=["harmonics-float", "harmonics-negative", "length-float", "length-zero",
-            "horizon-float", "horizon-zero", "cond-every-float", "cond-every-negative"])
+            "horizon-float", "horizon-zero", "cond-every-float", "cond-every-negative",
+            "weights-float", "weights-negative", "info-count-float", "info-k-float",
+            "info-count-zero", "seed-float", "direct-k-float", "trajectory-init-float",
+            "bias-k-float", "bias-trials-float", "bias-init-negative", "accumulation-n-float",
+            "accumulation-steps-zero", "accumulation-trials-zero"])
     def test_refused(self, call, text):
         est = init_on(make_series(1.0))
         with pytest.raises(RangeError) as err:
@@ -684,6 +759,9 @@ class TestCounts:
                 for cond_every in (7, np.int64(7))]
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
+        assert np.array_equal(weights(PROFILE, np.int64(60)), weights(PROFILE, 60))
+        assert np.array_equal(information_matrix(PROFILE, MODEL, np.int64(80), np.int32(30)),
+                              information_matrix(PROFILE, MODEL, 80, 30))
 
 
 class TestInfoMatrix:

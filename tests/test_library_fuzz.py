@@ -1,0 +1,341 @@
+"""Seeded fuzz loop over the library's public callables.
+
+Each case calls one of the callables in ``segrls.__all__`` (not the exception
+classes, nor the NamedTuple records ``Sample``, ``ForecastBand`` and
+``UpdateTemplate``, which check nothing), ``estimator.information_matrix``,
+``reference.accumulation_experiment``, or an estimator's ``step``, ``run``
+and ``forecast``.  Its arguments are drawn by a ``random.Random`` seeded
+with SEED and the case's name, from floats, negatives, zero, nan and inf,
+numpy integers, wrong shapes and wrong batch widths.  A case must return a
+result of the documented shape, or raise a ``SegrlsError`` or one of the
+library's own ValueErrors about a shape or an index range (``DOCUMENTED``).
+A TypeError, an IndexError, any other exception or a result of the wrong
+shape fails the test, and the message holds the call, so a failure replays
+from it.
+"""
+
+import math
+import random
+import re
+
+import numpy as np
+import pytest
+
+import segrls
+from segrls import (
+    ExponentialProfile,
+    HarmonicModel,
+    RlsEstimator,
+    Sample,
+    SegmentedProfile,
+    SegrlsError,
+    SyntheticSpec,
+    compare_trajectory,
+    direct_weighted_ls,
+    make_harmonic_model,
+    monte_carlo_bias,
+    regressor_matrix,
+    synth_generate,
+    update_template,
+    weights,
+)
+from segrls.estimator import information_matrix
+from segrls.reference import accumulation_experiment
+
+SEED = 16
+MODEL = make_harmonic_model(40.0, 2)  # n = 7
+THETA = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
+PROFILES = {
+    "segmented": SegmentedProfile(beta=0.85, lam=0.97, m=30, p=1, w=50),
+    "exponential": ExponentialProfile(0.97, 50),
+    "infinite": ExponentialProfile(0.97),
+}
+SPEC = SyntheticSpec(MODEL, THETA, 1.0, 3, 90)
+
+# the library's ValueErrors: a value array of the wrong shape, or an index
+# outside the range its other arguments allow
+DOCUMENTED = [
+    r"values must be a \(count,\) or \(count, B\) array, got shape ",
+    r"initialization needs exactly w=\d+ samples, got \d+$",
+    r"expected (one value|\d+ values) at index \d+, got shape ",
+    r"index -?\d+ outside the sample range \d+\.\.\d+$",
+    r"init_count is required for the unbounded profile$",
+    r"need at least one step beyond the initial window$",
+    r"index k=-?\d+ must lie in \(\d+, \d+\]$",
+]
+
+NAN, INF = math.nan, math.inf
+# every count stays small enough that a defect cannot exhaust memory
+COUNTS = [0, 1, 2, 3, 5, 7, -1, -3, 2.5, 10.5, 5.0, NAN, INF, -INF,
+          np.int64(4), np.int32(2), np.int64(-1)]
+REALS = [0.0, -1.0, 1e-9, 0.5, 0.9, 0.97, 1.0, 1.5, 40.0, NAN, INF, -INF,
+         np.float32(0.9), np.int64(1), 3]
+VALUE_SHAPES = [(), (0,), (1,), (5,), (20,), (49,), (50,), (60,),
+                (50, 1), (50, 2), (50, 3), (20, 3), (60, 3), (50, 3, 1)]
+
+
+def values_of(rng, shapes):
+    """A normal value array of a shape drawn from ``shapes``, a non-finite entry in one of four."""
+    shape = rng.choice(shapes)
+    values = np.array([rng.gauss(0.0, 2.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    if values.size and rng.random() < 0.25:
+        values.flat[rng.randrange(values.size)] = rng.choice([NAN, INF, -INF])
+    return values
+
+
+def batch(values):
+    """The batch shape, () or (B,), that a (count[, B]) value array starts."""
+    return np.shape(values)[1:]
+
+
+def expect(label, call, check):
+    """Run ``call``; its result must pass ``check``, or it must raise as documented."""
+    try:
+        result = call()
+    except SegrlsError:
+        return False
+    except ValueError as err:
+        if not any(re.match(text, str(err)) for text in DOCUMENTED):
+            pytest.fail(f"{label}: undocumented ValueError: {err}")
+        return False
+    except Exception as err:  # any other exception fails the case
+        pytest.fail(f"{label}: {type(err).__name__}: {err}")
+    try:
+        check(result)
+    except AssertionError as err:
+        pytest.fail(f"{label}: wrong result: {err}")
+    return True
+
+
+# ----------------------------------------------------------------------
+# one case per callable; each returns (label, call, check)
+
+
+def case_model(rng):
+    period, harmonics = rng.choice(REALS + [365.25, 8.0]), rng.choice(COUNTS)
+    build = rng.choice([make_harmonic_model, HarmonicModel])
+
+    def check(model):
+        assert model.dim == 2 * (harmonics + 1) + 1
+        assert model.frequencies.shape == (harmonics + 1,)
+
+    return f"{build.__name__}({period!r}, {harmonics!r})", lambda: build(period, harmonics), check
+
+
+def case_exponential(rng):
+    lam, w = rng.choice(REALS), rng.choice(COUNTS + [None, 50])
+
+    def check(profile):
+        assert update_template(profile).rank == (1 if w is None else 2)
+
+    return f"ExponentialProfile({lam!r}, {w!r})", lambda: ExponentialProfile(lam, w), check
+
+
+def case_segmented(rng):
+    # the draws lean on one valid profile, or hardly any would be built
+    beta, lam = rng.choice(REALS + [0.85] * 15), rng.choice(REALS + [0.97] * 15)
+    m, p = rng.choice(COUNTS + [30] * 17), rng.choice(COUNTS + [1, 2] * 8)
+    w = rng.choice(COUNTS + [50] * 17)
+
+    def check(profile):
+        template = update_template(profile)
+        assert len(template.lags) == len(template.scales) == len(template.signs) == p + 3
+
+    return (f"SegmentedProfile({beta!r}, {lam!r}, {m!r}, {p!r}, {w!r})",
+            lambda: SegmentedProfile(beta, lam, m, p, w), check)
+
+
+def case_weights(rng):
+    name, count = rng.choice(sorted(PROFILES)), rng.choice(COUNTS + [60])
+
+    def check(f):
+        assert f.shape == (count,)
+
+    return f"weights({name}, {count!r})", lambda: weights(PROFILES[name], count), check
+
+
+def case_regressor_matrix(rng):
+    indices = np.array(rng.choice([[], [1, 2, 3], [-4, 0, 4], [2.5, -0.5], [[1, 2], [3, 4]],
+                                   [NAN], 7, np.int64(9)]))
+
+    def check(rows):
+        assert rows.shape == (indices.size, MODEL.dim)
+
+    return f"regressor_matrix(MODEL, {indices!r})", lambda: regressor_matrix(MODEL, indices), check
+
+
+def case_information_matrix(rng):
+    name = rng.choice(sorted(PROFILES))
+    k, count = rng.choice(COUNTS + [80, -5]), rng.choice(COUNTS + [30])
+
+    def check(a):
+        assert a.shape == (MODEL.dim, MODEL.dim)
+
+    return (f"information_matrix({name}, MODEL, {k!r}, {count!r})",
+            lambda: information_matrix(PROFILES[name], MODEL, k, count), check)
+
+
+def case_synth(rng):
+    theta = values_of(rng, [(7,), (7,), (6,), (), (7, 1), (2, 7)]) + THETA[0]
+    sigma, seed, length = rng.choice(REALS), rng.choice(COUNTS), rng.choice(COUNTS + [40])
+
+    def check(values):
+        assert values.shape == (length,)
+
+    return (f"synth_generate(SyntheticSpec(MODEL, {theta!r}, {sigma!r}, {seed!r}, {length!r}))",
+            lambda: synth_generate(SyntheticSpec(MODEL, theta, sigma, seed, length)), check)
+
+
+def case_init(rng):
+    name, values = rng.choice(sorted(PROFILES)), values_of(rng, VALUE_SHAPES)
+    loading = rng.choice([0.0, 0.0, 1e-9, -1.0, NAN, INF, np.float32(0.0), np.int64(0)])
+
+    def check(est):
+        assert est.theta.shape == (MODEL.dim, *batch(values))
+        assert est.gamma.shape == (MODEL.dim, MODEL.dim)
+        assert est.k == len(values)
+
+    return (f"RlsEstimator.init({name}, MODEL, <shape {values.shape}>, diagonal_loading={loading!r})",
+            lambda: RlsEstimator.init(PROFILES[name], MODEL, values, diagonal_loading=loading),
+            check)
+
+
+def started(rng):
+    """(label, estimator) initialized on a clean window, scalar or a batch of 3."""
+    name, width = rng.choice(sorted(PROFILES)), rng.choice([(), (3,)])
+    values = np.array([rng.gauss(0.0, 2.0) for _ in range(50 * (width or (1,))[0])])
+    est = RlsEstimator.init(PROFILES[name], MODEL, values.reshape(50, *width))
+    return f"{name} estimator of batch shape {width}", est
+
+
+def case_step(rng):
+    label, est = started(rng)
+    k = est.k
+    index = rng.choice([k + 1, k + 1, k + 1, k + 2, k, k + 1.0, k + 1.5, np.int64(k + 1), NAN, -1])
+    value = rng.choice(REALS + [values_of(rng, [(), (1,), (2,), (3,), (3, 1), (4,)])])
+    theta = est.theta.copy()
+
+    def call():
+        try:
+            return est.step((index, value))
+        except (SegrlsError, ValueError):
+            assert est.k == k and np.array_equal(est.theta, theta), "a failed step changed k or theta"
+            raise
+
+    def check(result):
+        assert result is None and est.k == k + 1
+        assert est.theta.shape == theta.shape
+
+    return f"{label}: step(({index!r}, {value!r}))", call, check
+
+
+def case_run(rng):
+    label, est = started(rng)
+    values = values_of(rng, [(), (0,), (5,), (5, 1), (5, 2), (5, 3), (5, 3, 1)])
+    cond_every = rng.choice([0, 0, 1, 2, -1, 2.5, NAN, np.int64(3)])
+    shape = batch(est.theta)
+
+    def check(result):
+        yhat, yhat1, cond = result
+        assert yhat.shape == yhat1.shape == (len(values) + 1, *shape)
+        assert len(cond) == len(values) + 1
+
+    return (f"{label}: run(<shape {values.shape}>, {cond_every!r})",
+            lambda: est.run(values, cond_every), check)
+
+
+def case_forecast(rng):
+    label, est = started(rng)
+    horizon = rng.choice(COUNTS + [30])
+    shape = batch(est.theta)
+
+    def check(band):
+        assert band.mean.shape == band.lower.shape == band.upper.shape == (horizon, *shape)
+        assert np.shape(band.sigma) == shape
+
+    return f"{label}: forecast({horizon!r})", lambda: est.forecast(horizon), check
+
+
+def case_direct(rng):
+    name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(60,), (60,), (60, 3)])
+    samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
+    k = rng.choice(COUNTS + [55, 60, 60, 61])
+
+    def check(result):
+        a, theta = result
+        assert a.shape == (MODEL.dim, MODEL.dim)
+        assert theta.shape == (MODEL.dim, *batch(values))
+
+    return (f"direct_weighted_ls({name}, MODEL, <{values.shape} samples>, {k!r})",
+            lambda: direct_weighted_ls(PROFILES[name], MODEL, samples, k), check)
+
+
+def case_trajectory(rng):
+    name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(), (50,), (60,), (60,), (60, 3)])
+    init_count = rng.choice(COUNTS + [None, 20, 20, 60])
+
+    def check(report):
+        window = PROFILES[name].w or init_count
+        assert report.steps == len(values) - window
+
+    return (f"compare_trajectory({name}, MODEL, <shape {values.shape}>, init_count={init_count!r})",
+            lambda: compare_trajectory(PROFILES[name], MODEL, values, init_count=init_count), check)
+
+
+def case_bias(rng):
+    name = rng.choice(sorted(PROFILES))
+    trials = rng.choice([100, 100, np.int64(100), 100.5, 99, -1, NAN])
+    k = rng.choice([60, 60, 51, 50, 91, 60.5, np.int64(60), NAN])
+    init_count = rng.choice([None, 20, 20, 20.5, 0])
+
+    def check(report):
+        assert report.bias.shape == report.standard_error.shape == (MODEL.dim,)
+
+    return (f"monte_carlo_bias({name}, SPEC, {trials!r}, {k!r}, init_count={init_count!r})",
+            lambda: monte_carlo_bias(PROFILES[name], SPEC, trials, k, init_count=init_count),
+            check)
+
+
+def case_accumulation(rng):
+    n = rng.choice([1, 3, 3, 0, 2.5, np.int64(3), NAN])
+    steps = rng.choice([1, 2, 4, 0, -1, 2.5, np.int32(2)])
+    cond, trials = rng.choice([1.0, 10.0, 1e4, 0.5]), rng.choice([1, 2, 0, 2.5, np.int64(2)])
+
+    def check(report):
+        assert report.batch_errors.shape == report.chain_errors.shape == (trials,)
+
+    return (f"accumulation_experiment({n!r}, {steps!r}, {cond!r}, {trials!r})",
+            lambda: accumulation_experiment(n, steps, cond, trials), check)
+
+
+# (case, number of draws): the Monte-Carlo bias runs 100 trials a call
+CASES = [
+    (case_model, 60), (case_exponential, 60), (case_segmented, 80), (case_weights, 40),
+    (case_regressor_matrix, 20), (case_information_matrix, 60), (case_synth, 60),
+    (case_init, 80), (case_step, 120), (case_run, 60), (case_forecast, 40),
+    (case_direct, 40), (case_trajectory, 30), (case_bias, 10), (case_accumulation, 30),
+]
+
+
+def test_cases_cover_the_public_callables():
+    covered = {"RlsEstimator", "ExponentialProfile", "SegmentedProfile", "HarmonicModel",
+               "SyntheticSpec", "compare_trajectory", "direct_weighted_ls",
+               "make_harmonic_model", "monte_carlo_bias", "regressor_matrix",
+               "synth_generate", "update_template", "weights"}
+    records = {"Sample", "ForecastBand", "UpdateTemplate"}
+    callables = {name for name in segrls.__all__
+                 if callable(getattr(segrls, name))
+                 and not (isinstance(getattr(segrls, name), type)
+                          and issubclass(getattr(segrls, name), Exception))}
+    assert callables - records == covered
+
+
+@pytest.mark.parametrize("case, draws", CASES, ids=[case.__name__[5:] for case, _ in CASES])
+def test_every_call_returns_its_shape_or_raises_as_documented(case, draws):
+    rng = random.Random(f"{SEED}-{case.__name__}")
+    returned = 0
+    for _ in range(draws):
+        label, call, check = case(rng)
+        returned += expect(label, call, check)
+    # some draws return, so the shape checks are not vacuous
+    assert returned > 0

@@ -122,7 +122,7 @@ class TestWeight:
         assert unbounded[400] == pytest.approx(0.99**400, rel=1e-13)
 
     def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError, match=r"^count must be >= 0, got -1$"):
             weights(SegmentedProfile(**FIG2), -1)
         assert weights(SegmentedProfile(**FIG2), 0).shape == (0,)
 
