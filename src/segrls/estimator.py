@@ -172,14 +172,13 @@ class RlsEstimator:
 
         phi = regressor_matrix(model, np.arange(1, window + 1))
         a, wphi = _weighted_gram(profile, phi)
-        if diagonal_loading > 0.0:
-            a = a + diagonal_loading * np.eye(model.dim)
+        loaded = a + diagonal_loading * np.eye(model.dim) if diagonal_loading > 0.0 else a
 
         est = cls.__new__(cls)
         est.profile, est.model = profile, model
         est.template = template = update_template(profile)
         lags = template.lags
-        est.gamma = linalg.spd_inverse(a)
+        est.gamma = linalg.spd_inverse(loaded)
         est.theta = est.gamma @ (wphi.T @ y)
         est.k = est.window = window
         # template unpacked once; columns are scale_i * phi_{k - lag_i}
@@ -198,9 +197,8 @@ class RlsEstimator:
         # block, and that step's correction columns, transposed: (r, n) each
         est._slots = lead + np.arange(ROW_BLOCK)[:, None] - np.array(lags)
         est._columns = np.zeros((0, len(lags), model.dim))
-        # the infinite profile's regressor rows from index 1 on, built as
-        # info_matrix needs them
-        est._history = np.zeros((0, model.dim))
+        # the infinite profile's unloaded A at index _info_k, for info_matrix
+        est._info, est._info_k = a, window
         est._phi = phi[-1]
         est._yhat1 = _first_harmonic(est.theta, est._phi)
         # first-harmonic residuals of the last `window` samples: sample k sits
@@ -344,19 +342,20 @@ class RlsEstimator:
         return ForecastBand(mean, mean - 3.0 * sigma, mean + 3.0 * sigma, sigma)
 
     def info_matrix(self) -> np.ndarray:
-        """Weighted regressor outer-product sum A_k, assembled from scratch.
+        """Weighted regressor outer-product sum A_k, a new array on each call.
 
-        Diagnostic reconstruction from the weight law and the regressor rows;
-        does not touch the recursively maintained gain matrix.  A windowed
-        profile's largest lag is w, so the row block holds the window's rows;
-        the infinite profile keeps its history's rows and builds only those
-        of the indices since the last call.
+        Assembled from the weight law and the regressor rows, never from the
+        gain.  A windowed profile's row block holds the window's rows.  The
+        infinite profile keeps A_k0 from the last call (or init's, unloaded)
+        and returns lambda^(k - k0) A_k0 plus the weighted gram of rows k0+1..k.
         """
         if self.profile.w is None:
-            built = 1 + len(self._history)
-            if built <= self.k:
-                rows = regressor_matrix(self.model, np.arange(built, self.k + 1))
-                self._history = np.concatenate((self._history, rows))
-            return _weighted_gram(self.profile, self._history)[0]
+            k0 = self._info_k
+            if k0 < self.k:
+                rows = regressor_matrix(self.model, np.arange(k0 + 1, self.k + 1))
+                self._info = (self._decay ** (self.k - k0) * self._info
+                              + _weighted_gram(self.profile, rows)[0])
+                self._info_k = self.k
+            return self._info.copy()
         end = self.k + 1 - self._first_row
         return _weighted_gram(self.profile, self._rows[end - self.window : end])[0]

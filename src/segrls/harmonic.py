@@ -52,8 +52,15 @@ def make_harmonic_model(period: float, harmonics: int) -> HarmonicModel:
 
 
 def regressor_matrix(model: HarmonicModel, indices) -> np.ndarray:
-    """Rows of regressors for an array of time indices (len(indices) x dim)."""
+    """Rows of regressors for an array of time indices (len(indices) x dim).
+
+    Raises RangeError naming the first index that is not finite.
+    """
     idx = np.asarray(indices, dtype=float).ravel()
+    finite = np.isfinite(idx)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise RangeError(f"time index {float(idx[bad])!r} at position {bad} is not finite")
     angles = idx[:, None] * model.frequencies[None, :]
     phi = np.empty((idx.size, model.dim))
     phi[:, 0] = 1.0

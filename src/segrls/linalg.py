@@ -68,6 +68,14 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
     signature entry per column, theta and y together); the arithmetic is
     ``_woodbury``, which the estimator calls without these checks.
     """
+    b_inv, q, signs = _checked_update(b_inv, q, signs)
+    if (theta is None) != (y is None):
+        raise ValueError("theta and y must be given together")
+    return _woodbury(b_inv, q, np.diag(signs), theta, y)
+
+
+def _checked_update(b_inv, q, signs):
+    """(B^{-1}, Q, signs) as float arrays, Q (n x r); a ValueError unless they fit together."""
     b_inv = _as_square(b_inv)
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
@@ -79,9 +87,7 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
         raise ValueError("one signature entry is required per column")
     if not set(signs.tolist()) <= {1.0, -1.0}:
         raise ValueError("signature entries must be +1 or -1")
-    if (theta is None) != (y is None):
-        raise ValueError("theta and y must be given together")
-    return _woodbury(b_inv, q, np.diag(signs), theta, y)
+    return b_inv, q, signs
 
 
 def _woodbury(b_inv, q, d, theta, y):
@@ -117,13 +123,10 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
 
     Comparator for round-off accumulation experiments; each step divides by
     1 + s * x^T A^{-1} x and reuses the intermediate inverse.  Raises
-    IntermediateSingularityError when a denominator falls below tolerance.
+    IntermediateSingularityError when a denominator falls below tolerance,
+    and ValueError for arguments batch_inverse_update refuses.
     """
-    b_inv = _as_square(b_inv)
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    signs = np.asarray(signs, dtype=float).ravel()
+    b_inv, q, signs = _checked_update(b_inv, q, signs)
     a_inv = b_inv.copy()
     for j in range(q.shape[1]):
         x = q[:, j]

@@ -138,9 +138,12 @@ def direct_weighted_ls(
 
     Returns (A_k, theta_k) with A_k = sum_j f(j) phi phi^T over the window
     (or the whole available history for the unbounded profile).  No
-    recursion anywhere.
+    recursion anywhere.  Raises ValueError for an empty ``samples`` or a k
+    outside their index range.
     """
     _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
+    if len(samples) == 0:
+        raise ValueError(f"index {k} outside the sample range: no samples")
     first = samples[0].k
     if not first <= k <= samples[-1].k:
         raise ValueError(f"index {k} outside the sample range {first}..{samples[-1].k}")

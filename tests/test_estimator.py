@@ -802,17 +802,44 @@ class TestInfoMatrix:
             rebuilt = information_matrix(profile, MODEL, est.k, profile.w)
             assert np.array_equal(est.info_matrix(), rebuilt)
 
-    def test_unbounded_history_grows_to_a_rebuild_bitwise(self):
-        # calls right after init, at uneven intervals and twice at one index
+    def test_unbounded_running_sum_tracks_a_rebuild(self):
+        # bitwise right after init; then calls at uneven intervals and twice
+        # at one index, each within 1e-13 of a rebuild
         profile = ExponentialProfile(0.97)
         series = make_series(1.0)
         est = RlsEstimator.init(profile, MODEL, series[:20])
+        assert np.array_equal(est.info_matrix(), information_matrix(profile, MODEL, 20, 20))
         for k, y in enumerate(series[19:], 20):
             if k > est.k:
                 est.step((k, y))
             for _ in range((k % 7 == 0) + (k % 3 == 0)):
                 rebuilt = information_matrix(profile, MODEL, est.k, est.k)
-                assert np.array_equal(est.info_matrix(), rebuilt)
+                deviation = np.max(np.abs(est.info_matrix() - rebuilt))
+                assert deviation <= 1e-13 * np.max(np.abs(rebuilt))
+
+    def test_unbounded_state_keeps_its_size_and_hands_out_copies(self):
+        profile = ExponentialProfile(0.97)
+        series = make_series(1.0, length=20 + 5000)
+        est = RlsEstimator.init(profile, MODEL, series[:20])
+        nbytes = {}
+        for k, y in enumerate(series[20:], 21):
+            est.step((k, y))
+            if k % 60 == 0:
+                est.info_matrix()
+            if k - 20 in (1000, 5000):
+                nbytes[k - 20] = sum(value.nbytes for value in vars(est).values()
+                                     if isinstance(value, np.ndarray))
+        assert nbytes[1000] == nbytes[5000]
+        # writing into a returned A changes neither the next call at this
+        # index nor the one after a step
+        a = est.info_matrix()
+        want = a.copy()
+        a[:] = 0.0
+        assert np.array_equal(est.info_matrix(), want)
+        est.info_matrix()[:] = 0.0
+        est.step((est.k + 1, 0.5))
+        rebuilt = information_matrix(profile, MODEL, est.k, est.k)
+        assert np.max(np.abs(est.info_matrix() - rebuilt)) <= 1e-13 * np.max(np.abs(rebuilt))
 
     def test_unbounded_profile_accumulates_history(self):
         series = make_series(1.0)[:90]
@@ -865,6 +892,39 @@ class TestRotationSymmetry:
         for k in (w + 1, 1000, 4000, 40000):
             cond_k = linalg.condition_number(information_matrix(profile, model, k, w))
             assert abs(cond_k - cond_w) <= 1e-12 * cond_w, k
+
+
+def filter_fit(profile, model, y):
+    """(yhat, yhat1) at indices w..len(y) as fixed FIR filters of the values y.
+
+    With Gamma_* the inverse of the information matrix of the window ending
+    at index 0, A_k = R^k A_0 R^-k makes the fitted value at k the filter
+    h(j) = f(j) phi_{-j}^T Gamma_* phi_0 of y_{k-j}.  R keeps the first three
+    entries to themselves, so yhat1's filter uses phi_0 and Gamma_*'s columns cut
+    to those entries.  No recursion, and no gain, anywhere.
+    """
+    w = profile.w
+    gamma = np.linalg.inv(information_matrix(profile, model, 0, w))
+    lagged = regressor_matrix(model, -np.arange(w))   # row j is phi_{-j}
+    phi0 = regressor_matrix(model, [0])[0]
+    f = weights(profile, w)
+    h = f * (lagged @ (gamma @ phi0))
+    h1 = f * (lagged @ (gamma[:3].T @ phi0[:3]))
+    return np.convolve(y, h, "valid"), np.convolve(y, h1, "valid")
+
+
+@pytest.mark.parametrize(
+    "profile", [fig2_profile(), ExponentialProfile(0.99, 400)], ids=["fig2", "exponential"]
+)
+def test_run_matches_the_fir_filter_on_every_row(profile):
+    # every fitted value of a 4k-day series, not a sample of rows
+    model = standard_model()
+    y = synth_generate(SyntheticSpec(model, standard_theta(model), 1.0, 5, 4000))
+    est = RlsEstimator.init(profile, model, y[: profile.w])
+    yhat, yhat1, _ = est.run(y[profile.w :])
+    for got, want in zip((yhat, yhat1), filter_fit(profile, model, y)):
+        assert got.shape == want.shape == (len(y) - profile.w + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestProfileEffects:

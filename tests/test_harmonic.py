@@ -68,6 +68,12 @@ class TestRegressor:
         for row, k in zip(mat, indices):
             assert np.array_equal(row, regressor_matrix(model, [k])[0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_index_rejected_by_position(self, bad):
+        model = make_harmonic_model(50.0, 3)
+        with pytest.raises(RangeError, match=rf"time index {bad!r} at position 2 is not finite"):
+            regressor_matrix(model, [3, 7, bad, math.inf])
+
 
 class TestPredict:
     """The full prediction phi_k^T theta, as the estimator forms it from a row."""

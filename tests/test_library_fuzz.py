@@ -58,7 +58,7 @@ DOCUMENTED = [
     r"values must be a \(count,\) or \(count, B\) array, got shape ",
     r"initialization needs exactly w=\d+ samples, got \d+$",
     r"expected (one value|\d+ values) at index \d+, got shape ",
-    r"index -?\d+ outside the sample range \d+\.\.\d+$",
+    r"index -?\d+ outside the sample range( \d+\.\.\d+|: no samples)$",
     r"init_count is required for the unbounded profile$",
     r"need at least one step beyond the initial window$",
     r"index k=-?\d+ must lie in \(\d+, \d+\]$",
@@ -156,7 +156,7 @@ def case_weights(rng):
 
 def case_regressor_matrix(rng):
     indices = np.array(rng.choice([[], [1, 2, 3], [-4, 0, 4], [2.5, -0.5], [[1, 2], [3, 4]],
-                                   [NAN], 7, np.int64(9)]))
+                                   [NAN], [INF], [3, -INF], 7, np.int64(9)]))
 
     def check(rows):
         assert rows.shape == (indices.size, MODEL.dim)
@@ -257,7 +257,7 @@ def case_forecast(rng):
 
 
 def case_direct(rng):
-    name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(60,), (60,), (60, 3)])
+    name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(0,), (60,), (60,), (60, 3)])
     samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
     k = rng.choice(COUNTS + [55, 60, 60, 61])
 

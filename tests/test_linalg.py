@@ -113,6 +113,24 @@ class TestChainShermanMorrison:
             )
 
 
+@pytest.mark.parametrize(
+    "update", [linalg.batch_inverse_update, linalg.chain_sherman_morrison],
+    ids=["batch", "chain"],
+)
+@pytest.mark.parametrize(
+    "q, signs, message",
+    [
+        (np.ones((2, 2)), [1.0], "one signature entry is required per column"),
+        (np.ones((2, 1)), [2.0], r"signature entries must be \+1 or -1"),
+        (np.ones((3, 1)), [1.0], "column dimension does not match the matrix order"),
+    ],
+    ids=["signs-short", "sign-two", "rows-mismatch"],
+)
+def test_both_updates_refuse_the_same_arguments(update, q, signs, message):
+    with pytest.raises(ValueError, match=message):
+        update(np.eye(2), q, signs)
+
+
 class TestSpdInverse:
     def test_diagonal(self):
         assert np.allclose(

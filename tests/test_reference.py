@@ -154,6 +154,10 @@ class TestDirectWeightedLs:
         with pytest.raises(ValueError):
             direct_weighted_ls(PROFILE, MODEL, series, 10_000)
 
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError, match="outside the sample range: no samples"):
+            direct_weighted_ls(PROFILE, MODEL, [], 1)
+
 
 # the windowed profiles start at w samples, the infinite one at init_count = 50
 ORACLE_PROFILES = [
