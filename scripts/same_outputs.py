@@ -17,7 +17,9 @@ seed-1 ``fit_long`` series (40,000 days), an infinite-profile forecast on the se
 and one that passes it, two fits of a 40-day series that fail (exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
 window of 35, which is rank deficient), and ``verify --trials 100`` with
-the default seed and with ``--seed 20250805``.
+the default seed and with ``--seed`` 20250802, 20250803, 20250804 and
+20250805; the perfbench ``verify`` workload runs the first three for its
+seeds 1-3.
 
 Each command runs as ``python -m segrls.cli`` in a fresh interpreter, with
 the side's ``src/`` first on PYTHONPATH and ``--output`` pointing into a directory
@@ -136,7 +138,10 @@ def commands(work: Path) -> list[list[str]]:
     lines.append(["fit", "--input", str(short), *workloads.MODEL_FLAGS, "--profile",
                   "exponential", "--window", "35", "--output", "deficient.out.csv"])
     lines.append(["verify", "--trials", "100"])
-    lines.append(["verify", "--trials", "100", "--seed", "20250805"])
+    # the verify workload's seeds for perfbench seeds 1-3, and one more
+    for seed in (*SEEDS, 4):
+        lines.append(["verify", "--trials", "100", "--seed",
+                      str(workloads.VERIFY_BASE_SEED + seed % 10)])
     return lines
 
 

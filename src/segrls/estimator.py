@@ -78,9 +78,11 @@ def _weighted_gram(profile, phi):
 
     The one assembly of the weighted normal equations: batch init and the
     direct oracle form b = (weighted rows)^T y from the rows it returns.
+    ``phi`` is (w, n), or (s, w, n) for a stack of s windows of w rows each;
+    every window of a stack gets the products a window alone would.
     """
-    wphi = phi * weights(profile, len(phi))[::-1, None]
-    return linalg.symmetrize(wphi.T @ phi), wphi
+    wphi = phi * weights(profile, phi.shape[-2])[::-1, None]
+    return linalg.symmetrize(wphi.swapaxes(-1, -2) @ phi), wphi
 
 
 def _first_harmonic(theta, phi):
@@ -100,9 +102,21 @@ def _by_entry(rows, theta):
     return rows.T if theta.ndim == 1 else rows.T[..., None]
 
 
+def _real(values) -> np.ndarray:
+    """``values`` as a float array; a ValueError unless they are booleans, integers or floats.
+
+    Strings, bytes, complex and object values are refused, not converted.
+    """
+    y = np.asarray(values)
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"values must be real numbers, got dtype {y.dtype}")
+    return y.astype(float, copy=False)
+
+
 def _value_array(values) -> np.ndarray:
-    """``values`` as a float (count,) or (count, B) array; a ValueError for any other shape."""
-    y = np.asarray(values, dtype=float)
+    """``values`` as a float (count,) or (count, B) array; a ValueError for any
+    other shape, or for values that are not real numbers."""
+    y = _real(values)
     if y.ndim not in (1, 2):
         raise ValueError(f"values must be a (count,) or (count, B) array, got shape {y.shape}")
     return y
@@ -150,7 +164,9 @@ class RlsEstimator:
         window cannot identify the model and NotPositiveDefiniteError when
         the initial information matrix is not SPD (insufficient excitation);
         a positive ``diagonal_loading`` adds eps*I to the initial matrix
-        instead.  A non-finite value raises the RangeError ``step`` would.
+        instead.  A non-finite value raises the RangeError ``step`` would, a
+        value that is not a real number (a string, bytes, a complex or an
+        object) ValueError.
         """
         if not 0.0 <= diagonal_loading < math.inf:
             raise RangeError("diagonal loading must be finite and >= 0")
@@ -207,23 +223,22 @@ class RlsEstimator:
         return est
 
     def _value(self, k: int, value):
-        """Sample k's value: a float, or a (B,) array for a batch; refuses non-finite ones."""
-        if self._values.ndim == 1:
-            try:
-                y = float(value)
-            except TypeError:
-                raise ValueError(
-                    f"expected one value at index {k}, got shape {np.shape(value)}"
-                ) from None
-            if not math.isfinite(y):
-                raise _non_finite(k, y)
-            return y
-        y = np.asarray(value, dtype=float)
-        if y.shape != self._values.shape[1:]:
-            raise ValueError(
-                f"expected {self._values.shape[1]} values at index {k}, got shape {y.shape}"
-            )
-        if not np.isfinite(y).all():
+        """Sample k's value: a float, or a (B,) array for a batch.
+
+        Refuses a value of the wrong shape or one that is not a real number
+        (ValueError), and a non-finite one (RangeError).
+        """
+        scalar = self._values.ndim == 1
+        if scalar and isinstance(value, (float, int)):
+            y = float(value)        # a Python number, or a float64 read from a value array
+        else:
+            y = _real(value)
+            if y.shape != self._values.shape[1:]:
+                expected = "one value" if scalar else f"{self._values.shape[1]} values"
+                raise ValueError(f"expected {expected} at index {k}, got shape {y.shape}")
+            if scalar:
+                y = float(y)
+        if not (math.isfinite(y) if scalar else np.isfinite(y).all()):
             raise _non_finite(k, y)
         return y
 
@@ -235,11 +250,12 @@ class RlsEstimator:
 
         A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
         as B^{-1}.  A batch estimator takes B values per sample, a scalar one
-        a number; a value of another shape raises ValueError, a non-finite
-        one RangeError.  An index other than k + 1 raises IndexGapError.
-        When the step raises, nothing that a later step or read-out uses has
-        changed: it may only have started the next row block, and written y
-        at k's block position, past the current index.
+        a number; a value of another shape, or one that is not a real number,
+        raises ValueError, a non-finite one RangeError.  An index other than
+        k + 1 raises IndexGapError.  When the step raises, nothing that a
+        later step or read-out uses has changed: it may only have started the
+        next row block, and written y at k's block position, past the current
+        index.
         """
         k = self.k + 1
         if sample[0] != k:
@@ -274,12 +290,13 @@ class RlsEstimator:
     def run(self, values, cond_every: int = 0):
         """Step over the values of the indices after k; the fitted values from k on.
 
-        ``values`` holds floats, or is a (count, B) array for a batch; each
-        value is one ``step``.  Returns (yhat, yhat1, cond), each with row 0
-        for the current index and row i after the i-th step: yhat and yhat1
-        are ``fitted()``'s pair as (count + 1[, B]) arrays, and cond is a list
-        holding cond(``info_matrix()``) on each row i with i % cond_every == 0
-        and None on every other row, and on every row when cond_every is 0.
+        ``values`` holds real numbers, or is a (count, B) array of them for a
+        batch; each value is one ``step``.  Returns (yhat, yhat1, cond), each
+        with row 0 for the current index and row i after the i-th step: yhat
+        and yhat1 are ``fitted()``'s pair as (count + 1[, B]) arrays, and cond
+        is a list holding cond(``info_matrix()``) on each row i with
+        i % cond_every == 0 and None on every other row, and on every row when
+        cond_every is 0.
         """
         _check_count(cond_every, 0, f"cond_every must be an integer >= 0, got {cond_every!r}")
         values = _value_array(values)

@@ -36,8 +36,11 @@ SINGULAR_FLOOR = 1e-300
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2; cheap defense against round-off asymmetry drift."""
-    return (a + a.T) * 0.5
+    """(A + A^T)/2; cheap defense against round-off asymmetry drift.
+
+    ``a`` is one matrix or a stack of them, transposed over its last two axes.
+    """
+    return (a + a.swapaxes(-1, -2)) * 0.5
 
 
 def _as_square(a) -> np.ndarray:

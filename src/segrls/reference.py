@@ -3,7 +3,10 @@
 The oracles here differ from the estimator in algorithm, not library: every
 weighted sum is assembled from scratch instead of updated recursively, and
 the round-off reference inverts in long double by Gauss-Jordan, so agreement
-with the recursive estimator is meaningful.  The Monte-Carlo bias estimate is
+with the recursive estimator is meaningful.  Both oracles run in stacks: the
+windowed profiles' direct solves ``_WINDOW_GROUP`` windows at a time, and the
+long-double inverses ``_GJ_GROUP`` matrices at a time; every member of a stack
+gets the arithmetic it would get alone.  The Monte-Carlo bias estimate is
 not an oracle but a use of the estimator: its trials differ only in their
 values, so they run as the columns of batch estimators (a (count, B) value
 array given to ``RlsEstimator.init``) that share one gain trajectory.
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .errors import (
@@ -156,18 +160,27 @@ def direct_weighted_ls(
     return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 
 
-def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray, k: int):
-    """(A, theta) of the weighted normal equations over index k's window, oldest row first."""
+def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray, k):
+    """(A, theta) of the weighted normal equations over index k's window, oldest row first.
+
+    ``rows`` (w, n) and ``values`` (w[, B]) hold one window.  Or ``rows``
+    (s, w, n) and ``values`` (s, w, B) hold a stack of s windows, ``k`` is
+    their s indices, and A and theta are (s, n, n) and (s, n, B).  Each
+    window of a stack gets the bits it gets alone, a (w, 1) value column
+    those of a (w,) value array.
+    """
     a, wphi = _weighted_gram(profile, rows)
-    b = wphi.T @ values
+    b = wphi.swapaxes(-1, -2) @ values
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
+        if a.ndim == 3:  # the first window that fails alone raises, naming its index
+            for window, window_values, index in zip(rows, values, k):
+                _direct_solve(profile, window, window_values, index)
         raise NotPositiveDefiniteError(
             f"information matrix at index {k} is not positive definite"
         ) from err
-    theta = np.linalg.solve(a, b)
-    return a, theta
+    return a, np.linalg.solve(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +195,43 @@ def _init_window(profile: ForgettingProfile, init_count: int | None) -> int:
         raise ValueError("init_count is required for the unbounded profile")
     _check_count(init_count, 1, f"init_count must be an integer >= 1, got {init_count!r}")
     return init_count
+
+
+# windows per stacked direct solve: eight amortize numpy's per-call cost;
+# a Fig-2 stack's weighted rows take 0.9 MB
+_WINDOW_GROUP = 8
+
+
+def _direct_trajectory(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray,
+                       first: int):
+    """(A, theta, A^{-1}) of the direct solve at each index from ``first`` to len(values).
+
+    ``rows`` and ``values`` are the series' regressor rows and values, index k
+    at position k - 1.  A windowed profile's windows are sliding-window views
+    of them, solved ``_WINDOW_GROUP`` at a time when the first of them is
+    taken; the unbounded profile's windows grow by a row each step, so each
+    is solved alone.
+    """
+    end = len(values)
+    if profile.w is None:
+        for k in range(first, end + 1):
+            a, theta = _direct_solve(profile, rows[:k], values[:k], k)
+            yield a, theta, np.linalg.inv(a)
+        return
+    w = profile.w
+    # window j (index j + w) holds positions j..j + w - 1: (windows, w, n) and (windows, w, B)
+    row_windows = sliding_window_view(rows, w, axis=0).swapaxes(-1, -2)
+    value_windows = sliding_window_view(values.reshape(end, -1), w, axis=0).swapaxes(-1, -2)
+    for start in range(first, end + 1, _WINDOW_GROUP):
+        ks = range(start, min(start + _WINDOW_GROUP, end + 1))
+        stack = slice(ks[0] - w, ks[-1] - w + 1)
+        # a stack's later windows may hold values not yet checked finite; a
+        # caller that checks each value before taking its solve never sees those
+        with np.errstate(invalid="ignore"):
+            a, theta = _direct_solve(profile, row_windows[stack], value_windows[stack], ks)
+        gamma = np.linalg.inv(a)
+        for i in range(len(ks)):
+            yield a[i], theta[i].reshape(-1, *values.shape[1:]), gamma[i]
 
 
 @dataclass
@@ -205,7 +255,6 @@ def compare_trajectory(
     profile (windowed profiles always initialize over w samples).
     """
     values = _value_array(values)
-    unbounded = profile.w is None
     window = _init_window(profile, init_count)
     if len(values) < window + 1:
         raise ValueError("need at least one step beyond the initial window")
@@ -215,12 +264,12 @@ def compare_trajectory(
     gamma_dev_max = 0.0
     # every window's rows are slices of one series-wide regressor matrix
     rows = regressor_matrix(model, np.arange(1, len(values) + 1))
+    direct = _direct_trajectory(profile, rows, values, window + 1)
 
     for k in range(window + 1, len(values) + 1):
+        # the step refuses a non-finite value before any solve reads it
         est.step((k, values[k - 1]))
-        span = slice(0 if unbounded else k - profile.w, k)
-        a_direct, theta_direct = _direct_solve(profile, rows[span], values[span], k)
-        gamma_direct = np.linalg.inv(a_direct)
+        _, theta_direct, gamma_direct = next(direct)
         theta_dev = float(
             np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
         )
@@ -301,8 +350,9 @@ class AccumulationReport:
     singular_incidents: int
 
 
-# trials per stacked long-double inverse: larger stacks cost peak memory, not time
-_GJ_GROUP = 4
+# trials per stacked long-double inverse: a stack amortizes numpy's per-call
+# cost; at 8 an A8 stack's arrays take about 0.6 MB, below verify's peak elsewhere
+_GJ_GROUP = 8
 
 
 def _random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -328,27 +378,45 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     slice of the result equals the inverse of that slice alone.
     Reference-only: used to measure the float64 update paths against a
     direct inverse whose own error sits orders of magnitude below theirs.
+
+    The elimination runs on [A | I] with I's columns in pivot order: column
+    n + c holds the identity column that pivot c's row swap brings to row c.
+    So pivot c swaps its rows over columns c..n + c - 1 and updates columns
+    c + 1..n + c alone: the columns before c are done, column c is not read
+    again, and the columns after n + c hold identity columns that the
+    full-width elimination leaves as they are.  Every element that changes
+    gets the multiply-subtract the full-width elimination gives it, so the
+    inverse has its bits; the column order is undone once at the end.
     """
     a = np.asarray(a, dtype=np.longdouble)
     stack = a.reshape(-1, *a.shape[-2:])
     m, n = stack.shape[:2]
     eye = np.broadcast_to(np.eye(n, dtype=np.longdouble), stack.shape)
     aug = np.concatenate([stack, eye], axis=2)
+    # order[:, c]: the identity column at row c, until pivot c moves it to column n + c
+    order = np.tile(np.arange(n), (m, 1))
     members = np.arange(m)
-    buf = np.empty_like(aug)
+    buf = np.empty((m, n, n), dtype=np.longdouble)
     for col in range(n):
         piv = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
         if (aug[members, piv, col] == 0).any():
             raise ZeroDivisionError(f"singular matrix at column {col}")
-        swapped = aug[members, piv]
-        aug[members, piv] = aug[:, col]
-        aug[:, col] = swapped
-        pivot_row = aug[:, col] / aug[:, col, col, None]
+        live = slice(col, n + col)
+        swapped = aug[members, piv, live]
+        aug[members, piv, live] = aug[:, col, live]
+        aug[:, col, live] = swapped
+        swapped = order[members, piv]
+        order[members, piv] = order[:, col]
+        order[:, col] = swapped
+        # column col only supplies the multipliers: no later pivot reads it
+        span = slice(col + 1, n + col + 1)
+        pivot_row = aug[:, col, span] / aug[:, col, col, None]
         # every row less its multiple of the pivot row; the pivot row is then put back
         np.multiply(aug[:, :, col, None], pivot_row[:, None, :], out=buf)
-        aug -= buf
-        aug[:, col] = pivot_row
-    return aug[:, :, n:].reshape(a.shape)
+        aug[:, :, span] -= buf
+        aug[:, col, span] = pivot_row
+    inverse = np.take_along_axis(aug[:, :, n:], np.argsort(order, axis=1)[:, None, :], axis=2)
+    return inverse.reshape(a.shape)
 
 
 def _window_transition_batch(n: int, steps: int, b_inv: np.ndarray, seed: int):

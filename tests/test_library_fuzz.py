@@ -6,9 +6,12 @@ classes, nor the NamedTuple records ``Sample``, ``ForecastBand`` and
 ``reference.accumulation_experiment``, or an estimator's ``step``, ``run``
 and ``forecast``.  Its arguments are drawn by a ``random.Random`` seeded
 with SEED and the case's name, from floats, negatives, zero, nan and inf,
-numpy integers, wrong shapes and wrong batch widths.  A case must return a
-result of the documented shape, or raise a ``SegrlsError`` or one of the
-library's own ValueErrors about a shape or an index range (``DOCUMENTED``).
+numpy integers, wrong shapes and wrong batch widths; ``init``, ``step``,
+``run`` and ``compare_trajectory`` also get values that are not real numbers
+(strings, bytes, complex numbers, objects), which they must refuse.  A case
+must return a result of the documented shape, or raise a ``SegrlsError`` or
+one of the library's own ValueErrors about a shape, an index range or a
+value that is not a real number (``DOCUMENTED``).
 A TypeError, an IndexError, any other exception or a result of the wrong
 shape fails the test, and the message holds the call, so a failure replays
 from it.
@@ -52,10 +55,12 @@ PROFILES = {
 }
 SPEC = SyntheticSpec(MODEL, THETA, 1.0, 3, 90)
 
-# the library's ValueErrors: a value array of the wrong shape, or an index
-# outside the range its other arguments allow
+# the library's ValueErrors: a value array of the wrong shape or of values
+# that are not real numbers, or an index outside the range its other
+# arguments allow
 DOCUMENTED = [
     r"values must be a \(count,\) or \(count, B\) array, got shape ",
+    r"values must be real numbers, got dtype ",
     r"initialization needs exactly w=\d+ samples, got \d+$",
     r"expected (one value|\d+ values) at index \d+, got shape ",
     r"index -?\d+ outside the sample range( \d+\.\.\d+|: no samples)$",
@@ -81,6 +86,14 @@ def values_of(rng, shapes):
     if values.size and rng.random() < 0.25:
         values.flat[rng.randrange(values.size)] = rng.choice([NAN, INF, -INF])
     return values
+
+
+def non_real(rng, values):
+    """(values, False), or in one draw of four (the same numbers as strings, bytes,
+    complex numbers or objects, True)."""
+    if rng.random() < 0.25:
+        return np.asarray(values).astype(rng.choice([str, bytes, complex, object])), True
+    return values, False
 
 
 def batch(values):
@@ -189,13 +202,16 @@ def case_synth(rng):
 def case_init(rng):
     name, values = rng.choice(sorted(PROFILES)), values_of(rng, VALUE_SHAPES)
     loading = rng.choice([0.0, 0.0, 1e-9, -1.0, NAN, INF, np.float32(0.0), np.int64(0)])
+    values, refused = non_real(rng, values)
 
     def check(est):
+        assert not refused, f"accepted {values.dtype} values"
         assert est.theta.shape == (MODEL.dim, *batch(values))
         assert est.gamma.shape == (MODEL.dim, MODEL.dim)
         assert est.k == len(values)
 
-    return (f"RlsEstimator.init({name}, MODEL, <shape {values.shape}>, diagonal_loading={loading!r})",
+    return (f"RlsEstimator.init({name}, MODEL, <{values.dtype} shape {values.shape}>, "
+            f"diagonal_loading={loading!r})",
             lambda: RlsEstimator.init(PROFILES[name], MODEL, values, diagonal_loading=loading),
             check)
 
@@ -213,6 +229,9 @@ def case_step(rng):
     k = est.k
     index = rng.choice([k + 1, k + 1, k + 1, k + 2, k, k + 1.0, k + 1.5, np.int64(k + 1), NAN, -1])
     value = rng.choice(REALS + [values_of(rng, [(), (1,), (2,), (3,), (3, 1), (4,)])])
+    value, refused = non_real(rng, value)
+    if refused and rng.random() < 0.5:
+        value = rng.choice(["2.5", b"2.5", 2.5 + 1j, np.str_("2.5")])
     theta = est.theta.copy()
 
     def call():
@@ -223,6 +242,7 @@ def case_step(rng):
             raise
 
     def check(result):
+        assert not refused, f"accepted {value!r}"
         assert result is None and est.k == k + 1
         assert est.theta.shape == theta.shape
 
@@ -233,14 +253,16 @@ def case_run(rng):
     label, est = started(rng)
     values = values_of(rng, [(), (0,), (5,), (5, 1), (5, 2), (5, 3), (5, 3, 1)])
     cond_every = rng.choice([0, 0, 1, 2, -1, 2.5, NAN, np.int64(3)])
+    values, refused = non_real(rng, values)
     shape = batch(est.theta)
 
     def check(result):
+        assert not refused, f"accepted {values.dtype} values"
         yhat, yhat1, cond = result
         assert yhat.shape == yhat1.shape == (len(values) + 1, *shape)
         assert len(cond) == len(values) + 1
 
-    return (f"{label}: run(<shape {values.shape}>, {cond_every!r})",
+    return (f"{label}: run(<{values.dtype} shape {values.shape}>, {cond_every!r})",
             lambda: est.run(values, cond_every), check)
 
 
@@ -273,12 +295,15 @@ def case_direct(rng):
 def case_trajectory(rng):
     name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(), (50,), (60,), (60,), (60, 3)])
     init_count = rng.choice(COUNTS + [None, 20, 20, 60])
+    values, refused = non_real(rng, values)
 
     def check(report):
+        assert not refused, f"accepted {values.dtype} values"
         window = PROFILES[name].w or init_count
         assert report.steps == len(values) - window
 
-    return (f"compare_trajectory({name}, MODEL, <shape {values.shape}>, init_count={init_count!r})",
+    return (f"compare_trajectory({name}, MODEL, <{values.dtype} shape {values.shape}>, "
+            f"init_count={init_count!r})",
             lambda: compare_trajectory(PROFILES[name], MODEL, values, init_count=init_count), check)
 
 

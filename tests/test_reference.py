@@ -11,6 +11,7 @@ from segrls.profile import ExponentialProfile, SegmentedProfile
 from segrls.reference import (
     SyntheticSpec,
     _direct_solve,
+    _direct_trajectory,
     _window_transition_batch,
     accumulation_experiment,
     compare_trajectory,
@@ -39,6 +40,11 @@ def spec(sigma, seed=11, length=160, theta=THETA_STAR):
 def samples_of(values):
     """Samples k = 1.. of a value array, index k holding values[k - 1]."""
     return [Sample(k, float(y)) for k, y in enumerate(values, start=1)]
+
+
+def same_bits(x, y):
+    """Equal values and equal signs, zeros included."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
 class TestGenerators:
@@ -214,6 +220,39 @@ class TestCompareTrajectory:
         assert report.theta_dev_max == theta_dev_max
         assert report.gamma_dev_max == gamma_dev_max
 
+    @pytest.mark.parametrize("profile, model, steps, width", [
+        # 630 steps: 78 full stacks of windows and a part-filled one
+        pytest.param(fig2_profile(), standard_model(), 630, (), id="fig2"),
+        pytest.param(SegmentedProfile(0.85, 0.97, 5, 1, 10), make_harmonic_model(40.0, 3),
+                     300, (), id="n9-w10-segmented"),
+        pytest.param(ExponentialProfile(0.95, 10), make_harmonic_model(40.0, 3),
+                     300, (3,), id="n9-w10-exponential-batch"),
+    ])
+    def test_stacked_windows_equal_the_per_window_solve(self, profile, model, steps, width):
+        w = profile.w
+        theta_star = np.linspace(1.0, 2.0, model.dim)
+        values = np.stack([
+            synth_generate(SyntheticSpec(model, theta_star, 2.0, seed, w + steps))
+            for seed in range(1, 1 + (width or (1,))[0])
+        ], axis=1).reshape(w + steps, *width)
+        rows = regressor_matrix(model, np.arange(1, w + steps + 1))
+        solves = list(_direct_trajectory(profile, rows, values, w + 1))
+        assert len(solves) == steps
+        for k, (a, theta, gamma) in enumerate(solves, w + 1):
+            a_ref, theta_ref = _direct_solve(profile, rows[k - w:k], values[k - w:k], k)
+            assert same_bits(a, a_ref), k
+            assert same_bits(theta, theta_ref), k
+            assert same_bits(gamma, np.linalg.inv(a_ref)), k
+
+    def test_a_stack_names_its_rank_deficient_window(self):
+        profile, model = fig2_profile(), standard_model()
+        rows = regressor_matrix(model, np.arange(1, 405))
+        stack = np.stack([rows[j : j + 400] for j in range(4)])  # indices 401..404
+        stack[2] = stack[2, :1]                                  # one row repeated: rank 1
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^information matrix at index 403 is not positive definite$"):
+            _direct_solve(profile, stack, np.ones((4, 400, 1)), range(401, 405))
+
     def test_zero_noise_deviations_negligible(self):
         series = synth_generate(spec(0.0, length=80))
         report = compare_trajectory(PROFILE, MODEL, series)
@@ -285,34 +324,55 @@ def row_by_row_gauss_jordan(a):
     return aug[:, n:]
 
 
-class TestStackedGaussJordan:
-    def stack(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((5, 9, 9)) + 9 * np.eye(9)  # no row swaps
-        a[2, 0, 0] = 0.0                                    # needs a swap at once
-        a[4] = rng.standard_normal((9, 9))                  # swaps along the way
-        return a
+def mixed_stack():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 9, 9)) + 9 * np.eye(9)  # no row swaps
+    a[2, 0, 0] = 0.0                                    # needs a swap at once
+    a[4] = rng.standard_normal((9, 9))                  # swaps along the way
+    return a
 
+
+def a8_stack():
+    """Eight matrices shaped like A8's: n = 35, condition number 1e8."""
+    return np.stack([random_spd_with_cond(35, 1e8, derive_seed(7, t)) for t in range(8)])
+
+
+def scalar_stack():
+    return np.array([[[2.0]], [[-3.0]], [[1e-300]]])
+
+
+# each stack, with a member to make singular
+GJ_STACKS = [(mixed_stack, 3), (a8_stack, 5), (scalar_stack, 1)]
+
+
+class TestStackedGaussJordan:
     def test_each_slice_equals_the_single_matrix_inverse(self):
-        a = self.stack()
-        got = gauss_jordan_inverse(a)
-        assert got.shape == a.shape and got.dtype == np.longdouble
-        for member, inverse in zip(a, got):
-            assert np.array_equal(inverse, gauss_jordan_inverse(member))
-            assert np.array_equal(inverse, row_by_row_gauss_jordan(member))
+        for stack, _ in GJ_STACKS:
+            a = stack()
+            got = gauss_jordan_inverse(a)
+            assert got.shape == a.shape and got.dtype == np.longdouble
+            for member, inverse in zip(a, got):
+                assert same_bits(inverse, gauss_jordan_inverse(member)), stack.__name__
+                assert same_bits(inverse, row_by_row_gauss_jordan(member)), stack.__name__
+
+    def test_signed_zeros_follow_the_full_width_elimination(self):
+        a = np.diag([-1.0, 2.0, -3.0])
+        assert same_bits(gauss_jordan_inverse(a), row_by_row_gauss_jordan(a))
 
     def test_singular_member_raises(self):
-        a = self.stack()
-        a[3, :, 5] = 0.0
-        with pytest.raises(ZeroDivisionError):
-            gauss_jordan_inverse(a)
-        with pytest.raises(ZeroDivisionError):
-            gauss_jordan_inverse(a[3])
+        for stack, singular in GJ_STACKS:
+            a = stack()
+            a[singular, :, -1] = 0.0
+            with pytest.raises(ZeroDivisionError):
+                gauss_jordan_inverse(a)
+            with pytest.raises(ZeroDivisionError):
+                gauss_jordan_inverse(a[singular])
 
 
 class TestAccumulationExperiment:
     def test_grouped_trials_equal_a_per_trial_loop(self):
-        n, steps, cond, trials, seed = 12, 6, 1e8, 6, 1
+        # ten trials: a full stack of inverses and a part-filled one
+        n, steps, cond, trials, seed = 12, 6, 1e8, 10, 1
         report = accumulation_experiment(n, steps, cond, trials, seed=seed)
         batch, chain, incidents = [], [], 0
         for t in range(trials):
