@@ -197,8 +197,9 @@ class RlsEstimator:
         est.gamma = linalg.spd_inverse(loaded)
         est.theta = est.gamma @ (wphi.T @ y)
         est.k = est.window = window
-        # template unpacked once; columns are scale_i * phi_{k - lag_i}
-        est._scales = np.array(template.scales)
+        # template unpacked once; columns are scale_i * phi_{k - lag_i}; the
+        # scales are shaped (r,) or (r, 1) to scale (r,) or (r, B) values
+        est._scales = np.array(template.scales).reshape(-1, *[1] * (y.ndim - 1))
         est._d = np.diag(np.array(template.signs, dtype=float))
         est._decay = profile.lam
         # the block of regressor rows and values: index k sits at position
@@ -271,8 +272,7 @@ class RlsEstimator:
         self._values[i] = y
         j = i - self._lead
         q = self._columns[j].T
-        # (r,) or (r, B): the transposes let one scale per lag broadcast either way
-        y_aug = (self._scales * self._values[self._slots[j]].T).T
+        y_aug = self._scales * self._values[self._slots[j]]     # (r,) or (r, B)
         try:
             gamma, theta = linalg._woodbury(
                 self.gamma / self._decay, q, self._d, self.theta, y_aug
@@ -300,15 +300,27 @@ class RlsEstimator:
         """
         _check_count(cond_every, 0, f"cond_every must be an integer >= 0, got {cond_every!r}")
         values = _value_array(values)
-        yhat = np.empty((len(values) + 1, *self._values.shape[1:]))
+        shape, n = self._values.shape[1:], len(self._phi)
+        yhat = np.empty((len(values) + 1, *shape))
         yhat1 = np.empty_like(yhat)
         cond = [None] * len(yhat)
-        for i in range(len(yhat)):
-            if i:
-                self.step((self.k + 1, values[i - 1]))
-            yhat[i], yhat1[i] = self.fitted()
-            if cond_every and i % cond_every == 0:
-                cond[i] = linalg.condition_number(self.info_matrix())
+        # each row's theta and phi, kept for a block of ROW_BLOCK // B rows (B = 1
+        # for a scalar; at least one row): the block's yhat is one stacked
+        # product, with the bits of fitted()'s phi @ theta per row
+        block = max(1, ROW_BLOCK // self.theta[0].size)
+        thetas = np.empty((block, *self.theta.shape))
+        phis = np.empty((block, n))
+        for start in range(0, len(yhat), block):
+            stop = min(start + block, len(yhat))
+            for i in range(start, stop):
+                if i:
+                    self.step((self.k + 1, values[i - 1]))
+                thetas[i - start], phis[i - start], yhat1[i] = self.theta, self._phi, self._yhat1
+                if cond_every and i % cond_every == 0:
+                    cond[i] = linalg.condition_number(self.info_matrix())
+            rows = stop - start
+            products = phis[:rows, None, :] @ thetas[:rows].reshape(rows, n, -1)
+            yhat[start:stop] = products.reshape(rows, *shape)
         return yhat, yhat1, cond
 
     def _next_block(self) -> None:
@@ -322,7 +334,7 @@ class RlsEstimator:
         keep = len(self._rows) - self._lead
         rows = regressor_matrix(self.model, np.arange(end, end + ROW_BLOCK))
         self._rows = np.concatenate((self._rows[keep:], rows))
-        self._columns = self._rows[self._slots] * self._scales[:, None]
+        self._columns = self._rows[self._slots] * self._scales.reshape(-1, 1)
         values = np.empty((len(self._rows), *self._values.shape[1:]))
         values[: self._lead] = self._values[keep:]
         self._values = values

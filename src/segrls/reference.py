@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     _check_count,
 )
-from .estimator import RlsEstimator, Sample, _value_array, _weighted_gram
+from .estimator import RlsEstimator, Sample, _real, _value_array, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile
 
@@ -82,7 +82,10 @@ def derive_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Harmonic signal plus white Gaussian noise; reproducible per seed."""
+    """Harmonic signal plus white Gaussian noise; reproducible per seed.
+
+    A ``theta_star`` that is not real numbers raises the estimator's ValueError.
+    """
 
     model: HarmonicModel
     theta_star: np.ndarray
@@ -91,7 +94,7 @@ class SyntheticSpec:
     length: int
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_star, dtype=float).ravel()
+        theta = _real(self.theta_star).ravel().copy()   # not a view of the caller's array
         if theta.size != self.model.dim:
             raise RangeError(
                 f"theta_star has length {theta.size}, model dimension is {self.model.dim}"
@@ -142,8 +145,9 @@ def direct_weighted_ls(
 
     Returns (A_k, theta_k) with A_k = sum_j f(j) phi phi^T over the window
     (or the whole available history for the unbounded profile).  No
-    recursion anywhere.  Raises ValueError for an empty ``samples`` or a k
-    outside their index range.
+    recursion anywhere.  Raises ValueError for an empty ``samples``, a k
+    outside their index range, or sample values that are not real numbers
+    or not all floats or all (B,) arrays.
     """
     _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
     if len(samples) == 0:
@@ -156,7 +160,7 @@ def direct_weighted_ls(
 
     window = samples[available - count : available]
     indices = np.array([s.k for s in window], dtype=float)
-    values = np.array([s.y for s in window], dtype=float)
+    values = _value_array([s.y for s in window])
     return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 
 

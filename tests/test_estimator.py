@@ -455,8 +455,35 @@ class TestStepAgainstPublicKernel:
             assert np.array_equal(est.theta, theta), k
 
 
+def series_of(batch, length):
+    """make_series(1.0), or three such series as a (length, 3) batch."""
+    return batch_values(1, 2, 3, length=length) if batch else make_series(1.0, length=length)
+
+
 class TestRun:
     """run is the step loop reading fitted() after each step, bit for bit."""
+
+    @staticmethod
+    def assert_rows_are_the_step_loop(rows, loop, values, cond_every):
+        """run's (yhat, yhat1, cond) over ``values``: what ``loop`` reads after each step."""
+        yhat, yhat1, cond = rows
+        assert yhat.shape == yhat1.shape == (len(values) + 1, *values.shape[1:])
+        assert len(cond) == len(yhat)
+        for i in range(len(yhat)):
+            if i:
+                loop.step((loop.k + 1, values[i - 1]))
+            full, first = loop.fitted()
+            assert np.array_equal(yhat[i], full) and np.array_equal(yhat1[i], first), i
+            if cond_every and i % cond_every == 0:
+                assert cond[i] == linalg.condition_number(loop.info_matrix()), i
+            else:
+                assert cond[i] is None, i
+
+    @staticmethod
+    def assert_twins(est, loop):
+        assert_state_equal(est, state_of(loop))
+        assert all(np.array_equal(a, b) for a, b in zip(est.fitted(), loop.fitted()))
+        assert np.array_equal(est.moving_variance(), loop.moving_variance())
 
     @pytest.mark.parametrize(
         "profile, count",
@@ -467,29 +494,50 @@ class TestRun:
     @pytest.mark.parametrize("cond_every", [0, 7])
     def test_rows_and_state_equal_the_step_loop(self, profile, count, batch, cond_every):
         length = count + ROW_BLOCK + 40                 # two row blocks
-        if batch:
-            values = batch_values(1, 2, 3, length=length)
-        else:
-            values = make_series(1.0, length=length)
+        values = series_of(batch, length)
         est = RlsEstimator.init(profile, MODEL, values[:count])
         loop = RlsEstimator.init(profile, MODEL, values[:count])
 
-        yhat, yhat1, cond = est.run(values[count:], cond_every)
-        assert yhat.shape == yhat1.shape == (length - count + 1, *values.shape[1:])
-        assert len(cond) == len(yhat)
-        for i in range(len(yhat)):
-            if i:
-                loop.step((count + i, values[count + i - 1]))
-            full, first = loop.fitted()
-            assert np.array_equal(yhat[i], full) and np.array_equal(yhat1[i], first), i
-            if cond_every and i % cond_every == 0:
-                assert cond[i] == linalg.condition_number(loop.info_matrix()), i
-            else:
-                assert cond[i] is None, i
+        rows = est.run(values[count:], cond_every)
+        self.assert_rows_are_the_step_loop(rows, loop, values[count:], cond_every)
         assert est.k == loop.k == length
-        assert np.array_equal(est.theta, loop.theta)
-        assert np.array_equal(est.gamma, loop.gamma)
-        assert np.array_equal(est.moving_variance(), loop.moving_variance())
+        self.assert_twins(est, loop)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    def test_a_run_from_mid_block_over_four_row_blocks(self, batch):
+        singles = 37
+        length = PROFILE.w + singles + 3 * ROW_BLOCK + 20
+        values = series_of(batch, length)
+        est, loop = init_on(values), init_on(values)
+        for sample in enumerate(values[PROFILE.w : PROFILE.w + singles], PROFILE.w + 1):
+            est.step(sample)
+            loop.step(sample)
+        # the next step is neither the first nor the last of its row block
+        assert est._lead + 1 < est.k + 1 - est._first_row < len(est._rows) - 1
+
+        rows = est.run(values[est.k :], 5)
+        self.assert_rows_are_the_step_loop(rows, loop, values[loop.k :], 5)
+        assert est.k == loop.k == length
+        self.assert_twins(est, loop)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch3"])
+    def test_a_non_finite_value_mid_block_stops_where_the_step_loop_does(self, batch):
+        length = PROFILE.w + ROW_BLOCK + 200
+        values = series_of(batch, length)
+        bad = PROFILE.w + ROW_BLOCK + 100               # mid-block for run and for the rows
+        values[bad - 1] = np.inf if batch else np.nan
+        est, loop = init_on(values), init_on(values)
+
+        with pytest.raises(RangeError) as err:
+            est.run(values[PROFILE.w :], 7)
+        for sample in enumerate(values[PROFILE.w : bad - 1], PROFILE.w + 1):
+            loop.step(sample)
+        assert est.k == loop.k == bad - 1
+        self.assert_twins(est, loop)
+        with pytest.raises(RangeError) as want:
+            loop.step((bad, values[bad - 1]))
+        assert str(err.value) == str(want.value)
+        assert str(err.value).endswith(f"at index {bad}")
 
     def test_no_values_gives_the_current_row(self):
         est = init_on(make_series(1.0))

@@ -7,8 +7,9 @@ classes, nor the NamedTuple records ``Sample``, ``ForecastBand`` and
 and ``forecast``.  Its arguments are drawn by a ``random.Random`` seeded
 with SEED and the case's name, from floats, negatives, zero, nan and inf,
 numpy integers, wrong shapes and wrong batch widths; ``init``, ``step``,
-``run`` and ``compare_trajectory`` also get values that are not real numbers
-(strings, bytes, complex numbers, objects), which they must refuse.  A case
+``run``, ``compare_trajectory``, ``direct_weighted_ls`` and ``SyntheticSpec``
+also get values that are not real numbers (strings, bytes, complex numbers,
+objects), which they must refuse.  A case
 must return a result of the documented shape, or raise a ``SegrlsError`` or
 one of the library's own ValueErrors about a shape, an index range or a
 value that is not a real number (``DOCUMENTED``).
@@ -191,8 +192,10 @@ def case_information_matrix(rng):
 def case_synth(rng):
     theta = values_of(rng, [(7,), (7,), (6,), (), (7, 1), (2, 7)]) + THETA[0]
     sigma, seed, length = rng.choice(REALS), rng.choice(COUNTS), rng.choice(COUNTS + [40])
+    theta, refused = non_real(rng, theta)
 
     def check(values):
+        assert not refused, f"accepted {theta.dtype} theta_star"
         assert values.shape == (length,)
 
     return (f"synth_generate(SyntheticSpec(MODEL, {theta!r}, {sigma!r}, {seed!r}, {length!r}))",
@@ -279,11 +282,19 @@ def case_forecast(rng):
 
 
 def case_direct(rng):
-    name, values = rng.choice(sorted(PROFILES)), values_of(rng, [(0,), (60,), (60,), (60, 3)])
+    name = rng.choice(sorted(PROFILES))
+    values = values_of(rng, [(0,), (60,), (60,), (60, 3), (60, 3, 1)])
+    values, refused = non_real(rng, values)
     samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
     k = rng.choice(COUNTS + [55, 60, 60, 61])
+    if values.ndim == 1 and type(k) is int and 1 <= k <= len(samples) and not refused \
+            and rng.random() < 0.5:
+        # sample k's value as a string among floats, as in Sample(k, '2.5')
+        samples[k - 1] = Sample(k, str(samples[k - 1].y))
+        refused = True
 
     def check(result):
+        assert not refused, "accepted a sample value that is not a real number"
         a, theta = result
         assert a.shape == (MODEL.dim, MODEL.dim)
         assert theta.shape == (MODEL.dim, *batch(values))

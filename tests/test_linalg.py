@@ -9,6 +9,8 @@ from segrls.errors import (
     NotPositiveDefiniteError,
     SingularUpdateError,
 )
+from segrls.profile import update_template
+from segrls.verify import fig2_profile
 
 HILBERT4_INVERSE = np.array(
     [
@@ -111,6 +113,49 @@ class TestChainShermanMorrison:
             linalg.chain_sherman_morrison(
                 np.eye(3), np.array([[1.0], [0.0], [0.0]]), [-1.0]
             )
+
+
+class TestSameBits:
+    """symmetrize and the update core give the bits of the expressions they replaced."""
+
+    @pytest.mark.parametrize(
+        "shape, view",
+        [((35, 35), ...), ((70, 71), np.s_[::2, 1::2]), ((6, 35, 35), ...)],
+        ids=["matrix", "strided-view", "stack"],
+    )
+    def test_symmetrize_is_the_sum_form(self, shape, view):
+        a = np.random.default_rng(19).standard_normal(shape)[view]
+        before = a.copy()
+        got = linalg.symmetrize(a)
+        assert np.array_equal(got, (a + a.swapaxes(-1, -2)) * 0.5)
+        assert np.array_equal(got, got.swapaxes(-1, -2))
+        assert np.array_equal(a, before)
+
+    @staticmethod
+    def matmul_update(b_inv, q, signs, theta, y):
+        """The update with @ products and (G + G^T) * 0.5, as the core once read."""
+        v = b_inv @ q
+        u_inv = np.linalg.inv(q.T @ v + np.diag(signs))
+        gamma = b_inv - v @ (u_inv @ v.T)
+        return (gamma + gamma.T) * 0.5, theta + v @ (u_inv @ (y - q.T @ theta))
+
+    @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
+    @pytest.mark.parametrize("layout", ["step-view", "contiguous"])
+    def test_update_with_theta_is_the_matmul_form_on_fig2_operands(self, width, layout):
+        rng = np.random.default_rng(23)
+        signs = np.array(update_template(fig2_profile()).signs, dtype=float)   # r = 4
+        n, r = 35, len(signs)
+        for _ in range(20):
+            b_inv = linalg.spd_inverse(random_spd(rng, n)) / 0.99
+            # the step passes its (r, n) block of correction columns transposed
+            q = rng.standard_normal((r, n)).T
+            if layout == "contiguous":
+                q = np.ascontiguousarray(q)
+            theta, y = rng.standard_normal((n, *width)), rng.standard_normal((r, *width))
+            gamma, theta_new = linalg.batch_inverse_update(b_inv, q, signs, theta, y)
+            want_gamma, want_theta = self.matmul_update(b_inv, q, signs, theta, y)
+            assert np.array_equal(gamma, want_gamma)
+            assert np.array_equal(theta_new, want_theta)
 
 
 @pytest.mark.parametrize(

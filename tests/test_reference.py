@@ -109,6 +109,14 @@ class TestSynthGenerate:
         with pytest.raises(RangeError):
             spec(sigma, theta=theta)
 
+    def test_spec_keeps_its_own_theta(self):
+        theta = THETA_STAR.copy()
+        made = spec(0.0, theta=theta)
+        before = synth_generate(made)
+        theta[0] += 100.0
+        assert np.array_equal(made.theta_star, THETA_STAR)
+        assert np.array_equal(synth_generate(made), before)
+
 
 class TestDirectWeightedLs:
     def test_noiseless_recovers_truth(self):
