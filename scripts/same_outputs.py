@@ -11,11 +11,12 @@ sides read the same files.  The commands are, for each seed: the
 ``profiles_diag`` fits with and without ``--cond-every``; then, once:
 ``compare`` and a diagonally loaded fit (``--epsilon 1e-9 --cond-every 60``,
 the one command whose footer reads ``loading_applied=True``) on the seed-1
-diagnostic series, an infinite-profile fit with ``--cond-every 60`` and an
-exponential-profile fit (39,600 rank-2 steps) on the seed-1 ``fit_long``
-series (40,000 days), an infinite-profile forecast on the seed-1 archive,
-``synth --origin 0001-01-01``, a forecast whose horizon ends on 9999-12-31
-and one that passes it, two fits of a 40-day series that fail (exit 3: the
+diagnostic series, an infinite-profile fit with ``--cond-every 60``, an
+exponential-profile fit (39,600 rank-2 steps) and ``compare`` (39,601 rows)
+on the seed-1 ``fit_long`` series (40,000 days), an infinite-profile
+forecast on the seed-1 archive, ``synth --origin 0001-01-01``, a forecast
+whose horizon ends on 9999-12-31 and one that passes it, two fits of a
+40-day series that fail (exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
 window of 35, which is rank deficient), and ``verify --trials 100`` with
 the default seed and with ``--seed`` 20250802, 20250803, 20250804 and
@@ -118,6 +119,9 @@ def commands(work: Path) -> list[list[str]]:
     lines.append(["fit", "--input", str(work / "fit_long-1" / "fit_long.csv"),
                   *workloads.MODEL_FLAGS, *workloads.PROFILE_FLAGS["exponential"],
                   "--output", "exponential_long.out.csv"])
+    lines.append(["compare", "--input", str(work / "fit_long-1" / "fit_long.csv"),
+                  *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+                  "--output", "compare_long.out.csv"])
     # the first seed-1 archive forecast, with the infinite profile's flags for Fig-2's
     argv = next(line for line in lines if line[0] == "forecast")
     i = argv.index("--profile")

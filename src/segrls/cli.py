@@ -35,6 +35,7 @@ from .ingest import (
     GAP_POLICIES,
     IndexedSeries,
     Records,
+    iso_date_range,
     iso_dates,
     parse_csv,
     parse_stockholm,
@@ -70,6 +71,8 @@ def fmt(value) -> str:
 # fit's cond_a column is fmt's text, empty between --cond-every rows.
 _FIT_ROW = "%d,%s,%.9g,%.9g,%.9g,%.9g,%s"
 _COMPARE_ROW = "%d,%s,%.9g,%.9g,%.9g"
+# Rows rendered per chunk: one date conversion and one % format each.
+_ROW_CHUNK = 4096
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +315,28 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
     return est, window, est.run(values[window:], cond_every)
 
 
+def _render_rows(row_format, origin, first, columns) -> list[str]:
+    """Per-step rows ``row_format % (k, date of k, *values)`` from index ``first`` on.
+
+    ``columns`` holds one list of values per field after the date, index
+    ``first`` at position 0.  The rows come back in chunks of _ROW_CHUNK,
+    joined by newlines: each chunk's dates are one ``iso_date_range`` call,
+    and its fields are interleaved into one flat list by slice assignment
+    and formatted by one ``%``, as each row's ``%`` would.
+    """
+    count, width = len(columns[0]), 2 + len(columns)
+    chunks = []
+    for start in range(first, first + count, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, first + count)
+        flat = [None] * ((stop - start) * width)
+        flat[0::width] = range(start, stop)
+        flat[1::width] = iso_date_range(origin, start, stop)
+        for j, column in enumerate(columns, start=2):
+            flat[j::width] = column[start - first : stop - first]
+        chunks.append("\n".join([row_format] * (stop - start)) % tuple(flat))
+    return chunks
+
+
 def _residual_stats(residuals):
     rmse = math.sqrt(float(np.mean(residuals**2)))
     return rmse, float(np.mean(residuals)), float(np.std(residuals))
@@ -336,10 +361,8 @@ def cmd_fit(args) -> int:
     steps = len(y) - 1
 
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
-    iso = iso_dates(series.origin)
-    out.extend(_FIT_ROW % (k, iso(k), *row, fmt(c)) for k, *row, c in zip(
-        range(window, len(series.values) + 1),
-        y.tolist(), yhat.tolist(), yhat1.tolist(), residuals.tolist(), cond))
+    out.extend(_render_rows(_FIT_ROW, series.origin, window, [
+        y.tolist(), yhat.tolist(), yhat1.tolist(), residuals.tolist(), list(map(fmt, cond))]))
     out.extend(_config_footer(args, model, extra=[
         f"# steps={steps}",
         f"# rmse={fmt(rmse)}",
@@ -382,10 +405,8 @@ def cmd_compare(args) -> int:
     counts_base, _ = np.histogram(res_base, bins=edges)
 
     out = ["k,date,y,residual_fitted,residual_baseline"]
-    iso = iso_dates(series.origin)
-    out.extend(_COMPARE_ROW % (k, iso(k), *row) for k, *row in zip(
-        range(window, len(series.values) + 1),
-        y.tolist(), res_fit.tolist(), res_base.tolist()))
+    out.extend(_render_rows(_COMPARE_ROW, series.origin, window,
+                            [y.tolist(), res_fit.tolist(), res_base.tolist()]))
     out.append("")
     out.append("bin_left,bin_right,count_fitted,count_baseline")
     for i in range(41):

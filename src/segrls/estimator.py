@@ -334,7 +334,8 @@ class RlsEstimator:
         keep = len(self._rows) - self._lead
         rows = regressor_matrix(self.model, np.arange(end, end + ROW_BLOCK))
         self._rows = np.concatenate((self._rows[keep:], rows))
-        self._columns = self._rows[self._slots] * self._scales.reshape(-1, 1)
+        self._columns = columns = self._rows[self._slots]     # a gathered copy
+        columns *= self._scales.reshape(-1, 1)
         values = np.empty((len(self._rows), *self._values.shape[1:]))
         values[: self._lead] = self._values[keep:]
         self._values = values

@@ -97,6 +97,17 @@ def iso_dates(origin: datetime.date):
     return lambda k: day(before_origin + k).isoformat()
 
 
+def iso_date_range(origin: datetime.date, start: int, stop: int) -> list[str]:
+    """The ISO dates of indices start..stop-1, k = 1 falling on ``origin``.
+
+    One numpy conversion for the whole range; each text is the one
+    ``iso_dates(origin)(k)`` gives, for dates from 0001-01-01 to 9999-12-31.
+    """
+    before_origin = np.datetime64(origin, "D") - 1
+    days = np.arange(before_origin + start, before_origin + stop)
+    return np.datetime_as_string(days).tolist()
+
+
 def parse_stockholm(text: str, value_column: int = 3) -> Records:
     """Whitespace-delimited daily records: year month day value [extra columns].
 

@@ -112,23 +112,36 @@ def _woodbury(b_inv, q, d, theta, y):
     """
     # np.dot, not @: the same BLAS calls without the matmul ufunc's dispatch
     v = np.dot(b_inv, q)                            # B^{-1} Q
-    w = np.dot(q.T, v)
+    # U^{-1} and W = Q^T B^{-1} Q side by side, for one pass of norm reductions
+    pair = np.empty((2, q.shape[1], q.shape[1]))
+    w = np.dot(q.T, v, out=pair[1])
     try:
-        u_inv = np.linalg.inv(w + d)                # U = D + Q^T B^{-1} Q
+        u_inv = np.linalg.inv(w + d)                # U = D + W
     except np.linalg.LinAlgError:
         raise SingularUpdateError("capacitance matrix is singular") from None
-    # ||.||_1 is the largest absolute column sum; the ufunc reductions skip
-    # the ndarray method wrappers, and a nan propagates to cond
-    cond = (np.maximum.reduce(np.add.reduce(np.abs(u_inv)))
-            * (1.0 + np.maximum.reduce(np.add.reduce(np.abs(w)))))
+    pair[0] = u_inv
+    cond = _capacitance_cond(pair)
     if not cond <= 1.0 / PIVOT_RTOL:
         raise SingularUpdateError(
             f"capacitance condition estimate {cond:.3e} above {1.0 / PIVOT_RTOL:.0e}"
         )
-    gamma = symmetrize(b_inv - np.dot(v, np.dot(u_inv, v.T)))
+    t = np.dot(v, np.dot(u_inv, v.T))
+    gamma = symmetrize(np.subtract(b_inv, t, out=t))
     if theta is None:
         return gamma
     return gamma, theta + np.dot(v, np.dot(u_inv, y - np.dot(q.T, theta)))
+
+
+def _capacitance_cond(pair) -> float:
+    """||U^{-1}||_1 (1 + ||W||_1) from the (2, r, r) stack of U^{-1} and W.
+
+    ||.||_1 is the largest absolute column sum.  Both matrices' column sums
+    come from one reduction over the row axis, row after row as a single
+    matrix's would, so the bits are those of two separate norms; a nan
+    anywhere in either matrix makes the estimate nan.
+    """
+    u_norm, w_norm = np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist()
+    return u_norm * (1.0 + w_norm)
 
 
 def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:

@@ -160,6 +160,12 @@ def direct_weighted_ls(
 
     window = samples[available - count : available]
     indices = np.array([s.k for s in window], dtype=float)
+    # every value has the first one's shape, as every step's has the batch's
+    expected = np.shape(window[0].y)
+    for s in window:
+        if np.shape(s.y) != expected:
+            size = "one value" if expected == () else f"{expected[0]} values"
+            raise ValueError(f"expected {size} at index {s.k}, got shape {np.shape(s.y)}")
     values = _value_array([s.y for s in window])
     return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 

@@ -359,6 +359,28 @@ class TestRowRendering:
             assert cli._COMPARE_ROW % (i, "2001-02-03", y, a, b) == (
                 f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)}")
 
+    @pytest.mark.parametrize("chunk", [7, cli._ROW_CHUNK])
+    @pytest.mark.parametrize("cond_every", [0, 60], ids=["cond-empty", "cond-filled"])
+    def test_chunked_rows_are_the_per_row_form(self, monkeypatch, chunk, cond_every):
+        monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+        origin, first = datetime.date(1999, 12, 25), 400
+        vals = self.values()
+        count = cli._ROW_CHUNK + 30        # one chunk boundary or more
+        y, yhat, yhat1, res, conds = (vals[j * count : (j + 1) * count] for j in range(5))
+        cond = [c if cond_every and i % cond_every == 0 else None for i, c in enumerate(conds)]
+        iso = iso_dates(origin)
+        ks = range(first, first + count)
+        fit_rows = [cli._FIT_ROW % (k, iso(k), *row, fmt(c))
+                    for k, *row, c in zip(ks, y, yhat, yhat1, res, cond)]
+        got = cli._render_rows(cli._FIT_ROW, origin, first,
+                               [y, yhat, yhat1, res, list(map(fmt, cond))])
+        assert len(got) == -(-count // chunk)
+        assert "\n".join(got) == "\n".join(fit_rows)
+        compare_rows = [cli._COMPARE_ROW % (k, iso(k), *row)
+                        for k, *row in zip(ks, y, yhat, res)]
+        got = cli._render_rows(cli._COMPARE_ROW, origin, first, [y, yhat, res])
+        assert "\n".join(got) == "\n".join(compare_rows)
+
     @pytest.mark.parametrize("origin", [datetime.date(1999, 12, 25), datetime.date(1, 1, 1)])
     def test_iso_dates_are_date_of(self, origin):
         iso = iso_dates(origin)

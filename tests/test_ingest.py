@@ -11,6 +11,7 @@ from segrls.errors import CalendarError, GapError, ParseError, RangeError
 from segrls.ingest import (
     Records,
     SeriesRecord,
+    iso_date_range,
     iso_dates,
     parse_csv,
     parse_stockholm,
@@ -208,6 +209,32 @@ class TestIsoDates:
         want = [(first + datetime.timedelta(days=k - 1)).isoformat() for k in range(1, days + 1)]
         assert [iso(k) for k in range(1, len(series.values) + 1)] == want
         assert want[-1] == last.isoformat()
+
+    @pytest.mark.parametrize("origin, start, stop", [
+        ("0001-01-01", 1, 3000),
+        ("1900-02-27", 1, 800),              # no Feb 29 in 1900
+        ("2000-02-27", 1, 800),              # Feb 29 in 2000
+        ("2023-12-30", 50, 900),             # Feb 29 in 2024, from k = 50 on
+        ("2100-02-01", 20, 40),              # no Feb 29 in 2100
+        ("9999-12-01", 1, 32),               # through 9999-12-31
+        ("0001-01-01", 3652059 - 5, 3652060),  # the last days of 9999 from 0001-01-01
+    ])
+    def test_date_range_is_iso_dates(self, origin, start, stop):
+        iso = iso_dates(day(origin))
+        got = iso_date_range(day(origin), start, stop)
+        assert got == [iso(k) for k in range(start, stop)]
+        assert all(type(text) is str for text in got)
+
+    def test_date_range_over_the_whole_calendar(self):
+        # the first and last day of every 37th year, and of the leap-rule years
+        origin = day("0001-01-01")
+        iso = iso_dates(origin)
+        for year in [*range(1, 10000, 37), 4, 100, 400, 1600, 1900, 2000, 9996, 9999]:
+            for first, last in [((year, 1, 1), (year, 1, 3)),
+                                ((year, 12, 29), (year, 12, 31))]:
+                start = (datetime.date(*first) - origin).days + 1
+                stop = (datetime.date(*last) - origin).days + 2
+                assert iso_date_range(origin, start, stop) == [iso(k) for k in range(start, stop)]
 
     def test_no_date_past_9999_or_before_0001(self):
         iso = iso_dates(day("9999-12-22"))

@@ -9,7 +9,8 @@ with SEED and the case's name, from floats, negatives, zero, nan and inf,
 numpy integers, wrong shapes and wrong batch widths; ``init``, ``step``,
 ``run``, ``compare_trajectory``, ``direct_weighted_ls`` and ``SyntheticSpec``
 also get values that are not real numbers (strings, bytes, complex numbers,
-objects), which they must refuse.  A case
+objects), and ``direct_weighted_ls`` samples whose values mix shapes (a
+(B,) array among floats), which they must refuse.  A case
 must return a result of the documented shape, or raise a ``SegrlsError`` or
 one of the library's own ValueErrors about a shape, an index range or a
 value that is not a real number (``DOCUMENTED``).
@@ -287,14 +288,22 @@ def case_direct(rng):
     values, refused = non_real(rng, values)
     samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
     k = rng.choice(COUNTS + [55, 60, 60, 61])
-    if values.ndim == 1 and type(k) is int and 1 <= k <= len(samples) and not refused \
-            and rng.random() < 0.5:
-        # sample k's value as a string among floats, as in Sample(k, '2.5')
-        samples[k - 1] = Sample(k, str(samples[k - 1].y))
-        refused = True
+    if values.ndim in (1, 2) and type(k) is int and 1 <= k <= len(samples) and not refused:
+        draw = rng.random()
+        if values.ndim == 1 and draw < 0.3:
+            # sample k's value as a string among floats, as in Sample(k, '2.5')
+            samples[k - 1] = Sample(k, str(samples[k - 1].y))
+            refused = True
+        elif draw < 0.5:
+            # sample k's value of another shape: a (B,) array among floats, a
+            # float or a (B + 1,) array among (B,) arrays
+            odd = rng.choice([np.ones(3), np.ones(1)] if values.ndim == 1
+                             else [1.5, np.ones(values.shape[1] + 1)])
+            samples[k - 1] = Sample(k, odd)
+            refused = True
 
     def check(result):
-        assert not refused, "accepted a sample value that is not a real number"
+        assert not refused, "accepted a value that is not a real number or of another shape"
         a, theta = result
         assert a.shape == (MODEL.dim, MODEL.dim)
         assert theta.shape == (MODEL.dim, *batch(values))
@@ -349,7 +358,7 @@ CASES = [
     (case_model, 60), (case_exponential, 60), (case_segmented, 80), (case_weights, 40),
     (case_regressor_matrix, 20), (case_information_matrix, 60), (case_synth, 60),
     (case_init, 80), (case_step, 120), (case_run, 60), (case_forecast, 40),
-    (case_direct, 40), (case_trajectory, 30), (case_bias, 10), (case_accumulation, 30),
+    (case_direct, 80), (case_trajectory, 30), (case_bias, 10), (case_accumulation, 30),
 ]
 
 

@@ -157,6 +157,77 @@ class TestSameBits:
             assert np.array_equal(gamma, want_gamma)
             assert np.array_equal(theta_new, want_theta)
 
+    @staticmethod
+    def six_reduction_cond(u_inv, w):
+        """The capacitance estimate as the core once read: one norm per matrix."""
+        return (np.maximum.reduce(np.add.reduce(np.abs(u_inv)))
+                * (1.0 + np.maximum.reduce(np.add.reduce(np.abs(w)))))
+
+    @staticmethod
+    def pair(u_inv, w):
+        pair = np.empty((2, *u_inv.shape))
+        pair[0], pair[1] = u_inv, w
+        return pair
+
+    def fig2_capacitance(self, rng, r):
+        """(U^{-1}, W) of one update on Fig-2-sized operands: n = 35, r columns."""
+        b_inv = linalg.spd_inverse(random_spd(rng, 35)) / 0.99
+        q = rng.standard_normal((r, 35)).T
+        w = q.T @ b_inv @ q
+        return np.linalg.inv(w + np.diag(rng.choice([-1.0, 1.0], size=r))), w
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_cond_estimate_is_the_six_reduction_form(self, r):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-8, 8, size=2)
+            u_inv, w = rng.standard_normal((2, r, r)) * scale[:, None, None]
+            got = linalg._capacitance_cond(self.pair(u_inv, w))
+            assert type(got) is float
+            assert got == self.six_reduction_cond(u_inv, w)
+        for _ in range(50):
+            u_inv, w = self.fig2_capacitance(rng, r)
+            got = linalg._capacitance_cond(self.pair(u_inv, w))
+            assert got == self.six_reduction_cond(u_inv, w)
+
+    @pytest.mark.parametrize("bad, want", [(math.nan, "nan"), (math.inf, "inf")])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_cond_estimate_meets_a_non_finite_entry_at_any_position(self, r, bad, want):
+        u_inv, w = self.fig2_capacitance(np.random.default_rng(31), r)
+        for which in range(2):
+            for i in range(r * r):
+                pair = self.pair(u_inv, w)
+                pair[which].flat[i] = bad
+                assert repr(linalg._capacitance_cond(pair)) == want, (which, i)
+
+    def test_singular_update_messages_are_unchanged(self):
+        # U = -1 + 1 = 0: the inverse itself fails
+        with pytest.raises(SingularUpdateError) as err:
+            linalg.batch_inverse_update(np.eye(3), np.array([[1.0], [0.0], [0.0]]), [-1.0])
+        assert str(err.value) == "capacitance matrix is singular"
+        # U = diag(-1e-14, 2): inverted, then refused by the estimate
+        q = np.array([[math.sqrt(1.0 - 1e-14), 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(SingularUpdateError) as err:
+            linalg.batch_inverse_update(np.eye(3), q, [-1.0, 1.0])
+        w = q.T @ q
+        cond = self.six_reduction_cond(np.linalg.inv(w + np.diag([-1.0, 1.0])), w)
+        assert str(err.value) == f"capacitance condition estimate {cond:.3e} above 1e+12"
+        # the text the six-reduction core printed for this update
+        assert str(err.value) == "capacitance condition estimate 2.002e+14 above 1e+12"
+
+    @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
+    def test_update_leaves_its_arguments_alone(self, width):
+        rng = np.random.default_rng(37)
+        signs = np.array(update_template(fig2_profile()).signs, dtype=float)
+        b_inv = linalg.spd_inverse(random_spd(rng, 35)) / 0.99
+        q = rng.standard_normal((len(signs), 35)).T
+        theta, y = rng.standard_normal((35, *width)), rng.standard_normal((len(signs), *width))
+        before = [a.copy() for a in (b_inv, q, signs, theta, y)]
+        linalg.batch_inverse_update(b_inv, q, signs, theta, y)
+        linalg.batch_inverse_update(b_inv, q, signs)
+        for got, want in zip((b_inv, q, signs, theta, y), before):
+            assert np.array_equal(got, want)
+
 
 @pytest.mark.parametrize(
     "update", [linalg.batch_inverse_update, linalg.chain_sherman_morrison],
