@@ -9,12 +9,14 @@ with the working tree's ``perfbench.workloads.build`` for seeds 1-3, and both
 sides read the same files.  The commands are, for each seed: the
 ``fit_long`` fit, the twelve ``archive_forecast`` forecasts, and the three
 ``profiles_diag`` fits with and without ``--cond-every``; then, once:
-``compare`` and a diagonally loaded fit (``--epsilon 1e-9 --cond-every 60``,
-the one command whose footer reads ``loading_applied=True``) on the seed-1
-diagnostic series, an infinite-profile fit with ``--cond-every 60``, an
-exponential-profile fit (39,600 rank-2 steps) and ``compare`` (39,601 rows)
-on the seed-1 ``fit_long`` series (40,000 days), an infinite-profile
-forecast on the seed-1 archive, ``synth --origin 0001-01-01``, a forecast
+``compare``, ``compare --profile infinite`` (rank-one steps against the
+rank-two exponential baseline in one command) and a diagonally loaded fit
+(``--epsilon 1e-9 --cond-every 60``, the one command whose footer reads
+``loading_applied=True``) on the seed-1 diagnostic series, an
+infinite-profile fit with ``--cond-every 60``, an exponential-profile fit
+(39,600 rank-2 steps) and ``compare`` (39,601 rows) on the seed-1
+``fit_long`` series (40,000 days), an infinite-profile forecast on the
+seed-1 archive, ``synth --origin 0001-01-01``, a forecast
 whose horizon ends on 9999-12-31 and one that passes it, two fits of a
 40-day series that fail (exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
@@ -110,6 +112,9 @@ def commands(work: Path) -> list[list[str]]:
     diag = work / "profiles_diag-1" / "diag.csv"
     lines.append(["compare", "--input", str(diag), *workloads.MODEL_FLAGS,
                   *workloads.FIG2_FLAGS, "--output", "compare.out.csv"])
+    # the infinite profile (rank one) against its exponential baseline (rank two)
+    lines.append(["compare", "--input", str(diag), *workloads.MODEL_FLAGS,
+                  *workloads.PROFILE_FLAGS["infinite"], "--output", "compare_infinite.out.csv"])
     lines.append(["fit", "--input", str(diag), *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
                   "--epsilon", "1e-9", "--cond-every", str(workloads.COND_EVERY),
                   "--output", "epsilon.out.csv"])

@@ -1,10 +1,13 @@
 """Dense symmetric linear algebra for the windowed estimator.
 
 Factorizations, inverses and eigenvalues come from LAPACK through
-numpy.linalg.  What this module adds is the one signed low-rank update the
-estimator runs on, with an explicit conditioning check on its capacitance
-matrix, and the chained rank-one comparator it is measured against.  The
-update is one private core, ``_woodbury``, behind the public
+numpy.linalg, with one exception: a rank-one update inverts its 1 x 1
+capacitance as the Python float 1/u, the bits LAPACK gives for [[u]],
+without the numpy.linalg.inv wrapper, which costs more than the division.
+What this module adds is the one signed low-rank update the estimator runs
+on, with an explicit conditioning check on its capacitance matrix, and the
+chained rank-one comparator it is measured against.  The update is one
+private core, ``_woodbury``, behind the public
 ``batch_inverse_update``: the public function checks its arguments and builds
 D = diag(signs), then runs the core; the core checks nothing but the
 capacitance conditioning.  The estimator checks its template once at
@@ -14,10 +17,11 @@ verification oracles stay independent of this path through their algorithm,
 not their library: they assemble the weighted normal equations directly
 instead of recursively, and invert in long double by Gauss-Jordan.
 
-The core forms its products with ``np.dot``, not ``@``: on the 35 x r
-operands of a step both reach the same BLAS gemm or gemv, so the bits are
-the same, but ``np.dot`` skips the matmul ufunc's dispatch, which costs
-more than the arithmetic at these sizes.
+The core forms its products with ``ndarray.dot``, not ``np.dot`` or ``@``:
+on the 35 x r operands of a step all three reach the same BLAS gemm or gemv,
+so the bits are the same, but the method skips the array-function
+dispatch of ``np.dot`` and the matmul ufunc's, which cost more than the
+arithmetic at these sizes.
 """
 
 from __future__ import annotations
@@ -76,18 +80,29 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
     or an invalid window transition.  Measuring against the size of both
     terms of U, not U itself, catches cancellation between them.
 
-    The arguments are checked on every call (a square B^{-1}, one +/-1
-    signature entry per column, theta and y together); the arithmetic is
-    ``_woodbury``, which the estimator calls without these checks.
+    The arguments are checked on every call, each misfit a ValueError: a
+    square B^{-1}, at least one column, one +/-1 signature entry per column,
+    and theta and y together, theta (n,) with y (r,) or theta (n, B) with
+    y (r, B).  The arithmetic is ``_woodbury``, which the estimator calls
+    without these checks.
     """
     b_inv, q, signs = _checked_update(b_inv, q, signs)
     if (theta is None) != (y is None):
         raise ValueError("theta and y must be given together")
+    if theta is not None:
+        n, r = q.shape
+        theta_shape, y_shape = np.shape(theta), np.shape(y)
+        if not (len(theta_shape) in (1, 2) and theta_shape[0] == n
+                and y_shape == (r, *theta_shape[1:])):
+            raise ValueError(
+                f"theta and y must be (n,) and (r,), or (n, B) and (r, B), with n={n} "
+                f"and r={r}; got {theta_shape} and {y_shape}"
+            )
     return _woodbury(b_inv, q, np.diag(signs), theta, y)
 
 
 def _checked_update(b_inv, q, signs):
-    """(B^{-1}, Q, signs) as float arrays, Q (n x r); a ValueError unless they fit together."""
+    """(B^{-1}, Q, signs) as float arrays, Q (n x r), r >= 1; a ValueError unless they fit."""
     b_inv = _as_square(b_inv)
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
@@ -95,6 +110,8 @@ def _checked_update(b_inv, q, signs):
     signs = np.asarray(signs, dtype=float).ravel()
     if q.shape[0] != b_inv.shape[0]:
         raise ValueError("column dimension does not match the matrix order")
+    if q.shape[1] == 0:
+        raise ValueError("at least one correction column is required")
     if q.shape[1] != signs.size:
         raise ValueError("one signature entry is required per column")
     if not set(signs.tolist()) <= {1.0, -1.0}:
@@ -110,26 +127,40 @@ def _woodbury(b_inv, q, d, theta, y):
     checked: the shapes of ``q``, ``d`` and ``y``, and the signature, are the
     caller's.
     """
-    # np.dot, not @: the same BLAS calls without the matmul ufunc's dispatch
-    v = np.dot(b_inv, q)                            # B^{-1} Q
-    # U^{-1} and W = Q^T B^{-1} Q side by side, for one pass of norm reductions
-    pair = np.empty((2, q.shape[1], q.shape[1]))
-    w = np.dot(q.T, v, out=pair[1])
-    try:
-        u_inv = np.linalg.inv(w + d)                # U = D + W
-    except np.linalg.LinAlgError:
-        raise SingularUpdateError("capacitance matrix is singular") from None
-    pair[0] = u_inv
-    cond = _capacitance_cond(pair)
+    # ndarray.dot, not np.dot or @: the same BLAS calls without the
+    # array-function or matmul ufunc dispatch
+    qt = q.T
+    v = b_inv.dot(q)                                # B^{-1} Q
+    if q.shape[1] == 1:
+        # rank one: 1/u is the LAPACK inverse of [[u]] and the two 1-norms are
+        # absolute values, bit for bit, nan and inf included; Python float
+        # division, as it neither warns nor raises on a subnormal u
+        u_inv = qt.dot(v)                           # W, overwritten by U^{-1}
+        w = u_inv.item()
+        u = w + d.item()
+        if u == 0.0:
+            raise SingularUpdateError("capacitance matrix is singular")
+        u_inv[0, 0] = inv = 1.0 / u
+        cond = abs(inv) * (1.0 + abs(w))
+    else:
+        # U^{-1} and W = Q^T B^{-1} Q side by side, for one pass of norm reductions
+        pair = np.empty((2, q.shape[1], q.shape[1]))
+        w = qt.dot(v, out=pair[1])
+        try:
+            u_inv = np.linalg.inv(w + d)            # U = D + W
+        except np.linalg.LinAlgError:
+            raise SingularUpdateError("capacitance matrix is singular") from None
+        pair[0] = u_inv
+        cond = _capacitance_cond(pair)
     if not cond <= 1.0 / PIVOT_RTOL:
         raise SingularUpdateError(
             f"capacitance condition estimate {cond:.3e} above {1.0 / PIVOT_RTOL:.0e}"
         )
-    t = np.dot(v, np.dot(u_inv, v.T))
+    t = v.dot(u_inv.dot(v.T))
     gamma = symmetrize(np.subtract(b_inv, t, out=t))
     if theta is None:
         return gamma
-    return gamma, theta + np.dot(v, np.dot(u_inv, y - np.dot(q.T, theta)))
+    return gamma, theta + v.dot(u_inv.dot(y - qt.dot(theta)))
 
 
 def _capacitance_cond(pair) -> float:

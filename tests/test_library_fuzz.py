@@ -286,8 +286,12 @@ def case_direct(rng):
     name = rng.choice(sorted(PROFILES))
     values = values_of(rng, [(0,), (60,), (60,), (60, 3), (60, 3, 1)])
     values, refused = non_real(rng, values)
+    # the entries of a 1-D object array are Python floats, which a sample may hold
+    refused = refused and not (values.dtype == object and values.ndim == 1)
     samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
-    k = rng.choice(COUNTS + [55, 60, 60, 61])
+    # most draws take a k the samples allow (n <= k <= 60), so that the solve runs
+    k = (rng.randint(MODEL.dim, 60) if rng.random() < 0.7
+         else rng.choice(COUNTS + [55, 60, 60, 61]))
     if values.ndim in (1, 2) and type(k) is int and 1 <= k <= len(samples) and not refused:
         draw = rng.random()
         if values.ndim == 1 and draw < 0.3:
@@ -360,6 +364,9 @@ CASES = [
     (case_init, 80), (case_step, 120), (case_run, 60), (case_forecast, 40),
     (case_direct, 80), (case_trajectory, 30), (case_bias, 10), (case_accumulation, 30),
 ]
+# the least number of draws that must return, where it is more than one (SEED 16
+# gives 11 for direct_weighted_ls)
+LEAST_RETURNED = {"case_direct": 5}
 
 
 def test_cases_cover_the_public_callables():
@@ -383,4 +390,4 @@ def test_every_call_returns_its_shape_or_raises_as_documented(case, draws):
         label, call, check = case(rng)
         returned += expect(label, call, check)
     # some draws return, so the shape checks are not vacuous
-    assert returned > 0
+    assert returned >= LEAST_RETURNED.get(case.__name__, 1)

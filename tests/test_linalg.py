@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from segrls.errors import (
     NotPositiveDefiniteError,
     SingularUpdateError,
 )
-from segrls.profile import update_template
+from segrls.profile import ExponentialProfile, update_template
 from segrls.verify import fig2_profile
 
 HILBERT4_INVERSE = np.array(
@@ -89,6 +90,34 @@ class TestBatchInverseUpdate:
     def test_signature_validated(self):
         with pytest.raises(ValueError):
             linalg.batch_inverse_update(np.eye(2), np.ones((2, 1)), [0.5])
+
+    @pytest.mark.parametrize(
+        "theta_shape, y_shape",
+        [((5,), ()), ((5,), (1,)), ((5,), (4,)), ((4,), (3,)), ((5, 2), (3,)),
+         ((5, 2), (3, 3)), ((5,), (3, 1)), ((5, 2, 1), (3, 2, 1)), ((), (3,))],
+        ids=["y-scalar", "y-one", "y-long", "theta-short", "y-unbatched",
+             "y-other-width", "y-batched", "three-axes", "theta-scalar"],
+    )
+    def test_theta_and_y_must_fit_the_columns(self, theta_shape, y_shape):
+        # n = 5, r = 3: a y that numpy would broadcast over the columns is refused too
+        with pytest.raises(ValueError, match=r"theta and y must be \(n,\) and \(r,\), or "):
+            linalg.batch_inverse_update(np.eye(5), np.eye(5)[:, :3], [1.0, 1.0, 1.0],
+                                        np.ones(theta_shape), np.ones(y_shape))
+
+    @pytest.mark.parametrize("width", [(), (2,)], ids=["scalar", "batch2"])
+    def test_theta_and_y_of_fitting_shapes_are_taken(self, width):
+        q, signs = np.eye(5)[:, :3], [1.0, 1.0, 1.0]
+        theta, y = np.ones((5, *width)), np.full((3, *width), 3.0)
+        gamma, got = linalg.batch_inverse_update(np.eye(5), q, signs, theta, y)
+        # A = diag(2, 2, 2, 1, 1), b = theta + Q y = (4, 4, 4, 1, 1)
+        want = np.ones((5, *width))
+        want[:3] = 2.0
+        assert np.array_equal(got, want)
+        assert np.array_equal(gamma, np.diag([0.5, 0.5, 0.5, 1.0, 1.0]))
+        # lists of the same shapes give the same bits
+        gamma_l, got_l = linalg.batch_inverse_update(np.eye(5).tolist(), q.tolist(), signs,
+                                                     theta.tolist(), y.tolist())
+        assert np.array_equal(gamma_l, gamma) and np.array_equal(got_l, got)
 
 
 class TestChainShermanMorrison:
@@ -215,6 +244,90 @@ class TestSameBits:
         # the text the six-reduction core printed for this update
         assert str(err.value) == "capacitance condition estimate 2.002e+14 above 1e+12"
 
+    @staticmethod
+    def inverse_core(b_inv, q, d, theta, y):
+        """The core as it read for every rank: numpy.linalg.inv and the two 1-norms."""
+        v = np.dot(b_inv, q)
+        w = np.dot(q.T, v)
+        try:
+            u_inv = np.linalg.inv(w + d)
+        except np.linalg.LinAlgError:
+            raise SingularUpdateError("capacitance matrix is singular") from None
+        u_norm, w_norm = (np.maximum.reduce(np.add.reduce(np.abs(m))).item() for m in (u_inv, w))
+        cond = u_norm * (1.0 + w_norm)
+        if not cond <= 1e12:
+            raise SingularUpdateError(f"capacitance condition estimate {cond:.3e} above 1e+12")
+        gamma = b_inv - np.dot(v, np.dot(u_inv, v.T))
+        return (gamma + gamma.T) * 0.5, theta + np.dot(v, np.dot(u_inv, y - np.dot(q.T, theta)))
+
+    @staticmethod
+    def outcome(update, *args):
+        """The bytes of (gamma, theta'), or the SingularUpdateError text; then the warnings."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                gamma, theta = update(*args)
+                result = gamma.tobytes(), theta.tobytes()
+            except SingularUpdateError as err:
+                result = str(err)
+        return result, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+    @staticmethod
+    def rank_one_capacitance(w, d, width):
+        """Core arguments whose W is ``w`` and D is ``d``: B^{-1} = [[w]], Q = [[1]]."""
+        y = np.linspace(-1.5, 2.0, num=math.prod(width)).reshape(1, *width)
+        return np.array([[w]]), np.ones((1, 1)), np.array([[d]]), np.full((1, *width), 0.25), y
+
+    @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
+    def test_rank_one_core_is_the_inverse_form_over_the_double_range(self, width):
+        rng = np.random.default_rng(41)
+        tiny, huge = 5e-324, float(np.finfo(float).max)
+        ws = [tiny, -tiny, 2.2e-308 / 3, huge, -huge, 1e-300, 1e300, 0.5, -0.5, 1.0, -1.0]
+        ws += (rng.choice([-1.0, 1.0], size=2000)
+               * 10.0 ** rng.uniform(-323, 308, size=2000)).tolist()
+        checked, returned = 0, 0
+        for w in ws:
+            # D = -0.0 makes U = W exactly; the others cancel W or dominate it
+            for d in (-0.0, 1.0, -1.0, -w, -w * (1.0 + 2.0 ** -52), -w * (1.0 - 2.0 ** -52)):
+                args = self.rank_one_capacitance(w, d, width)
+                got = self.outcome(linalg._woodbury, *args)
+                assert got == self.outcome(self.inverse_core, *args), (w, d)
+                checked += 1
+                returned += type(got[0]) is tuple
+        # both outcomes are common: a result, and a refusal by the estimate
+        assert returned > checked // 10 and checked - returned > checked // 10
+
+    @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
+    def test_rank_one_core_is_the_inverse_form_on_infinite_profile_operands(self, width):
+        rng = np.random.default_rng(43)
+        signs = update_template(ExponentialProfile(0.99)).signs
+        d = np.diag(np.array(signs, dtype=float))                   # r = 1
+        for _ in range(100):
+            b_inv = linalg.spd_inverse(random_spd(rng, 35)) / 0.99
+            q = rng.standard_normal((1, 35)).T
+            theta, y = rng.standard_normal((35, *width)), rng.standard_normal((1, *width))
+            want = self.outcome(self.inverse_core, b_inv, q, d, theta, y)
+            assert type(want[0]) is tuple and not want[1]
+            assert self.outcome(linalg._woodbury, b_inv, q, d, theta, y) == want
+            assert self.outcome(linalg.batch_inverse_update, b_inv, q, signs, theta, y) == want
+
+    @pytest.mark.parametrize(
+        "w, d, want",
+        [(0.0, -0.0, "capacitance matrix is singular"),
+         (-0.0, -0.0, "capacitance matrix is singular"),
+         (1.0, -1.0, "capacitance matrix is singular"),
+         (math.nan, 1.0, "capacitance condition estimate nan above 1e+12"),
+         (math.inf, 1.0, "capacitance condition estimate nan above 1e+12"),
+         (-math.inf, 1.0, "capacitance condition estimate nan above 1e+12"),
+         (5e-324, -0.0, "capacitance condition estimate inf above 1e+12")],
+        ids=["zero", "minus-zero", "cancelled", "nan", "inf", "minus-inf", "subnormal"],
+    )
+    def test_rank_one_refusals_keep_their_text(self, w, d, want):
+        # raised before any product that could warn: neither form warns
+        args = self.rank_one_capacitance(w, d, ())
+        assert self.outcome(self.inverse_core, *args) == (want, [])
+        assert self.outcome(linalg._woodbury, *args) == (want, [])
+
     @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
     def test_update_leaves_its_arguments_alone(self, width):
         rng = np.random.default_rng(37)
@@ -239,8 +352,9 @@ class TestSameBits:
         (np.ones((2, 2)), [1.0], "one signature entry is required per column"),
         (np.ones((2, 1)), [2.0], r"signature entries must be \+1 or -1"),
         (np.ones((3, 1)), [1.0], "column dimension does not match the matrix order"),
+        (np.ones((2, 0)), [], "at least one correction column is required"),
     ],
-    ids=["signs-short", "sign-two", "rows-mismatch"],
+    ids=["signs-short", "sign-two", "rows-mismatch", "no-columns"],
 )
 def test_both_updates_refuse_the_same_arguments(update, q, signs, message):
     with pytest.raises(ValueError, match=message):
