@@ -95,6 +95,27 @@ def _dated_series(path: Path, first: datetime.date, days: int) -> None:
     path.write_text("date,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _archive_copies(text: str) -> dict[str, str]:
+    """Edited copies of an observatory archive, by name, each edited at its middle line.
+
+    A '#' line after the data, CRLF line breaks and one form-feed line break
+    send the file to the data-lines pass and must give the same forecast; a
+    refused value and an off-calendar date must each fail with exit 3,
+    naming the line.
+    """
+    lines = text.split("\n")
+    middle = len(lines) // 2
+    before, after = "\n".join(lines[:middle]), "\n".join(lines[middle + 1 :])
+    year, month, day, _, *rest = lines[middle].split()
+    return {
+        "hash": f"{before}\n# a note after the data\n{lines[middle]}\n{after}",
+        "crlf": text.replace("\n", "\r\n"),
+        "formfeed": f"{before}\n{lines[middle]}\x0c{after}",
+        "refused": f"{before}\n{' '.join([year, month, day, 'x', *rest])}\n{after}",
+        "offcalendar": f"{before}\n{' '.join([year, '2', '30', '0.0', *rest])}\n{after}",
+    }
+
+
 def commands(work: Path) -> list[list[str]]:
     """Every command line, with its inputs built under ``work``."""
     sys.path.insert(0, str(ROOT))
@@ -132,6 +153,13 @@ def commands(work: Path) -> list[list[str]]:
     i = argv.index("--profile")
     lines.append([*argv[:i], *workloads.PROFILE_FLAGS["infinite"],
                   *argv[i + len(workloads.FIG2_FLAGS):]])
+    # the same forecast on edited copies of the seed-1 archive
+    archive = work / "archive_forecast-1" / "archive.txt"
+    i = argv.index("--input") + 1
+    for name, text in _archive_copies(archive.read_text(encoding="utf-8")).items():
+        copy = work / f"archive_{name}.txt"
+        copy.write_bytes(text.encode("utf-8"))
+        lines.append([*argv[:i], str(copy), *argv[i + 1 : -1], f"archive_{name}.out.csv"])
     lines.append(["synth", "--origin", "0001-01-01", "--length", "2000", "--seed", "5",
                   "--output", "synth.out.csv"])
     # a series that ends LATE_HORIZON days before LAST_DAY

@@ -4,6 +4,10 @@ All commands emit plot-ready CSV with a '#'-prefixed metadata footer that
 embeds the full parameter set.  Floats are printed with 9 significant
 digits, so identical inputs and flags produce byte-identical files.
 
+``--input`` goes to the parsers as a path: a regular file is read once for
+its text and, when ``segrls.ingest`` lets it, again by ``numpy.loadtxt``'s
+chunked reader; a pipe such as ``/dev/stdin`` is read once, as text.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 data error, 4 numerical failure.
 """
@@ -36,7 +40,6 @@ from .ingest import (
     IndexedSeries,
     Records,
     iso_date_range,
-    iso_dates,
     parse_csv,
     parse_stockholm,
     to_indexed,
@@ -256,13 +259,23 @@ def _data_command(command):
 # data loading
 
 
+class _InputPath:
+    """``--input`` as given, as a path: ``pathlib.Path`` would drop a './' and
+    turn '' into '.', so an OSError would not name the path the user gave."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
 def _load_records(args):
-    # utf-8-sig drops a leading byte-order mark, which is not data
-    with open(args.input, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
+    # by path, so a regular file can take the reader's chunked file pass
+    source = _InputPath(args.input)
     if args.format == "stockholm":
-        return parse_stockholm(text, value_column=args.value_column)
-    return parse_csv(text)
+        return parse_stockholm(source, value_column=args.value_column)
+    return parse_csv(source)
 
 
 def _load_series(args, start, end) -> tuple[IndexedSeries, Records]:
@@ -436,19 +449,17 @@ def cmd_forecast(args) -> int:
     if errors:
         return _fail_config(errors)
     series, records = _load_series(args, start, end)
-    iso = iso_dates(series.origin)
     last = len(series.values)
-    try:
-        iso(last + args.horizon)        # the horizon's last index needs a date
-    except (ValueError, OverflowError):
+    end = series.origin + datetime.timedelta(days=last - 1)
+    if end.toordinal() + args.horizon > datetime.date.max.toordinal():
         return _fail_config(
-            [f"--horizon {args.horizon} from the series end {iso(last)} passes year 9999"]
+            [f"--horizon {args.horizon} from the series end {end} passes year 9999"]
         )
     est, _, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 
     indices = range(last + 1, last + args.horizon + 1)
-    days = [iso(k) for k in indices]
+    days = iso_date_range(series.origin, last + 1, last + args.horizon + 1)
     pos, recorded = records.find(np.array(days, dtype="datetime64[D]"))
     out = ["k,date,mean,lower,upper,observed,in_band"]
     hits = 0
@@ -533,8 +544,8 @@ def cmd_synth(args) -> int:
     out = []
     out.extend(_config_footer(args, model, extra=[f"# theta_full={','.join(fmt(v) for v in theta)}"]))
     out.append("date,value")
-    iso = iso_dates(origin)
-    out.extend(f"{iso(k)},{fmt(y)}" for k, y in enumerate(values.tolist(), start=1))
+    dates = iso_date_range(origin, 1, len(values) + 1)
+    out.extend(f"{date},{fmt(y)}" for date, y in zip(dates, values.tolist()))
     _write_output(args.output, "\n".join(out) + "\n")
     print(f"synth: wrote {len(values)} samples", file=sys.stderr)
     return EXIT_OK

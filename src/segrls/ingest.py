@@ -2,23 +2,29 @@
 
 Two input layouts are supported: the whitespace-delimited observatory layout
 (year month day value ..., '#' comments) and a plain ``date,value`` CSV.
-Each parser reads its file in one ``numpy.loadtxt`` pass into columnar
+Each parser takes the text or a file's path (read as UTF-8 less a leading
+byte-order mark), reads it in one ``numpy.loadtxt`` pass into columnar
 ``Records`` and checks calendar validity and finiteness on whole arrays.
-When no '#' follows the leading comment and blank lines, the reader gets the
-lines after them as they are; otherwise, or if it refuses them, it gets the
-data lines alone.  A refused file is read again with the same reader,
-narrowed by halves to its first refused line, and the stage that refuses
-that line picks the error: a token the reader or the ISO date shape refuses
-and a non-finite value are a ``ParseError``, an off-calendar date (a date
-field past 64 bits too) is a ``CalendarError``, each naming the line.  The
-CSV header follows the data's rule, so a quoted header is refused.
-``to_indexed`` turns the records into consecutively indexed values, with an
-explicit policy for missing days.
+The reader's chunked file pass reads a regular, uncompressed file again by
+its path, past the leading comment and blank lines, when no '#' follows
+them and no line break that ``str.splitlines`` honours and universal
+newlines do not is in it.  Otherwise, or if it refuses the file, the
+reader gets the data lines alone.  A refused file is read again with the
+same reader, narrowed by halves to its first refused line, and the stage
+that refuses that line picks the error: a token the reader or the ISO date
+shape refuses and a non-finite value are a ``ParseError``, an off-calendar
+date (a date field past 64 bits too) is a ``CalendarError``, each naming
+the line.  The CSV header follows the data's rule, so a quoted header is
+refused.  ``to_indexed`` turns the records into consecutively indexed
+values, with an explicit policy for missing days.
 """
 
 from __future__ import annotations
 
 import datetime
+import os
+import re
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +44,11 @@ _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
 # digit place values, as int32 so the fields stay 4 bytes a date
 _YEAR_PLACES = np.array([1000, 100, 10, 1], dtype=np.int32)
 _PLACES = _YEAR_PLACES[2:]
+# line breaks that str.splitlines honours and universal newlines do not
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes numpy.loadtxt decompresses
+_INDENTED = re.compile(r"\n[^\S\n]")  # a line that starts with whitespace
+_PREFIX = 4096  # characters split first to find the leading comment and blank lines
 
 
 @dataclass(frozen=True)
@@ -87,72 +98,71 @@ class IndexedSeries:
     filled: tuple[datetime.date, ...] = field(default=())
 
 
-def iso_dates(origin: datetime.date):
-    """k -> the ISO date of index k, k = 1 falling on ``origin``, from date ordinals.
-
-    Past 9999-12-31 it raises ValueError (OverflowError past the C long range).
-    """
-    before_origin = origin.toordinal() - 1
-    day = datetime.date.fromordinal
-    return lambda k: day(before_origin + k).isoformat()
-
-
 def iso_date_range(origin: datetime.date, start: int, stop: int) -> list[str]:
     """The ISO dates of indices start..stop-1, k = 1 falling on ``origin``.
 
-    One numpy conversion for the whole range; each text is the one
-    ``iso_dates(origin)(k)`` gives, for dates from 0001-01-01 to 9999-12-31.
+    One numpy conversion for the whole range; each text is
+    ``datetime.date.isoformat``'s, for dates from 0001-01-01 to 9999-12-31.
     """
     before_origin = np.datetime64(origin, "D") - 1
     days = np.arange(before_origin + start, before_origin + stop)
     return np.datetime_as_string(days).tolist()
 
 
-def parse_stockholm(text: str, value_column: int = 3) -> Records:
+def parse_stockholm(source: str | os.PathLike, value_column: int = 3) -> Records:
     """Whitespace-delimited daily records: year month day value [extra columns].
 
-    Lines starting with '#' and blank lines are skipped.  ``value_column`` is
-    the zero-based token index of the temperature column (default: the fourth
-    column, the first temperature in the observatory layout).  Columns after
-    it are not read.
+    ``source`` is the text, or the path of a file to read.  Lines starting
+    with '#' and blank lines are skipped.  ``value_column`` is the zero-based
+    token index of the temperature column (default: the fourth column, the
+    first temperature in the observatory layout).  Columns after it are not
+    read.
     """
     if value_column < 3:
         raise ValueError("value_column must be >= 3 (after year, month, day)")
 
-    def convert(rows):
+    def convert(rows, **reader):
         try:
-            table = _load(rows, _OBSERVATORY_ROW, usecols=(0, 1, 2, value_column))
+            table = _load(rows, _OBSERVATORY_ROW, usecols=(0, 1, 2, value_column), **reader)
         except ValueError:
             # a date field past 64 bits is a year off the calendar; only a single
             # line's refusal is ever classified, so only a single line is checked
-            if len(rows) == 1 and any(map(_past_int64, rows[0].split()[:3])):
+            if isinstance(rows, list) and len(rows) == 1 and any(
+                    map(_past_int64, rows[0].split()[:3])):
                 raise _OffCalendar from None
             raise
         return _records(table["year"], table["month"], table["day"], table["value"])
 
-    lines = text.splitlines()
+    text, path = _text(source)
+    start, offset, _ = _leading_block(text)
     expected = f"integer year, month and day and a float in column {value_column + 1}"
-    return _read(text, lines, _first_data_line(lines), convert, expected)
+    return _read(text, path, start, offset, convert, expected)
 
 
-def parse_csv(text: str) -> Records:
-    """CSV with header ``date,value``, ISO dates; '#' comment lines are skipped."""
+def parse_csv(source: str | os.PathLike) -> Records:
+    """CSV with header ``date,value``, ISO dates; '#' comment lines are skipped.
 
-    def convert(rows):
-        table = _load(rows, _CSV_ROW, delimiter=",")
+    ``source`` is the text, or the path of a file to read.
+    """
+
+    def convert(rows, **reader):
+        table = _load(rows, _CSV_ROW, delimiter=",", **reader)
         year, month, day = _iso_fields(table["date"])
         return _records(year, month, day, table["value"])
 
-    lines = text.splitlines()
-    start = _first_data_line(lines)
-    if start == len(lines):
+    text, path = _text(source)
+    start, offset, header = _leading_block(text)
+    if header is None:
         raise ParseError("empty input; expected a 'date,value' header")
-    if [cell.strip().lower() for cell in lines[start].split(",")] != ["date", "value"]:
+    if [cell.strip().lower() for cell in header.split(",")] != ["date", "value"]:
         raise ParseError(
-            f"expected header 'date,value', got {_quote(lines[start])}",
-            line_number=start + 1,
+            f"expected header 'date,value', got {_quote(header)}", line_number=start + 1
         )
-    return _read(text, lines, start, convert, "'YYYY-MM-DD,float'", skip=1)
+    # a line after the header that starts with whitespace is blank or refused
+    # by the comma reader; either way the data lines alone are read
+    if path is not None and _INDENTED.search(text, offset):
+        path = None
+    return _read(text, path, start, offset, convert, "'YYYY-MM-DD,float'", skip=1)
 
 
 class _OffCalendar(ValueError):
@@ -168,9 +178,45 @@ def _data_lines(lines: list[str]) -> list[str]:
     return [raw for raw in lines if (s := raw.strip()) and s[0] != "#"]
 
 
-def _first_data_line(lines: list[str]) -> int:
-    """Index of the first line that is neither blank nor a '#' comment; len(lines) if none."""
-    return next((i for i, raw in enumerate(lines) if _data_lines([raw])), len(lines))
+def _text(source) -> tuple[str, str | None]:
+    """The text of ``source``, and the absolute path of a file the reader may read again.
+
+    A text source, and a file that is not regular (a pipe reads empty the
+    second time) or that ``numpy.loadtxt`` would decompress by its suffix,
+    give no path.  The path is absolute, so numpy never takes it for a URL.
+    """
+    if isinstance(source, str):
+        return source, None
+    # utf-8-sig drops a leading byte-order mark, which is not data
+    with open(source, encoding="utf-8-sig") as handle:
+        text = handle.read()
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    path = os.path.abspath(source)
+    rereadable = regular and os.path.splitext(path)[1].lower() not in _COMPRESSED
+    return text, path if rereadable else None
+
+
+def _leading_block(text: str) -> tuple[int, int, str | None]:
+    """The comment and blank lines that open ``text``, as ``str.splitlines`` splits it.
+
+    Returns their count, the offset of the line after them, and that line,
+    the first data line, without its break (None if there is none).  Only a
+    prefix is split, doubled until it holds a data line, so a file is not
+    split whole to find its header.
+    """
+    size = _PREFIX
+    while True:
+        pieces = text[:size].splitlines(keepends=True)
+        if size < len(text):
+            pieces.pop()  # it may be cut, its break too
+        offset = 0
+        for count, piece in enumerate(pieces):
+            if _data_lines([piece]):
+                return count, offset, piece.splitlines()[0]
+            offset += len(piece)
+        if size >= len(text):
+            return len(pieces), offset, None
+        size *= 2
 
 
 def _numbered_data_lines(lines: list[str]):
@@ -190,11 +236,12 @@ def _quote(text: str) -> str:
     return quoted if len(quoted) <= 40 else quoted[:39] + "…"
 
 
-def _load(rows: list[str], dtype: np.dtype, **kwargs) -> np.ndarray:
-    """One C-tokenized pass over ``rows``; '#' is data here, the rows hold no comments.
+def _load(rows: list[str] | str, dtype: np.dtype, **kwargs) -> np.ndarray:
+    """One C-tokenized pass over ``rows``, a list of lines or a file's path.
 
-    The reader skips empty lines; rows that are all empty are no records,
-    without the reader's warning on stderr.
+    '#' is data here: the lines read hold no comments.  The reader skips
+    empty lines; lines that are all empty are no records, without the
+    reader's warning on stderr.
     """
     if not rows:
         return np.empty(0, dtype=dtype)
@@ -241,26 +288,25 @@ def _records(year, month, day, values) -> Records:
     return Records(firsts[slot] + (day - 1).astype("timedelta64[D]"), values)
 
 
-def _read(text, lines, start, convert, expected, skip=0) -> Records:
-    """``convert`` the lines after the ``skip`` lines from ``lines[start]``, the first data line.
+def _read(text, path, start, offset, convert, expected, skip=0) -> Records:
+    """``convert`` the data lines of ``text`` after the ``skip`` lines from line ``start``.
 
-    When no '#' follows ``start`` they go to ``convert`` in one pass, less
-    the lines after the data that ``str.strip`` sees as blank: the comma
-    reader would refuse those, and a refusal costs a second pass.  The
-    reader skips or refuses each such line among the data, so an accepted
-    pass holds the data lines' records.  Otherwise, or if refused,
-    ``_parse`` reads the data lines alone.  The '#' search starts at the
-    first match of ``lines[start]`` in ``text``, which is never after that
-    line's own place.
+    ``start`` indexes the first data line and ``offset`` is its place in
+    ``text``.  When ``path`` names the file ``text`` was read from, no '#'
+    follows ``offset`` and every line break in ``text`` is one universal
+    newlines read, the file's lines are ``text``'s: it goes to ``convert``
+    by its path, past its first ``start + skip`` lines.  The reader skips
+    or refuses each blank line among the data, so an accepted pass holds
+    the data lines' records.  Otherwise, or if refused, ``_parse`` reads
+    the data lines alone.
     """
-    if start == len(lines) or text.find("#", text.find(lines[start])) < 0:
-        rows = lines[start + skip :]
-        while rows and not rows[-1].strip():
-            rows.pop()
+    if (path is not None and text.find("#", offset) < 0
+            and not any(map(text.__contains__, _SPLITLINES_ONLY))):
         try:
-            return convert(rows)
+            return convert(path, skiprows=start + skip, encoding="utf-8-sig")
         except ValueError:
             pass
+    lines = text.splitlines()
     return _parse(lines, _data_lines(lines), convert, expected, skip)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from segrls import cli, linalg
 from segrls.cli import fmt, main
-from segrls.ingest import iso_dates
+from segrls.ingest import iso_date_range
 from segrls.estimator import information_matrix
 from segrls.harmonic import make_harmonic_model
 from segrls.linalg import condition_number
@@ -332,6 +332,14 @@ class TestFit:
         assert code == 0
 
 
+@pytest.mark.parametrize("name", ["./missing.csv", "", "a//missing.csv"])
+def test_a_missing_input_is_named_as_given(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fit", "--input", name, *FIT_FLAGS]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: [Errno 2] No such file or directory: {name!r}\n"
+
+
 class TestRowRendering:
     """The one-expression row formats and the date helper render as fmt and date arithmetic do."""
 
@@ -368,7 +376,9 @@ class TestRowRendering:
         count = cli._ROW_CHUNK + 30        # one chunk boundary or more
         y, yhat, yhat1, res, conds = (vals[j * count : (j + 1) * count] for j in range(5))
         cond = [c if cond_every and i % cond_every == 0 else None for i, c in enumerate(conds)]
-        iso = iso_dates(origin)
+        def iso(k):
+            return (origin + datetime.timedelta(days=k - 1)).isoformat()
+
         ks = range(first, first + count)
         fit_rows = [cli._FIT_ROW % (k, iso(k), *row, fmt(c))
                     for k, *row, c in zip(ks, y, yhat, yhat1, res, cond)]
@@ -383,9 +393,8 @@ class TestRowRendering:
 
     @pytest.mark.parametrize("origin", [datetime.date(1999, 12, 25), datetime.date(1, 1, 1)])
     def test_iso_dates_are_date_of(self, origin):
-        iso = iso_dates(origin)
-        for k in range(1, 3000):
-            assert iso(k) == (origin + datetime.timedelta(days=k - 1)).isoformat()
+        want = [(origin + datetime.timedelta(days=k - 1)).isoformat() for k in range(1, 3000)]
+        assert iso_date_range(origin, 1, 3000) == want
 
 
 def _footer_value(path, key):

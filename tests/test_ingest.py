@@ -1,7 +1,12 @@
 import calendar
 import datetime
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +17,12 @@ from segrls.ingest import (
     Records,
     SeriesRecord,
     iso_date_range,
-    iso_dates,
     parse_csv,
     parse_stockholm,
     to_indexed,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STOCKHOLM_SAMPLE = """\
 # Stockholm daily mean temperatures (sample)
@@ -28,6 +34,11 @@ STOCKHOLM_SAMPLE = """\
 
 def day(text):
     return datetime.date.fromisoformat(text)
+
+
+def date_of(origin, k):
+    """The ISO date of index k, k = 1 falling on ``origin``, by date arithmetic."""
+    return (origin + datetime.timedelta(days=k - 1)).isoformat()
 
 
 class TestParseStockholm:
@@ -136,8 +147,7 @@ class TestToIndexed:
     def test_index_date_bijection(self):
         records = make_records(["2000-01-01", "2000-01-02", "2000-01-03"], [0, 0, 0])
         series = to_indexed(records)
-        iso = iso_dates(series.origin)
-        assert [iso(k) for k in range(1, len(series.values) + 1)] == [
+        assert iso_date_range(series.origin, 1, len(series.values) + 1) == [
             r.date.isoformat() for r in records
         ]
 
@@ -194,7 +204,7 @@ class TestToIndexed:
 
 
 class TestIsoDates:
-    """The index-to-date map against date arithmetic at both ends of the calendar."""
+    """``iso_date_range`` against date arithmetic at both ends of the calendar."""
 
     @pytest.mark.parametrize("first, last", [
         ("0001-01-01", "0009-03-01"),
@@ -205,9 +215,8 @@ class TestIsoDates:
         days = (last - first).days + 1
         dates = np.datetime64(first, "D") + np.arange(days)
         series = to_indexed(make_records(dates, np.zeros(days)))
-        iso = iso_dates(series.origin)
-        want = [(first + datetime.timedelta(days=k - 1)).isoformat() for k in range(1, days + 1)]
-        assert [iso(k) for k in range(1, len(series.values) + 1)] == want
+        want = [date_of(first, k) for k in range(1, days + 1)]
+        assert iso_date_range(series.origin, 1, len(series.values) + 1) == want
         assert want[-1] == last.isoformat()
 
     @pytest.mark.parametrize("origin, start, stop", [
@@ -220,31 +229,25 @@ class TestIsoDates:
         ("0001-01-01", 3652059 - 5, 3652060),  # the last days of 9999 from 0001-01-01
     ])
     def test_date_range_is_iso_dates(self, origin, start, stop):
-        iso = iso_dates(day(origin))
         got = iso_date_range(day(origin), start, stop)
-        assert got == [iso(k) for k in range(start, stop)]
+        assert got == [date_of(day(origin), k) for k in range(start, stop)]
         assert all(type(text) is str for text in got)
 
     def test_date_range_over_the_whole_calendar(self):
         # the first and last day of every 37th year, and of the leap-rule years
         origin = day("0001-01-01")
-        iso = iso_dates(origin)
         for year in [*range(1, 10000, 37), 4, 100, 400, 1600, 1900, 2000, 9996, 9999]:
             for first, last in [((year, 1, 1), (year, 1, 3)),
                                 ((year, 12, 29), (year, 12, 31))]:
                 start = (datetime.date(*first) - origin).days + 1
                 stop = (datetime.date(*last) - origin).days + 2
-                assert iso_date_range(origin, start, stop) == [iso(k) for k in range(start, stop)]
+                want = [date_of(origin, k) for k in range(start, stop)]
+                assert iso_date_range(origin, start, stop) == want
 
-    def test_no_date_past_9999_or_before_0001(self):
-        iso = iso_dates(day("9999-12-22"))
-        assert iso(10) == "9999-12-31"
-        with pytest.raises(ValueError):
-            iso(11)
-        with pytest.raises(OverflowError):
-            iso(10**30)
-        with pytest.raises(ValueError):
-            iso_dates(day("0001-01-01"))(0)
+    def test_dates_reach_both_ends_of_the_calendar(self):
+        # the callers keep every index inside them: forecast's horizon and synth's length
+        assert iso_date_range(day("9999-12-22"), 1, 11)[-1] == "9999-12-31"
+        assert iso_date_range(day("0001-01-01"), 1, 2) == ["0001-01-01"]
 
 
 def line_of(err):
@@ -490,16 +493,21 @@ def test_ingest_fuzz_names_the_first_refused_line():
 # Pieces of the differential fuzz below: every break str.splitlines knows,
 # lines only str.strip sees as blank, comments before and among the data,
 # glued and trailing '#', and a few refused tokens.
-LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-               "\u2028", "\u2029"]
-BLANK_LINES = ["", " ", "\t", "\x1f", "\xa0", "\u2003", " \x1f\xa0\u2003 "]
+UNIVERSAL_BREAKS = ["\n", "\r\n", "\r"]  # the breaks universal newlines read
+LINE_BREAKS = [*UNIVERSAL_BREAKS, "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               " ", " "]
+BLANK_LINES = ["", " ", "\t", "\x1f", "\xa0", " ", " \x1f\xa0  "]
 COMMENT_LINES = ["# note", "  # indented", "#", "\t#1756 1 1 5"]
 VALUES = ["-1.2", "0", "+.5", "1e3", "2.675", "-0"]
 REFUSED_VALUES = ["abc", "nan", "1_0", "5#x"]
 
 
 def fuzz_text(rng, fmt):
-    """A small file of one layout built from the pieces above, with mixed line breaks."""
+    """A small file of one layout built from the pieces above, with mixed line breaks.
+
+    Most files break their lines only where universal newlines do, so that
+    the reader's file pass sees them; the rest mix in every other break.
+    """
     lines = [rng.choice(COMMENT_LINES + BLANK_LINES) for _ in range(rng.randint(0, 3))]
     if fmt == "csv":
         lines.append(rng.choice(["date,value", " Date , VALUE "]))
@@ -521,76 +529,191 @@ def fuzz_text(rng, fmt):
                 line += " # a trailing note"
         lines.append(line)
         when += datetime.timedelta(days=1)
-    ends = [rng.choice(LINE_BREAKS) for _ in lines]
+    breaks = UNIVERSAL_BREAKS if rng.random() < 0.7 else LINE_BREAKS
+    ends = [rng.choice(breaks) for _ in lines]
     if ends and rng.random() < 0.3:
         ends[-1] = ""
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-def outcome(fmt, text):
+def outcome(fmt, source):
     """The records as dates and value bits, or the refusal's type and message."""
     try:
-        records = parse(fmt, text)
+        records = parse(fmt, source)
     except (ParseError, CalendarError) as err:
         return type(err), str(err)
     return records.dates.tolist(), [value.hex() for value in records.values.tolist()]
 
 
+def write(path, text):
+    """``text`` as UTF-8 bytes, its line breaks as they are; returns ``path``."""
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class LoadCounter:
+    """Stands in for ``ingest._load``: per call, whether it read a path and what it returned."""
+
+    def __init__(self, monkeypatch):
+        self.load = ingest._load
+        self.calls = []
+        monkeypatch.setattr(ingest, "_load", self)
+
+    def __call__(self, rows, *args, **kwargs):
+        self.calls.append((isinstance(rows, str), None))
+        table = self.load(rows, *args, **kwargs)
+        self.calls[-1] = (isinstance(rows, str), len(table))
+        return table
+
+
 @pytest.mark.parametrize("tail", ["  \n", " \t\n\n  \r\n", "\t"], ids=["spaces", "mixed", "no-newline"])
 @pytest.mark.parametrize("fmt", ["csv", "stockholm"])
-def test_whitespace_lines_after_the_data_cost_no_second_pass(monkeypatch, fmt, tail):
-    """An accepted file takes one reader pass, whatever whitespace-only lines end it."""
+def test_whitespace_lines_after_the_data_cost_no_second_pass(monkeypatch, tmp_path, fmt, tail):
+    """An accepted file takes one reader pass, whatever whitespace-only lines end or split it.
+
+    A file with such a line among its CSV data, or after it, goes straight
+    to the data lines: the comma reader would refuse the line, and a refusal
+    costs a second pass.  The observatory reader skips such lines.
+    """
     if fmt == "csv":
         text = "date,value\n2000-01-01,1.5\n2000-01-02,-2\n2000-01-03,0.25\n"
     else:
         text = "2000 1 1 1.5\n2000 1 2 -2\n2000 1 3 0.25\n"
-    calls = []
-    load = ingest._load
-
-    def counted(rows, *args, **kwargs):
-        calls.append(len(rows))
-        return load(rows, *args, **kwargs)
-
-    monkeypatch.setattr(ingest, "_load", counted)
-    assert outcome(fmt, text + tail) == outcome(fmt, text)
-    assert calls == [3, 3]
+    # the tail after the line that the refusal below names, so its number stays
+    lines = text.splitlines(keepends=True)
+    cut = 3 if fmt == "csv" else 2
+    inside = "".join(lines[:cut]) + tail + ("" if tail.endswith("\n") else "\n") + "".join(lines[cut:])
+    want = outcome(fmt, text)
+    counter = LoadCounter(monkeypatch)
+    for n, variant in enumerate([text + tail, inside]):
+        for source in (variant, write(tmp_path / f"{n}.txt", variant)):
+            counter.calls = []
+            assert outcome(fmt, source) == want
+            by_path = fmt == "stockholm" and not isinstance(source, str)
+            assert counter.calls == [(by_path, 3)], (variant, source)
     # a refused line keeps its number and its message
-    bad = text.replace("-2", "x") + tail
-    monkeypatch.setattr(ingest, "_load", load)
-    err = outcome(fmt, bad)
-    assert err == outcome(fmt, text.replace("-2", "x"))
+    err = outcome(fmt, text.replace("-2", "x"))
     assert err[0] is ParseError and err[1].startswith(f"line {3 if fmt == 'csv' else 2}:")
+    for n, variant in enumerate([text + tail, inside]):
+        bad = variant.replace("-2", "x")
+        assert outcome(fmt, bad) == outcome(fmt, write(tmp_path / f"bad{n}.txt", bad)) == err
 
 
-def test_one_pass_reads_as_the_data_lines_alone(monkeypatch):
-    """The one-pass read and the data-lines route give the same records or the same refusal."""
+def test_one_pass_reads_as_the_data_lines_alone(monkeypatch, tmp_path):
+    """A file read by path gives the data-lines route's records or refusal, and its text's."""
     rng = random.Random(11)
     cases = [(fmt, fuzz_text(rng, fmt)) for _ in range(600) for fmt in ("csv", "stockholm")]
 
     exact = ingest._parse
-    filtered = []  # per case, whether it took the data-lines route
+    counter = LoadCounter(monkeypatch)
+    fast, passes = [], []  # per case, the outcome and the reader's passes
+    for n, (fmt, text) in enumerate(cases):
+        counter.calls = []
+        fast.append(outcome(fmt, write(tmp_path / f"{n}.txt", text)))
+        passes.append(counter.calls)
 
-    def counted(*args):
-        filtered[-1] = True
-        return exact(*args)
-
-    monkeypatch.setattr(ingest, "_parse", counted)
-    fast = []
-    for fmt, text in cases:
-        filtered.append(False)
-        fast.append(outcome(fmt, text))
-
-    def data_lines_only(text, lines, start, convert, expected, skip=0):
+    def data_lines_only(text, path, start, offset, convert, expected, skip=0):
+        lines = text.splitlines()
         return exact(lines, ingest._data_lines(lines), convert, expected, skip)
 
     monkeypatch.setattr(ingest, "_read", data_lines_only)
-    for (fmt, text), got in zip(cases, fast):
-        assert got == outcome(fmt, text), f"{fmt}: {text!r}"
-    # the draws reach both routes, and both outcomes on the data-lines route
-    accepted = [isinstance(o[0], list) for o in fast]
-    assert sum(a and not f for a, f in zip(accepted, filtered)) > 200
-    assert sum(a and f for a, f in zip(accepted, filtered)) > 100
-    assert sum(not a for a in accepted) > 100
+    for n, ((fmt, text), got) in enumerate(zip(cases, fast)):
+        assert got == outcome(fmt, tmp_path / f"{n}.txt") == outcome(fmt, text), f"{fmt}: {text!r}"
+    # the draws reach the file pass, the fallback before it, and refusals
+    accepted_by_path = sum(calls[0][0] and calls[0][1] is not None for calls in passes if calls)
+    skipped = sum(calls != [] and not any(by_path for by_path, _ in calls) for calls in passes)
+    refused = sum(not isinstance(o[0], list) for o in fast)
+    assert accepted_by_path > 200
+    assert skipped > 100
+    assert refused > 100
+
+
+ARCHIVE = "# observatory\n\n1756 1 1 -1.2 1\n1756 1 2 -4.0 2\n1756 1 3 -6.3 3\n"
+SERIES = "# note\ndate,value\n1756-01-01,-1.2\n1756-01-02,-4.0\n1756-01-03,-6.3\n"
+
+
+class TestFileSources:
+    """Files read by path give their text's records and errors, by the file pass where it can."""
+
+    @pytest.mark.parametrize("fmt", ["stockholm", "csv"])
+    @pytest.mark.parametrize("form, by_path", [
+        ("crlf", True), ("cr", True), ("bom", True), ("form-feed", False), ("hash", False),
+    ], ids=["crlf", "cr", "bom", "form-feed", "hash"])
+    def test_line_breaks_bom_and_comments(self, monkeypatch, tmp_path, fmt, form, by_path):
+        text = ARCHIVE if fmt == "stockholm" else SERIES
+        want = outcome(fmt, text)
+        if form == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif form == "cr":
+            text = text.replace("\n", "\r")
+        elif form == "bom":
+            text = "\ufeff" + text
+        elif form == "form-feed":
+            text = text.replace("\n", "\x0c", 3)
+        else:
+            text += "# a note after the data\n"
+        counter = LoadCounter(monkeypatch)
+        assert outcome(fmt, write(tmp_path / "data.txt", text)) == want
+        assert counter.calls == [(by_path, 3)]
+        # a refused line is named by the line number of the text as written
+        bad = text.replace("-4.0", "x")
+        named = outcome(fmt, write(tmp_path / "bad.txt", bad))
+        assert named[0] is ParseError and named[1].startswith("line 4:")
+
+    def test_relative_path(self, monkeypatch, tmp_path):
+        write(tmp_path / "series.csv", SERIES)
+        monkeypatch.chdir(tmp_path)
+        want = outcome("csv", SERIES)
+        counter = LoadCounter(monkeypatch)
+        assert outcome("csv", Path("series.csv")) == want
+        assert counter.calls == [(True, 3)]
+
+    @pytest.mark.parametrize("name", ["x.gz", "x.bz2", "x.XZ", "x.lzma"])
+    def test_plain_text_under_a_compressed_suffix(self, monkeypatch, tmp_path, name):
+        want = outcome("csv", SERIES)
+        counter = LoadCounter(monkeypatch)
+        assert outcome("csv", write(tmp_path / name, SERIES)) == want
+        assert counter.calls == [(False, 3)]
+
+    @pytest.mark.parametrize("feed", ["stdin-pipe", "fifo"])
+    def test_a_pipe_is_read_once(self, tmp_path, feed):
+        """``--input`` on a pipe: it reads empty the second time, so its text is all there is."""
+        text = "".join(f"{d.year} {d.month} {d.day} {(d.day * 7919) % 101 / 10} 9\n" for d in
+                       (datetime.date(1756, 1, 1) + datetime.timedelta(days=i)
+                        for i in range(400)))
+        regular = write(tmp_path / "archive.txt", text)
+        flags = ["--format", "stockholm", "--period", "40", "--harmonics", "2",
+                 "--window", "60", "--profile", "exponential", "--lambda", "0.97"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+        def fit(source, **kwargs):
+            argv = [sys.executable, "-m", "segrls.cli", "fit", "--input", source, *flags]
+            return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=env, **kwargs)
+
+        def rows(child, feed_text=None):
+            out, err = child.communicate(feed_text, timeout=60)
+            assert child.returncode == 0, err
+            return [line for line in out.splitlines() if not line.startswith("# input=")]
+
+        want = rows(fit(str(regular)))
+        assert sum(line[:1].isdigit() for line in want) == 400 - 60 + 1  # every record
+        if feed == "stdin-pipe":
+            assert rows(fit("/dev/stdin", stdin=subprocess.PIPE), text) == want
+        else:
+            fifo = tmp_path / "fifo"
+            os.mkfifo(fifo)
+            child = fit(str(fifo))
+            # opening the FIFO to write waits for the child to open it to read
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            try:
+                assert rows(child) == want
+            finally:
+                child.kill()
+            writer.join(timeout=60)
+            assert not writer.is_alive()
 
 
 # Gaps of 1, 2, 3 and 6 days between irregular values; spans that start or end

@@ -53,3 +53,20 @@ def test_a_command_writes_its_output_into_the_given_directory(tmp_path):
     assert (got["rc"], got["stdout"], got["stderr"]) == (0, "", "synth: wrote 5 samples\n")
     assert got["output"] == same_outputs.sha256(tmp_path / "s.csv") is not None
     assert not (tmp_path / "elsewhere").exists()
+
+
+def test_archive_copies_take_each_route_and_error():
+    from segrls.errors import CalendarError, ParseError
+    from segrls.ingest import parse_stockholm
+
+    text = "# archive\n" + "".join(f"1800 1 {d} {d}.5 {d}.25 0\n" for d in range(1, 11))
+    want = parse_stockholm(text)
+    copies = same_outputs._archive_copies(text)
+    for name in ("hash", "crlf", "formfeed"):
+        got = parse_stockholm(copies[name])
+        assert got.dates.tolist() == want.dates.tolist(), name
+        assert got.values.tolist() == want.values.tolist(), name
+    middle = len(text.split("\n")) // 2 + 1
+    for name, error in (("refused", ParseError), ("offcalendar", CalendarError)):
+        with pytest.raises(error, match=f"line {middle}:"):
+            parse_stockholm(copies[name])
