@@ -20,13 +20,15 @@ end-to-end metric of BENCHMARK.json the file gives, per side, the median and
 the quartiles over the pairs, and the number of pairs the change won (a tie
 counts for neither side); per side it also gives the summed ``failed`` and
 ``attempted``.  ``src_lines`` gives each side's newline count of
-``src/segrls/*.py``, as ``wc -l`` counts it.  The file is written at the root
-of the checkout.
+``src/segrls/*.py``, as ``wc -l`` counts it, and ``public_names`` the length
+of its ``segrls.__all__``, read from ``src/segrls/__init__.py`` without
+importing it.  The file is written at the root of the checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import datetime
 import json
 import shutil
@@ -61,6 +63,16 @@ def export_working_tree(root: Path, dest: Path) -> None:
 def src_lines(checkout: Path) -> int:
     """Newlines in the checkout's ``src/segrls/*.py``, the total ``wc -l`` prints."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "segrls").glob("*.py"))
+
+
+def public_names(checkout: Path) -> int:
+    """Length of the checkout's ``segrls.__all__``, parsed from its ``__init__.py``, not imported."""
+    tree = ast.parse((checkout / "src" / "segrls" / "__init__.py").read_bytes())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return len(ast.literal_eval(node.value))
+    raise ValueError(f"no __all__ in {checkout / 'src' / 'segrls' / '__init__.py'}")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,6 +156,7 @@ def main(argv=None) -> int:
             "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
             "seconds": seconds, "started": datetime.datetime.now().isoformat(timespec="seconds"),
             "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
+            "public_names": {side: public_names(path) for side, path in checkouts.items()},
             "machine": {}, "workloads": {},
         }
         for name, pairs in plan:

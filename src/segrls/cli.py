@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--theta", default="6,-10,-3",
                        help="comma-separated leading parameters [dc,a0,b0,...]; "
-                            "unspecified entries are zero")
+                            "an empty entry, and every entry after the last, is zero")
     p_syn.add_argument("--origin", default="2000-01-01",
                        help="calendar date of index k=1")
     p_syn.set_defaults(func=cmd_synth)
@@ -318,8 +318,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
     Returns the estimator, the window length w and ``run``'s (yhat, yhat1,
     cond), whose row i is index w + i.
     """
-    values = series.values
-    window = args.window if profile.w is None else profile.w
+    values, window = series.values, args.window
     if len(values) < window + 1:
         raise RangeError(
             f"span has {len(values)} samples; need more than the window {window}"
@@ -508,7 +507,10 @@ def cmd_synth(args) -> int:
     theta = None
     if model is not None:
         try:
-            leading = [float(v) for v in args.theta.split(",") if v.strip() != ""]
+            cells = [v.strip() for v in args.theta.split(",")]
+            while cells and not cells[-1]:     # trailing empty entries are no entries
+                cells.pop()
+            leading = [float(v) if v else 0.0 for v in cells]
         except ValueError:
             errors.append(f"--theta is not a comma-separated float list: {args.theta!r}")
             leading = []

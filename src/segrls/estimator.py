@@ -4,8 +4,8 @@ The estimator is initialized by a batch solve over the first window and then
 advanced one sample at a time, by ``step``, or over a value array by ``run``.
 Each step applies the profile's update template as a single signed low-rank
 correction: the gain matrix (inverse of the weighted information matrix) and
-the parameter vector are updated together by the core of
-``linalg.batch_inverse_update``, whose only solve is the inverse of the
+the parameter vector are updated together by ``linalg._woodbury``, the core
+of ``linalg.batch_inverse_update``, whose only solve is the inverse of the
 small r x r capacitance matrix (LAPACK's, or the division 1/u that gives its
 bits when r = 1), never by refactoring the full matrix.  The
 public kernel checks its arguments on every call; the core does not.  The

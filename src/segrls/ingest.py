@@ -2,8 +2,8 @@
 
 Two input layouts are supported: the whitespace-delimited observatory layout
 (year month day value ..., '#' comments) and a plain ``date,value`` CSV.
-Each parser takes the text or a file's path (read as UTF-8 less a leading
-byte-order mark), reads it in one ``numpy.loadtxt`` pass into columnar
+Each parser takes the text or a file's path (read as UTF-8), less a leading
+byte-order mark, reads it in one ``numpy.loadtxt`` pass into columnar
 ``Records`` and checks calendar validity and finiteness on whole arrays.
 The reader's chunked file pass reads a regular, uncompressed file again by
 its path, past the leading comment and blank lines, when no '#' follows
@@ -25,12 +25,13 @@ import datetime
 import os
 import re
 import stat
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalendarError, GapError, ParseError, RangeError
+from .errors import CalendarError, GapError, ParseError, RangeError, _check_count
 
 GAP_POLICIES = ("fail", "interpolate", "previous")
 
@@ -118,12 +119,14 @@ def parse_stockholm(source: str | os.PathLike, value_column: int = 3) -> Records
     first temperature in the observatory layout).  Columns after it are not
     read.
     """
-    if value_column < 3:
-        raise ValueError("value_column must be >= 3 (after year, month, day)")
+    _check_count(value_column, 3, f"value_column must be an integer >= 3 (after year, "
+                                  f"month, day), got {value_column!r}")
+    # the reader's largest column, sys.maxsize, is past every line, as a larger one is
+    usecols = (0, 1, 2, min(value_column, sys.maxsize))
 
     def convert(rows, **reader):
         try:
-            table = _load(rows, _OBSERVATORY_ROW, usecols=(0, 1, 2, value_column), **reader)
+            table = _load(rows, _OBSERVATORY_ROW, usecols=usecols, **reader)
         except ValueError:
             # a date field past 64 bits is a year off the calendar; only a single
             # line's refusal is ever classified, so only a single line is checked
@@ -135,7 +138,7 @@ def parse_stockholm(source: str | os.PathLike, value_column: int = 3) -> Records
 
     text, path = _text(source)
     start, offset, _ = _leading_block(text)
-    expected = f"integer year, month and day and a float in column {value_column + 1}"
+    expected = f"integer year, month and day and a float in column {int(value_column) + 1}"
     return _read(text, path, start, offset, convert, expected)
 
 
@@ -179,15 +182,15 @@ def _data_lines(lines: list[str]) -> list[str]:
 
 
 def _text(source) -> tuple[str, str | None]:
-    """The text of ``source``, and the absolute path of a file the reader may read again.
+    """The text of ``source`` less a leading BOM, and the absolute path of a file to read again.
 
     A text source, and a file that is not regular (a pipe reads empty the
     second time) or that ``numpy.loadtxt`` would decompress by its suffix,
     give no path.  The path is absolute, so numpy never takes it for a URL.
     """
+    # a leading byte-order mark is not data; utf-8-sig drops it from a file
     if isinstance(source, str):
-        return source, None
-    # utf-8-sig drops a leading byte-order mark, which is not data
+        return source.removeprefix("\ufeff"), None
     with open(source, encoding="utf-8-sig") as handle:
         text = handle.read()
         regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
@@ -356,10 +359,14 @@ def to_indexed(
     Missing days are handled per ``gap_policy``: 'fail' raises GapError,
     'interpolate' fills linearly between the neighboring records, 'previous'
     holds the last observed value.  Every filled date is listed in the
-    returned metadata.  Duplicate or out-of-order dates raise CalendarError.
+    returned metadata.  Duplicate or out-of-order dates raise CalendarError, and
+    a ``start`` or ``end`` that is not None or a ``datetime.date`` RangeError.
     """
-    if gap_policy not in GAP_POLICIES:
+    if not (isinstance(gap_policy, str) and gap_policy in GAP_POLICIES):
         raise ValueError(f"gap_policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
+    for name, day in (("start", start), ("end", end)):
+        if day is not None and type(day) is not datetime.date:
+            raise RangeError(f"{name} must be a datetime.date or None, got {day!r}")
     if not len(records):
         raise RangeError("no records to index")
     dates, values = records.dates, records.values

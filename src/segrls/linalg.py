@@ -63,7 +63,7 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
+def batch_inverse_update(b_inv, q, signs) -> np.ndarray:
     """Inverse of A = B + Q D Q^T from B^{-1}, D = diag(signs), in one pass.
 
     ``q`` holds the correction columns (n x r), ``signs`` the +/-1 signature.
@@ -71,34 +71,18 @@ def batch_inverse_update(b_inv, q, signs, theta=None, y=None):
     V = B^{-1} Q and the r x r capacitance matrix U = D + Q^T V, which is
     inverted once; no per-column iteration takes place.
 
-    Given ``theta`` (the solution of B theta = b) and ``y`` (the r values
-    entering with the columns), returns (A^{-1}, theta') instead, where
-    theta' = theta + V U^{-1} (y - Q^T theta) solves A theta' = b + Q D y.
-
     Raises SingularUpdateError when U is singular or its condition estimate
     ||U^{-1}||_1 (||D||_1 + ||Q^T V||_1) exceeds 1/PIVOT_RTOL: rank collapse,
     or an invalid window transition.  Measuring against the size of both
     terms of U, not U itself, catches cancellation between them.
 
     The arguments are checked on every call, each misfit a ValueError: a
-    square B^{-1}, at least one column, one +/-1 signature entry per column,
-    and theta and y together, theta (n,) with y (r,) or theta (n, B) with
-    y (r, B).  The arithmetic is ``_woodbury``, which the estimator calls
+    square B^{-1}, at least one column and one +/-1 signature entry per
+    column.  The arithmetic is ``_woodbury``, which the estimator calls
     without these checks.
     """
     b_inv, q, signs = _checked_update(b_inv, q, signs)
-    if (theta is None) != (y is None):
-        raise ValueError("theta and y must be given together")
-    if theta is not None:
-        n, r = q.shape
-        theta_shape, y_shape = np.shape(theta), np.shape(y)
-        if not (len(theta_shape) in (1, 2) and theta_shape[0] == n
-                and y_shape == (r, *theta_shape[1:])):
-            raise ValueError(
-                f"theta and y must be (n,) and (r,), or (n, B) and (r, B), with n={n} "
-                f"and r={r}; got {theta_shape} and {y_shape}"
-            )
-    return _woodbury(b_inv, q, np.diag(signs), theta, y)
+    return _woodbury(b_inv, q, np.diag(signs), None, None)
 
 
 def _checked_update(b_inv, q, signs):
@@ -122,10 +106,11 @@ def _checked_update(b_inv, q, signs):
 def _woodbury(b_inv, q, d, theta, y):
     """batch_inverse_update on checked arguments: D = diag(signs) is given as a matrix.
 
-    Returns A^{-1}, or (A^{-1}, theta') when ``theta`` is given; raises
-    SingularUpdateError as batch_inverse_update does.  Nothing else is
-    checked: the shapes of ``q``, ``d`` and ``y``, and the signature, are the
-    caller's.
+    Returns A^{-1}, or (A^{-1}, theta') when ``theta`` (n,) or (n, B) solves
+    B theta = b and ``y`` (r,) or (r, B) holds the values entering with the
+    columns: theta' = theta + V U^{-1} (y - Q^T theta) solves A theta' = b + Q D y.
+    Raises SingularUpdateError as batch_inverse_update does; nothing else is
+    checked.
     """
     # ndarray.dot, not np.dot or @: the same BLAS calls without the
     # array-function or matmul ufunc dispatch

@@ -145,9 +145,10 @@ def direct_weighted_ls(
 
     Returns (A_k, theta_k) with A_k = sum_j f(j) phi phi^T over the window
     (or the whole available history for the unbounded profile).  No
-    recursion anywhere.  Raises ValueError for an empty ``samples``, a k
-    outside their index range, or sample values that are not real numbers
-    or not all floats or all (B,) arrays.
+    recursion anywhere.  The samples are consecutive: the window's hold its
+    indices in order, each value one real number.  Raises ValueError for an
+    empty ``samples``, a k outside their index range, a window sample out of
+    place, and a value that is an array or not a real number.
     """
     _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
     if len(samples) == 0:
@@ -159,14 +160,15 @@ def direct_weighted_ls(
     count = available if profile.w is None else min(available, profile.w)
 
     window = samples[available - count : available]
-    indices = np.array([s.k for s in window], dtype=float)
-    # every value has the first one's shape, as every step's has the batch's
-    expected = np.shape(window[0].y)
-    for s in window:
-        if np.shape(s.y) != expected:
-            size = "one value" if expected == () else f"{expected[0]} values"
-            raise ValueError(f"expected {size} at index {s.k}, got shape {np.shape(s.y)}")
-    values = _value_array([s.y for s in window])
+    # a sample short of the window stands as None, so a short window is refused too
+    for want, sample in zip(range(k - count + 1, k + 1), [*window, None]):
+        if sample is None or sample.k != want:
+            got = "no sample" if sample is None else f"index {sample.k}"
+            raise ValueError(f"expected index {want} in the window of index {k}, got {got}")
+        if type(sample.y) is not float and np.ndim(sample.y):
+            raise ValueError(f"expected one value at index {want}, got shape {np.shape(sample.y)}")
+    values = _real([s.y for s in window])
+    indices = np.arange(k - count + 1, k + 1, dtype=float)
     return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import segrls
+
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -44,6 +46,19 @@ def test_src_lines_counts_newlines_of_the_package_modules_only(tmp_path):
     (pkg / "notes.txt").write_text("not\ncode\n")
     (pkg / "sub" / "c.py").write_text("w = 4\n")
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_public_names_counts_all_without_importing_the_package(tmp_path):
+    pkg = tmp_path / "src" / "segrls"
+    pkg.mkdir(parents=True)
+    # an import that would fail, and a second list that is not __all__
+    (pkg / "__init__.py").write_text('import no_such_module\nnames = ["x"]\n'
+                                     '__all__ = [\n    "a",\n    "b",\n    "c",\n]\n')
+    assert bench_pairs.public_names(tmp_path) == 3
+    assert bench_pairs.public_names(bench_pairs.ROOT) == len(segrls.__all__)
+    (pkg / "__init__.py").write_text("names = []\n")
+    with pytest.raises(ValueError, match="no __all__ in "):
+        bench_pairs.public_names(tmp_path)
 
 
 def test_working_tree_export_holds_the_bench_paths_without_caches(tmp_path):

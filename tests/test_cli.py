@@ -87,6 +87,22 @@ class TestSynth:
                     "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("theta, full", [
+        ("6,,-3", "6,0,-3,0,0"), (" ,2", "0,2,0,0,0"), ("", "0,0,0,0,0"),
+        (",,", "0,0,0,0,0"), ("6,", "6,0,0,0,0"), ("1,2,3,4,5,,", "1,2,3,4,5"),
+    ], ids=["inner", "leading", "none", "commas", "trailing", "full-then-commas"])
+    def test_an_empty_theta_entry_is_a_zero_in_its_place(self, tmp_path, theta, full):
+        path = tmp_path / "s.csv"
+        assert run(["synth", "--period", "40", "--harmonics", "1", "--length", "5",
+                    "--theta", theta, "--output", str(path)]) == 0       # n = 5
+        assert f"\n# theta_full={full}\n" in path.read_text()
+
+    def test_an_empty_entry_counts_before_a_later_one(self, tmp_path, capsys):
+        code = run(["synth", "--period", "40", "--harmonics", "1",
+                    "--theta", "1,2,3,4,,5", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--theta has 6 entries, model dimension is 5" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -269,6 +285,19 @@ class TestFit:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("column", ["50", "9223372036854775807", "9223372036854775808",
+                                        "100000000000000000000000"])
+    def test_a_value_column_past_every_line_exit_3_with_one_line(self, tmp_path, capsys, column):
+        path = stockholm_file(tmp_path, synth_file(tmp_path, length=80))
+        capsys.readouterr()
+        code = run(["fit", "--input", str(path), "--format", "stockholm", "--value-column",
+                    column, *FIT_FLAGS, "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line 2: expected integer year, month and day and "
+                              f"a float in column {int(column) + 1}, got ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "stockholm"])
     @pytest.mark.parametrize("first", ["data", "comment"])

@@ -3,7 +3,8 @@
 Every case runs ``segrls.cli.main`` in-process.  It must end in a documented
 exit code (0, 2, 3 or 4) with no exception escaping, and a failing case
 prints exactly one line to stderr.  The values are drawn by
-``random.Random(SEED)``, so a failure replays from the printed argv.  After
+``random.Random(SEED)``, so a failure replays from the printed argv.  Each
+``--value-column`` draw is also run once on a clean observatory file.  After
 the loop, a few valid ``verify`` runs with seeds drawn by their own
 ``random.Random(VERIFY_SEED)`` must exit 0 with every criterion passing.
 """
@@ -43,7 +44,8 @@ FIT_FLAGS = {
     "--window": INTS + ["7", "8", "199", "200"],
     "--epsilon": FLOATS,
     "--format": ["csv", "stockholm"],
-    "--value-column": ["2", "3", "4", "5", "100000"],
+    "--value-column": ["2", "3", "4", "5", "100000", "9223372036854775808",
+                       "100000000000000000000000"],
     "--start": DATES,
     "--end": DATES,
     "--gap-policy": ["fail", "interpolate", "previous"],
@@ -151,6 +153,22 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
         codes.append(code)
     # the draws reach every documented outcome, not only configuration errors
     assert set(codes) == {0, 2, 3, 4}
+
+    # each value column once on a clean archive, so that every one reaches the parser:
+    # a column past every line is a data error, as the first data line is refused
+    for column in FIT_FLAGS["--value-column"]:
+        path = tmp_path / "archive.txt"
+        path.write_text("\n".join(series_lines(rng, "stockholm")) + "\n")
+        argv = ["fit", *(f"{name}={value}" for name, value in BASE_FIT.items()),
+                "--format=stockholm", f"--value-column={column}", f"--input={path}",
+                f"--output={tmp_path / 'archive.out'}"]
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as err:
+            pytest.fail(f"{argv} raised {err!r}")
+        err = capsys.readouterr().err
+        assert code == (2 if int(column) < 3 else 0 if int(column) <= 5 else 3), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
 
     verify_rng = random.Random(VERIFY_SEED)
     for _ in range(VERIFY_RUNS):

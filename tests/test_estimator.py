@@ -425,7 +425,8 @@ class TestBatch:
 
 
 class TestStepAgainstPublicKernel:
-    """A step is batch_inverse_update on Gamma / decay and columns of single rows, bit for bit."""
+    """A step is the update core on Gamma / decay and columns of single rows, bit for bit;
+    its gain is also the public batch_inverse_update's."""
 
     @pytest.mark.parametrize(
         "profile, count",
@@ -447,9 +448,11 @@ class TestStepAgainstPublicKernel:
         for k in range(count + 1, length + 1):
             q = np.array([regressor_matrix(MODEL, [k - lag])[0] for lag in lags]).T * scales
             y_aug = (scales * values[[k - 1 - lag for lag in lags]].T).T
-            gamma, theta = linalg.batch_inverse_update(
-                gamma / profile.lam, q, signs, theta, y_aug
+            public = linalg.batch_inverse_update(gamma / profile.lam, q, signs)
+            gamma, theta = linalg._woodbury(
+                gamma / profile.lam, q, np.diag(signs), theta, y_aug
             )
+            assert np.array_equal(public, gamma), k
             est.step((k, values[k - 1]))
             assert np.array_equal(est.gamma, gamma), k
             assert np.array_equal(est.theta, theta), k

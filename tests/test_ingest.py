@@ -53,8 +53,38 @@ class TestParseStockholm:
     def test_value_column_selection(self):
         records = parse_stockholm(STOCKHOLM_SAMPLE, value_column=4)
         assert records[0].value == -1.1
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             parse_stockholm(STOCKHOLM_SAMPLE, value_column=2)
+
+    @pytest.mark.parametrize("column", [2, -1, 3.0, 4.5, "3", None, False],
+                             ids=["two", "negative", "float", "fraction", "string", "none",
+                                  "bool"])
+    def test_value_column_is_a_count_of_at_least_3(self, column):
+        with pytest.raises(RangeError, match=re.escape(
+                f"value_column must be an integer >= 3 (after year, month, day), "
+                f"got {column!r}")):
+            parse_stockholm(STOCKHOLM_SAMPLE, value_column=column)
+        # a numpy integer is a count
+        assert parse_stockholm(STOCKHOLM_SAMPLE, np.int64(4))[0].value == -1.1
+
+    @pytest.mark.parametrize("column", [6, 2**63 - 1, 2**63, 10**23])
+    def test_value_column_past_every_line_names_the_first_data_line(self, tmp_path, column):
+        want = (f"line 2: expected integer year, month and day and a float in column "
+                f"{column + 1}, got '1756 1 1 -1.2 -1.1 1'")
+        for source in (STOCKHOLM_SAMPLE, write(tmp_path / "archive.txt", STOCKHOLM_SAMPLE)):
+            with pytest.raises(ParseError) as err:
+                parse_stockholm(source, value_column=column)
+            assert str(err.value) == want
+        # no data line: no records, whatever the column
+        assert len(parse_stockholm("# note\n", value_column=column)) == 0
+
+    def test_byte_order_mark_of_a_text_is_not_data(self):
+        assert outcome("stockholm", "\ufeff2000 1 1 1.5 9\n") == outcome(
+            "stockholm", "2000 1 1 1.5 9\n")
+        assert len(parse_stockholm("\ufeff2000 1 1 1.5 9\n")) == 1
+        # only one mark is dropped, as utf-8-sig drops one from a file
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_stockholm("\ufeff\ufeff2000 1 1 1.5 9\n")
 
     def test_invalid_calendar_date(self):
         with pytest.raises(CalendarError):
@@ -123,6 +153,11 @@ class TestParseCsv:
     def test_invalid_calendar_date(self):
         with pytest.raises(CalendarError):
             parse_csv("date,value\n2000-02-30,3.5\n")
+
+    def test_byte_order_mark_of_a_text_is_not_data(self):
+        text = "date,value\n2000-01-01,1.5\n"
+        assert outcome("csv", "\ufeff" + text) == outcome("csv", text)
+        assert outcome("csv", "\ufeff# note\n" + text) == outcome("csv", text)
 
     def test_comment_lines_skipped(self):
         text = "# generated\n# seed=1\ndate,value\n2000-01-01,1\n# tail note\n"
@@ -201,6 +236,16 @@ class TestToIndexed:
     def test_empty_input(self):
         with pytest.raises(RangeError):
             to_indexed(make_records([], []))
+
+    @pytest.mark.parametrize("bound", [
+        "2000-01-01", 730120, datetime.datetime(2000, 1, 1), np.datetime64("2000-01-01"), 0,
+    ], ids=["string", "int", "datetime", "datetime64", "zero"])
+    @pytest.mark.parametrize("name", ["start", "end"])
+    def test_span_bound_is_a_date_or_none(self, name, bound):
+        records = make_records(["2000-01-01", "2000-01-02"], [1.0, 2.0])
+        with pytest.raises(RangeError, match=re.escape(
+                f"{name} must be a datetime.date or None, got {bound!r}")):
+            to_indexed(records, **{name: bound})
 
 
 class TestIsoDates:
@@ -507,6 +552,7 @@ def fuzz_text(rng, fmt):
 
     Most files break their lines only where universal newlines do, so that
     the reader's file pass sees them; the rest mix in every other break.
+    Some start with a byte-order mark.
     """
     lines = [rng.choice(COMMENT_LINES + BLANK_LINES) for _ in range(rng.randint(0, 3))]
     if fmt == "csv":
@@ -533,7 +579,9 @@ def fuzz_text(rng, fmt):
     ends = [rng.choice(breaks) for _ in lines]
     if ends and rng.random() < 0.3:
         ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
+    # a byte-order mark, which a text and a file both drop, or two, of which they keep one
+    mark = rng.choice(["\ufeff", "\ufeff\ufeff"]) if rng.random() < 0.15 else ""
+    return mark + "".join(line + end for line, end in zip(lines, ends))
 
 
 def outcome(fmt, source):

@@ -9,8 +9,13 @@ with SEED and the case's name, from floats, negatives, zero, nan and inf,
 numpy integers, wrong shapes and wrong batch widths; ``init``, ``step``,
 ``run``, ``compare_trajectory``, ``direct_weighted_ls`` and ``SyntheticSpec``
 also get values that are not real numbers (strings, bytes, complex numbers,
-objects), and ``direct_weighted_ls`` samples whose values mix shapes (a
-(B,) array among floats), which they must refuse.  A case
+objects), and ``direct_weighted_ls`` an array value among floats, which they
+must refuse.  ``direct_weighted_ls`` also gets samples with an index missing
+or two swapped: it must refuse a window that holds them, and solve any other
+as the consecutive samples'.  The parsers ``parse_stockholm`` and
+``parse_csv`` get short texts, some with a byte-order mark or a refused
+line, and odd value columns; ``to_indexed`` gets span bounds that are not
+dates and odd gap policies.  A case
 must return a result of the documented shape, or raise a ``SegrlsError`` or
 one of the library's own ValueErrors about a shape, an index range or a
 value that is not a real number (``DOCUMENTED``).
@@ -19,6 +24,7 @@ shape fails the test, and the message holds the call, so a failure replays
 from it.
 """
 
+import datetime
 import math
 import random
 import re
@@ -45,6 +51,7 @@ from segrls import (
     weights,
 )
 from segrls.estimator import information_matrix
+from segrls.ingest import GAP_POLICIES, Records, parse_csv, parse_stockholm, to_indexed
 from segrls.reference import accumulation_experiment
 
 SEED = 16
@@ -66,9 +73,11 @@ DOCUMENTED = [
     r"initialization needs exactly w=\d+ samples, got \d+$",
     r"expected (one value|\d+ values) at index \d+, got shape ",
     r"index -?\d+ outside the sample range( \d+\.\.\d+|: no samples)$",
+    r"expected index \d+ in the window of index \d+, got (index \d+|no sample)$",
     r"init_count is required for the unbounded profile$",
     r"need at least one step beyond the initial window$",
     r"index k=-?\d+ must lie in \(\d+, \d+\]$",
+    r"gap_policy must be one of ",
 ]
 
 NAN, INF = math.nan, math.inf
@@ -284,35 +293,49 @@ def case_forecast(rng):
 
 def case_direct(rng):
     name = rng.choice(sorted(PROFILES))
-    values = values_of(rng, [(0,), (60,), (60,), (60, 3), (60, 3, 1)])
+    values = values_of(rng, [(0,), (60,), (60,), (60,), (60, 3)])
     values, refused = non_real(rng, values)
-    # the entries of a 1-D object array are Python floats, which a sample may hold
-    refused = refused and not (values.dtype == object and values.ndim == 1)
+    # the entries of a 1-D object array are Python floats, which a sample may hold;
+    # the rows of a (60, 3) array are not one number each
+    refused = (refused and not (values.dtype == object and values.ndim == 1)) or values.ndim == 2
     samples = [Sample(k, y) for k, y in enumerate(values, start=1)]
+    consecutive = list(samples)
     # most draws take a k the samples allow (n <= k <= 60), so that the solve runs
     k = (rng.randint(MODEL.dim, 60) if rng.random() < 0.7
          else rng.choice(COUNTS + [55, 60, 60, 61]))
-    if values.ndim in (1, 2) and type(k) is int and 1 <= k <= len(samples) and not refused:
+    moved = False
+    if values.ndim == 1 and type(k) is int and 1 <= k <= len(samples) and not refused:
         draw = rng.random()
-        if values.ndim == 1 and draw < 0.3:
+        if draw < 0.2:
             # sample k's value as a string among floats, as in Sample(k, '2.5')
             samples[k - 1] = Sample(k, str(samples[k - 1].y))
             refused = True
-        elif draw < 0.5:
-            # sample k's value of another shape: a (B,) array among floats, a
-            # float or a (B + 1,) array among (B,) arrays
-            odd = rng.choice([np.ones(3), np.ones(1)] if values.ndim == 1
-                             else [1.5, np.ones(values.shape[1] + 1)])
-            samples[k - 1] = Sample(k, odd)
+        elif draw < 0.4:
+            # sample k's value an array among floats
+            samples[k - 1] = Sample(k, rng.choice([np.ones(3), np.ones(1), np.ones((1, 1))]))
             refused = True
+        elif draw < 0.7:
+            # an index missing after the first, or two neighbours swapped: a window
+            # that holds either is refused, one that does not is the consecutive solve
+            i = rng.randrange(1, len(samples))
+            if draw < 0.55:
+                del samples[i]
+            else:
+                samples[i - 1], samples[i] = samples[i], samples[i - 1]
+            moved = True
 
     def check(result):
-        assert not refused, "accepted a value that is not a real number or of another shape"
+        assert not refused, "accepted a value that is not one real number"
         a, theta = result
         assert a.shape == (MODEL.dim, MODEL.dim)
-        assert theta.shape == (MODEL.dim, *batch(values))
+        assert theta.shape == (MODEL.dim,)
+        if moved:
+            want = direct_weighted_ls(PROFILES[name], MODEL, consecutive, k)
+            assert all(np.array_equal(got, w, equal_nan=True) for got, w in zip(result, want)), \
+                "solved a window of misplaced samples"
 
-    return (f"direct_weighted_ls({name}, MODEL, <{values.shape} samples>, {k!r})",
+    return (f"direct_weighted_ls({name}, MODEL, <{values.shape} samples, "
+            f"{'moved' if moved else 'consecutive'}>, {k!r})",
             lambda: direct_weighted_ls(PROFILES[name], MODEL, samples, k), check)
 
 
@@ -357,15 +380,103 @@ def case_accumulation(rng):
             lambda: accumulation_experiment(n, steps, cond, trials), check)
 
 
+def series_text(rng, fmt):
+    """(text, days, values) of up to four consecutive days in one layout.
+
+    The observatory lines hold each value in column 3 and its negative in
+    column 4.  The text may open with a byte-order mark and hold a comment;
+    days is None when a data line is refused.
+    """
+    first = datetime.date(2000, 1, 1) + datetime.timedelta(days=rng.randrange(366))
+    days = [first + datetime.timedelta(days=i) for i in range(rng.randint(0, 4))]
+    values = [round(rng.gauss(0.0, 5.0), 2) for _ in days]
+    if fmt == "csv":
+        lines = ["date,value"] + [f"{d.isoformat()},{v}" for d, v in zip(days, values)]
+    else:
+        lines = [f"{d.year} {d.month} {d.day} {v} {-v}" for d, v in zip(days, values)]
+    if days and rng.random() < 0.15:
+        lines[-1] = rng.choice(["x", lines[-1] + ",", "2000 2 30 1 1", "nan"])
+        days = None
+    if rng.random() < 0.3:
+        lines.insert(rng.randint(0, len(lines)), "# note")
+    mark = "\ufeff" if rng.random() < 0.3 else ""
+    return mark + "\n".join(lines) + rng.choice(["\n", "", "\r\n"]), days, values
+
+
+def parsing(label, parse, text, days, values, *args):
+    """(label, call, check) of ``parse(text, *args)``: it must give the records of
+    ``days`` with ``values``, or refuse when ``days`` is None."""
+
+    def call():
+        try:
+            return parse(text, *args)
+        except SegrlsError:
+            assert days is None, "refused a text of valid lines"
+            raise
+
+    def check(records):
+        assert days is not None, "accepted a refused line or value column"
+        assert isinstance(records, Records)
+        assert records.dates.tolist() == days
+        assert records.values.tolist() == values
+
+    return label, call, check
+
+
+def case_parse_stockholm(rng):
+    text, days, values = series_text(rng, "stockholm")
+    column = rng.choice([3, 3, 3, 4, 4, 5, 2, -1, 2**63 - 1, 2**63, 10**23, 3.0, 4.5, "3",
+                         None, True, np.int64(4), np.uint64(3), np.int64(2**63 - 1)])
+    # column 3 holds the values, 4 their negatives, and no line holds a later one
+    if type(column) not in (int, np.int64, np.uint64) or column < 3:
+        days = None
+    elif column == 4:
+        values = [-v for v in values]
+    elif column > 4:
+        days = days and None
+    return parsing(f"parse_stockholm({text!r}, {column!r})", parse_stockholm, text, days,
+                   values, column)
+
+
+def case_parse_csv(rng):
+    text, days, values = series_text(rng, "csv")
+    return parsing(f"parse_csv({text!r})", parse_csv, text, days, values)
+
+
+def case_to_indexed(rng):
+    # ten days from 2000-01-01, the fifth missing in half the draws
+    days = [datetime.date(2000, 1, d) for d in range(1, 11) if d != 5 or rng.random() < 0.5]
+    records = Records(np.array(days, dtype="datetime64[D]"), np.arange(len(days), dtype=float))
+    bounds = [None, None, None, None, datetime.date(2000, 1, 3), datetime.date(2000, 1, 8),
+              datetime.date(1999, 12, 31), datetime.date(2000, 1, 11)]
+    odd_bounds = ["2000-01-01", 730120, 0, datetime.datetime(2000, 1, 1),
+                  np.datetime64("2000-01-02")]
+    start, end = (rng.choice(bounds if rng.random() < 0.8 else odd_bounds) for _ in range(2))
+    policy = rng.choice(GAP_POLICIES if rng.random() < 0.8 else
+                        ["Fail", "", None, 3, ["fail"], np.array(["fail", "previous"])])
+
+    def check(series):
+        assert policy in GAP_POLICIES
+        origin, last = start or days[0], end or days[-1]
+        assert type(origin) is datetime.date and type(last) is datetime.date
+        assert series.origin == origin
+        assert series.values.shape == ((last - origin).days + 1,)
+        assert set(series.filled) <= {datetime.date(2000, 1, 5)} - set(days)
+
+    return (f"to_indexed(<{len(days)} records>, {start!r}, {end!r}, {policy!r})",
+            lambda: to_indexed(records, start, end, policy), check)
+
+
 # (case, number of draws): the Monte-Carlo bias runs 100 trials a call
 CASES = [
     (case_model, 60), (case_exponential, 60), (case_segmented, 80), (case_weights, 40),
     (case_regressor_matrix, 20), (case_information_matrix, 60), (case_synth, 60),
     (case_init, 80), (case_step, 120), (case_run, 60), (case_forecast, 40),
     (case_direct, 80), (case_trajectory, 30), (case_bias, 10), (case_accumulation, 30),
+    (case_parse_stockholm, 80), (case_parse_csv, 40), (case_to_indexed, 80),
 ]
 # the least number of draws that must return, where it is more than one (SEED 16
-# gives 11 for direct_weighted_ls)
+# gives 8 for direct_weighted_ls)
 LEAST_RETURNED = {"case_direct": 5}
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,63 @@ class TestDirectWeightedLs:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="outside the sample range: no samples"):
             direct_weighted_ls(PROFILE, MODEL, [], 1)
+
+
+MODEL5 = make_harmonic_model(40.0, 1)  # n = 5
+SERIES5 = samples_of(synth_generate(SyntheticSpec(MODEL5, THETA_STAR[:5], 1.0, 11, 60)))
+
+
+class TestDirectWeightedLsSamples:
+    """The window is the samples of indices k - count + 1..k, in order, each one number."""
+
+    @pytest.mark.parametrize("profile", [ExponentialProfile(0.97, 20), ExponentialProfile(0.97)],
+                             ids=["windowed", "infinite"])
+    @pytest.mark.parametrize("missing", [31, 45, 10], ids=["window-start", "window-middle", "before-window"])
+    def test_a_missing_index_is_named(self, profile, missing):
+        samples = [s for s in SERIES5 if s.k != missing]
+        # the window of index 50 is 31..50, or 1..50 for the infinite profile
+        want = max(31 if profile.w else 1, missing)
+        with pytest.raises(ValueError, match=(
+                rf"^expected index {want} in the window of index 50, got index {want + 1}$")):
+            direct_weighted_ls(profile, MODEL5, samples, 50)
+
+    def test_a_swap_is_named(self):
+        samples = list(SERIES5)
+        samples[39], samples[40] = samples[40], samples[39]     # indices 40 and 41
+        with pytest.raises(ValueError, match=(
+                r"^expected index 40 in the window of index 50, got index 41$")):
+            direct_weighted_ls(ExponentialProfile(0.97, 20), MODEL5, samples, 50)
+
+    def test_a_window_short_of_samples_is_refused(self):
+        samples = SERIES5[:10] + [Sample(100, 1.0)]
+        with pytest.raises(ValueError, match=(
+                r"^expected index 31 in the window of index 50, got no sample$")):
+            direct_weighted_ls(ExponentialProfile(0.97, 20), MODEL5, samples, 50)
+
+    @pytest.mark.parametrize("k", [50, 60])
+    def test_samples_outside_the_window_do_not_matter(self, k):
+        profile = ExponentialProfile(0.97, 20)
+        want = direct_weighted_ls(profile, MODEL5, SERIES5, k)
+        # the first 30 samples gone, and an array value before the window
+        samples = [Sample(30, np.ones(3))] + SERIES5[30:]
+        got = direct_weighted_ls(profile, MODEL5, samples, k)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("value", [np.ones(3), np.ones(1), np.ones((1, 1))],
+                             ids=["three", "one", "one-by-one"])
+    def test_an_array_value_is_refused(self, value):
+        samples = list(SERIES5)
+        samples[44] = Sample(45, value)
+        with pytest.raises(ValueError, match=(
+                rf"^expected one value at index 45, got shape {re.escape(str(value.shape))}$")):
+            direct_weighted_ls(ExponentialProfile(0.97, 20), MODEL5, samples, 50)
+
+    def test_a_zero_dimensional_value_is_one_number(self):
+        profile = ExponentialProfile(0.97, 20)
+        want = direct_weighted_ls(profile, MODEL5, SERIES5, 50)
+        samples = [Sample(s.k, np.array(s.y)) for s in SERIES5]
+        got = direct_weighted_ls(profile, MODEL5, samples, 50)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # the windowed profiles start at w samples, the infinite one at init_count = 50
