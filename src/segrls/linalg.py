@@ -6,7 +6,10 @@ capacitance as the Python float 1/u, the bits LAPACK gives for [[u]],
 without the numpy.linalg.inv wrapper, which costs more than the division.
 What this module adds is the one signed low-rank update the estimator runs
 on, with an explicit conditioning check on its capacitance matrix, and the
-chained rank-one comparator it is measured against.  The update is one
+chained rank-one comparator it is measured against.  For r >= 2 the check's
+estimate is computed exactly only when a cheap bound, from the largest
+absolute entry of U^{-1} and W, cannot rule out the limit; the results and
+the error texts are those of the exact check.  The update is one
 private core, ``_woodbury``, behind the public
 ``batch_inverse_update``: the public function checks its arguments and builds
 D = diag(signs), then runs the core; the core checks nothing but the
@@ -74,7 +77,10 @@ def batch_inverse_update(b_inv, q, signs) -> np.ndarray:
     Raises SingularUpdateError when U is singular or its condition estimate
     ||U^{-1}||_1 (||D||_1 + ||Q^T V||_1) exceeds 1/PIVOT_RTOL: rank collapse,
     or an invalid window transition.  Measuring against the size of both
-    terms of U, not U itself, catches cancellation between them.
+    terms of U, not U itself, catches cancellation between them.  The
+    estimate is computed exactly only when r m (1 + r m), m the largest
+    absolute entry of U^{-1} and W, does not clear half that limit; so the
+    result and the error text are those of the exact check.
 
     The arguments are checked on every call, each misfit a ValueError: a
     square B^{-1}, at least one column and one +/-1 signature entry per
@@ -136,7 +142,7 @@ def _woodbury(b_inv, q, d, theta, y):
         except np.linalg.LinAlgError:
             raise SingularUpdateError("capacitance matrix is singular") from None
         pair[0] = u_inv
-        cond = _capacitance_cond(pair)
+        cond = _capacitance_guard(pair)
     if not cond <= 1.0 / PIVOT_RTOL:
         raise SingularUpdateError(
             f"capacitance condition estimate {cond:.3e} above {1.0 / PIVOT_RTOL:.0e}"
@@ -146,6 +152,22 @@ def _woodbury(b_inv, q, d, theta, y):
     if theta is None:
         return gamma
     return gamma, theta + v.dot(u_inv.dot(y - qt.dot(theta)))
+
+
+def _capacitance_guard(pair) -> float:
+    """A value above 1/PIVOT_RTOL exactly when ``_capacitance_cond(pair)`` is, then equal to it.
+
+    Each 1-norm of the (2, r, r) stack of U^{-1} and W is at most r m, m its
+    largest absolute entry, so r m (1 + r m) is never below the estimate.
+    When that bound is below half the limit, which leaves room for the
+    round-off of both, it stands in for the estimate; otherwise, nan and inf
+    included, the estimate is computed.  One reduction instead of three.
+    """
+    rm = pair.shape[1] * float(np.maximum.reduce(np.abs(pair), None))
+    bound = rm * (1.0 + rm)
+    if bound < 0.5 / PIVOT_RTOL:
+        return bound
+    return _capacitance_cond(pair)
 
 
 def _capacitance_cond(pair) -> float:
@@ -165,8 +187,8 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
 
     Comparator for round-off accumulation experiments; each step divides by
     1 + s * x^T A^{-1} x and reuses the intermediate inverse.  Raises
-    IntermediateSingularityError when a denominator falls below tolerance,
-    and ValueError for arguments batch_inverse_update refuses.
+    IntermediateSingularityError when a denominator falls below tolerance or
+    is not finite, and ValueError for arguments batch_inverse_update refuses.
     """
     b_inv, q, signs = _checked_update(b_inv, q, signs)
     a_inv = b_inv.copy()
@@ -176,7 +198,8 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
         u = a_inv @ x
         quad = float(x @ u)
         den = 1.0 + s * quad
-        if abs(den) < PIVOT_RTOL * max(1.0, abs(quad)):
+        # written so that a nan or infinite denominator fails it too
+        if not PIVOT_RTOL * max(1.0, abs(quad)) <= abs(den) < math.inf:
             raise IntermediateSingularityError(
                 f"rank-one denominator {den:.3e} below tolerance at column {j}"
             )

@@ -137,6 +137,22 @@ class TestChainShermanMorrison:
                 np.eye(3), np.array([[1.0], [0.0], [0.0]]), [-1.0]
             )
 
+    @pytest.mark.parametrize(
+        "bad, den, cond",
+        [(math.nan, "nan", "nan"), (math.inf, "nan", "nan"), (-math.inf, "nan", "nan"),
+         (1e200, "-inf", "inf")],
+        ids=["nan", "inf", "minus-inf", "overflow"],
+    )
+    def test_non_finite_denominator_raises_where_the_batch_update_does(self, bad, den, cond):
+        # the second column carries the bad entry; the first is a plain addition
+        q = np.array([[1.0, 0.5], [0.0, bad], [0.0, 0.25]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntermediateSingularityError) as err:
+                linalg.chain_sherman_morrison(np.eye(3), q, [1.0, -1.0])
+            with pytest.raises(SingularUpdateError, match=f"estimate {cond} above"):
+                linalg.batch_inverse_update(np.eye(3), q, [1.0, -1.0])
+        assert str(err.value) == f"rank-one denominator {den} below tolerance at column 1"
+
 
 class TestSameBits:
     """symmetrize and the update core give the bits of the expressions they replaced."""
@@ -213,7 +229,8 @@ class TestSameBits:
             got = linalg._capacitance_cond(self.pair(u_inv, w))
             assert got == self.six_reduction_cond(u_inv, w)
 
-    @pytest.mark.parametrize("bad, want", [(math.nan, "nan"), (math.inf, "inf")])
+    @pytest.mark.parametrize("bad, want", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-math.inf, "inf")])
     @pytest.mark.parametrize("r", [1, 2, 4])
     def test_cond_estimate_meets_a_non_finite_entry_at_any_position(self, r, bad, want):
         u_inv, w = self.fig2_capacitance(np.random.default_rng(31), r)
@@ -222,6 +239,8 @@ class TestSameBits:
                 pair = self.pair(u_inv, w)
                 pair[which].flat[i] = bad
                 assert repr(linalg._capacitance_cond(pair)) == want, (which, i)
+                # the bounded guard computes the estimate, and so raises with its text
+                assert repr(linalg._capacitance_guard(pair)) == want, (which, i)
 
     def test_singular_update_messages_are_unchanged(self):
         # U = -1 + 1 = 0: the inverse itself fails
@@ -333,6 +352,103 @@ class TestSameBits:
         linalg.batch_inverse_update(b_inv, q, signs)
         for got, want in zip((b_inv, q, signs, theta, y), before):
             assert np.array_equal(got, want)
+
+    # The guard: the exact capacitance estimate only where the bound r m (1 + r m)
+    # does not clear half the limit; outcomes and texts are the exact check's.
+
+    @staticmethod
+    def add_and_remove(rng, n, r, a):
+        """Core arguments that add and remove one column x with x^T B^{-1} x = a, B^{-1} SPD.
+
+        U holds the block [[1 + a, a], [a, a - 1]] of determinant -1, so the
+        estimate is about 4 a^2 for r = 2, more with the other columns.
+        """
+        b_inv = random_spd(rng, n) / n
+        q = rng.standard_normal((n, r))
+        x = q[:, 0]
+        q[:, 0] = q[:, 1] = x * math.sqrt(a / (x @ b_inv @ x))
+        signs = rng.choice([-1.0, 1.0], size=r)
+        signs[:2] = 1.0, -1.0
+        return b_inv, q, np.diag(signs), rng.standard_normal(n), rng.standard_normal(r)
+
+    def guard_draw(self, rng):
+        """One draw of the differential: n 3-11, r 2-5, some near the limit or not finite."""
+        n, r = int(rng.integers(3, 12)), int(rng.integers(2, 6))
+        kind = rng.integers(8)
+        if kind < 3:
+            # the same column added and removed: estimates around the 1e12 limit
+            args = list(self.add_and_remove(rng, n, r, 10.0 ** rng.uniform(5.2, 6.4)))
+        else:
+            scale = 10.0 ** rng.uniform(-3, 3, size=2)
+            b_inv = random_spd(rng, n) * (scale[0] / n)
+            q = rng.standard_normal((n, r)) * scale[1]
+            if kind < 5:
+                # a near-cancelling pair: the second column a hair off the first
+                q[:, 1] = q[:, 0] * (1.0 + 10.0 ** rng.uniform(-16, -4))
+                signs = np.concatenate([[1.0, -1.0], rng.choice([-1.0, 1.0], size=r - 2)])
+            else:
+                signs = rng.choice([-1.0, 1.0], size=r)
+            args = [b_inv, q, np.diag(signs), rng.standard_normal(n), rng.standard_normal(r)]
+        if rng.random() < 0.1:
+            # one nan or infinite entry of B^{-1} or Q
+            which = args[int(rng.integers(2))]
+            which.flat[int(rng.integers(which.size))] = rng.choice([math.nan, math.inf, -math.inf])
+        return args
+
+    def test_bounded_guard_is_the_exact_check_over_20000_draws(self):
+        rng = np.random.default_rng(47)
+        tally = {"returned": 0, "singular": 0, "estimate": 0}
+        for _ in range(20000):
+            args = self.guard_draw(rng)
+            want = self.outcome(self.inverse_core, *args)
+            assert self.outcome(linalg._woodbury, *args) == want
+            if type(want[0]) is tuple:
+                tally["returned"] += 1
+            else:
+                tally["singular" if want[0].endswith("singular") else "estimate"] += 1
+        assert tally["returned"] > 12000 and tally["estimate"] > 4000, tally
+        assert tally["singular"] > 0, tally
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_bounded_guard_near_the_limit(self, r):
+        rng = np.random.default_rng(53 + r)
+        refused, passed = 0, 0
+        while min(refused, passed) < 60:
+            args = self.add_and_remove(rng, 6, r, 10.0 ** rng.uniform(5.2, 5.9))
+            b_inv, q, d = args[:3]
+            w = q.T.dot(b_inv.dot(q))
+            exact = linalg._capacitance_cond(self.pair(np.linalg.inv(w + d), w))
+            if not 0.5e12 < exact < 2e12:
+                continue
+            want = self.outcome(self.inverse_core, *args)
+            assert self.outcome(linalg._woodbury, *args) == want
+            refused += exact > 1e12
+            passed += exact <= 1e12
+            assert (type(want[0]) is tuple) == (exact <= 1e12)
+
+    def test_the_estimate_is_skipped_only_below_the_limit(self, monkeypatch):
+        exact = linalg._capacitance_cond
+        calls = []
+        monkeypatch.setattr(linalg, "_capacitance_cond", lambda pair: calls.append(1) or exact(pair))
+        rng = np.random.default_rng(61)
+        skipped = 0
+        for _ in range(4000):
+            r = int(rng.integers(2, 6))
+            # entries near +-m in random signs, or all negative but one small positive
+            pair = 10.0 ** rng.uniform(4.5, 6.5) * rng.uniform(0.9, 1.0, size=(2, r, r))
+            if rng.random() < 0.5:
+                pair *= rng.choice([-1.0, 1.0], size=pair.shape)
+            else:
+                pair *= -1.0
+                pair.flat[int(rng.integers(pair.size))] = 0.1
+            calls.clear()
+            got = linalg._capacitance_guard(pair)
+            if calls:
+                assert got == exact(pair)
+            else:
+                skipped += 1
+                assert got < 0.5e12 and exact(pair) <= 1e12
+        assert 400 < skipped < 3600
 
 
 @pytest.mark.parametrize(
