@@ -1,14 +1,16 @@
-"""Alternating base/change pairs of the perfbench workloads, written to BENCH_<pr>.json.
+"""Alternating base/change pairs of the perfbench workloads and of the Tier-1 suite,
+written to BENCH_<pr>.json.
 
     python3 scripts/bench_pairs.py --pr N --base REV verify:10 fit_long:3
 
 Run from a segrls checkout whose working tree holds the change.  Both sides
 run from exports side by side in one temporary directory, which is removed
-at the end: ``base/`` holds the base revision's ``src/``, ``perfbench/`` and
-``BENCHMARK.json`` from ``git archive``, ``change/`` the same paths copied
-from the working tree, without ``__pycache__`` or perfbench's work and
-output directories.  Each positional argument is a workload with its number
-of pairs.  Pair i (from 1) of a workload runs
+at the end: ``base/`` holds the base revision's ``src/``, ``perfbench/``,
+``BENCHMARK.json``, ``tests/``, ``scripts/`` and ``pyproject.toml`` (which
+holds the suite's ``filterwarnings``) from ``git archive``, ``change/`` the
+same paths copied from the working tree, without ``__pycache__``, pytest's
+cache or perfbench's work and output directories.  Each positional argument
+is a workload with its number of pairs.  Pair i (from 1) of a workload runs
 
     python3 perfbench/run.py --workload W --seed i --seconds N --trace 0
 
@@ -22,7 +24,18 @@ counts for neither side); per side it also gives the summed ``failed`` and
 ``attempted``.  ``src_lines`` gives each side's newline count of
 ``src/segrls/*.py``, as ``wc -l`` counts it, and ``public_names`` the length
 of its ``segrls.__all__``, read from ``src/segrls/__init__.py`` without
-importing it.  The file is written at the root of the checkout.
+importing it.
+
+Before the workloads, each side runs the Tier-1 command
+
+    python3 -m pytest -q --continue-on-collection-errors -p no:cacheprovider --durations=5
+
+TIER1_RUNS times, with its ``src/`` on PYTHONPATH, the sides interleaved as
+the pairs are.  ``tier1_s`` gives each side's median and quartiles of the
+wall time, its runs that did not exit 0, and its five slowest test phases,
+each at its median over the runs that list it; each run's wall time, exit
+code and final line are kept.  The file is written at the root of the
+checkout.
 """
 
 from __future__ import annotations
@@ -31,17 +44,26 @@ import argparse
 import ast
 import datetime
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-# what perfbench/run.py reads from a checkout
-BENCH_PATHS = ("src", "perfbench", "BENCHMARK.json")
+# what perfbench/run.py and the Tier-1 suite read from a checkout
+BENCH_PATHS = ("src", "perfbench", "BENCHMARK.json", "tests", "scripts", "pyproject.toml")
+SLOWEST = 5
+TIER1_RUNS = 3
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         f"--durations={SLOWEST}"]
+# one line of pytest's --durations table: "6.71s call     tests/t.py::test_x"
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (call|setup|teardown)\s+(\S.*)$")
 
 
 def git(*args: str) -> str:
@@ -51,7 +73,8 @@ def git(*args: str) -> str:
 
 def export_working_tree(root: Path, dest: Path) -> None:
     """Copy ``root``'s BENCH_PATHS into ``dest``, leaving out caches and perfbench's work."""
-    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_work", ".perfbench_out")
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".perfbench_work",
+                                    ".perfbench_out")
     dest.mkdir()
     for name in BENCH_PATHS:
         if (root / name).is_dir():
@@ -86,6 +109,49 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not machine:
         return {"seed": seed, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return {"seed": seed, "machine": machine[0], "result": json.loads(lines[-1])}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in ``checkout``: its wall time, exit code, final line and slowest phases."""
+    path = os.pathsep.join(filter(None, (str(checkout / "src"), os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else "",
+            "slowest": durations(proc.stdout)}
+
+
+def durations(stdout: str) -> list[list]:
+    """The [seconds, phase, test] rows of the --durations table in pytest's ``stdout``."""
+    rows, inside = [], False
+    for line in stdout.splitlines():
+        if line.startswith("=") and "durations" in line:
+            inside = True
+        elif inside and (match := DURATION.match(line)):
+            rows.append([float(match[1]), match[2], match[3]])
+        elif inside and line.startswith("="):
+            break
+    return rows
+
+
+def summarize_tier1(runs: dict[str, list[dict]]) -> dict:
+    """Per side: the wall time's median and quartiles, failed runs and the slowest phases."""
+    summary = {}
+    for side in SIDES:
+        seen: dict[tuple[str, str], list[float]] = {}
+        for run in runs[side]:
+            for seconds, phase, test in run["slowest"]:
+                seen.setdefault((phase, test), []).append(seconds)
+        slowest = sorted(([statistics.median(times), phase, test]
+                          for (phase, test), times in seen.items()), reverse=True)
+        summary[side] = {
+            **spread([run["wall_s"] for run in runs[side]]),
+            "failed_runs": sum(run["returncode"] != 0 for run in runs[side]),
+            "slowest": slowest[:SLOWEST],
+        }
+    return summary
 
 
 def spread(values: list[float]) -> dict:
@@ -149,14 +215,24 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(checkouts["base"])], input=archive, check=True)
         export_working_tree(ROOT, checkouts["change"])
+        started = datetime.datetime.now().isoformat(timespec="seconds")
+        tier1 = {side: [] for side in SIDES}
+        for i in range(1, TIER1_RUNS + 1):
+            for side in SIDES if i % 2 == 1 else SIDES[::-1]:
+                tier1[side].append(run_tier1(checkouts[side]))
+                print(f"tier1 run {i}/{TIER1_RUNS} {side}: "
+                      f"{tier1[side][-1]['wall_s']:.1f} s, {tier1[side][-1]['summary']}",
+                      file=sys.stderr)
         report = {
             "pr": args.pr, "base": base_rev,
             "change": f"working tree on {git('rev-parse', 'HEAD')}",
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
             "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
-            "seconds": seconds, "started": datetime.datetime.now().isoformat(timespec="seconds"),
+            "seconds": seconds, "started": started,
             "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
             "public_names": {side: public_names(path) for side, path in checkouts.items()},
+            "tier1_s": {"command": " ".join(["python3", *TIER1]),
+                        **summarize_tier1(tier1), "runs": tier1},
             "machine": {}, "workloads": {},
         }
         for name, pairs in plan:

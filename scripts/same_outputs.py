@@ -20,7 +20,10 @@ seed-1 archive, ``synth --origin 0001-01-01``, a forecast
 whose horizon ends on 9999-12-31 and one that passes it, two fits of a
 40-day series that fail (exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
-window of 35, which is rank deficient), and ``verify --trials 100`` with
+window of 35, which is rank deficient), four fits refused as configuration
+errors (exit 2: beta == lambda, lambda^m == beta^p, the drop condition with
+a grid past Nyquist, and p+1 >= w with a window below the model
+dimension), and ``verify --trials 100`` with
 the default seed and with ``--seed`` 20250802, 20250803, 20250804 and
 20250805; the perfbench ``verify`` workload runs the first three for its
 seeds 1-3.
@@ -178,6 +181,12 @@ def commands(work: Path) -> list[list[str]]:
                   "--output", "short.out.csv"])
     lines.append(["fit", "--input", str(short), *workloads.MODEL_FLAGS, "--profile",
                   "exponential", "--window", "35", "--output", "deficient.out.csv"])
+    # exit 2: each profile and model refusal, and a window below the model dimension
+    for flags in (["--beta", "0.99", "--lambda", "0.99"],
+                  ["--beta", "0.25", "--lambda", "0.5", "--m", "2"],
+                  ["--beta", "0.5", "--m", "1", "--period", "4", "--harmonics", "2"],
+                  ["--p", "5", "--window", "6"]):
+        lines.append(["fit", "--input", str(short), *flags, "--output", "refused.out.csv"])
     lines.append(["verify", "--trials", "100"])
     # the verify workload's seeds for perfbench seeds 1-3, and one more
     for seed in (*SEEDS, 4):

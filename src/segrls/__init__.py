@@ -9,19 +9,12 @@ conditioned.
 
 from .errors import (
     CalendarError,
-    DegenerateColumnError,
-    DropConditionError,
     GapError,
-    IndexGapError,
-    IntermediateSingularityError,
     NotPositiveDefiniteError,
-    NyquistError,
     ParseError,
     RangeError,
     SegrlsError,
     SingularUpdateError,
-    WindowError,
-    WindowTooSmallError,
 )
 from .estimator import ForecastBand, RlsEstimator, Sample
 from .harmonic import HarmonicModel, make_harmonic_model, regressor_matrix
@@ -44,16 +37,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalendarError",
-    "DegenerateColumnError",
-    "DropConditionError",
     "ExponentialProfile",
     "ForecastBand",
     "GapError",
     "HarmonicModel",
-    "IndexGapError",
-    "IntermediateSingularityError",
     "NotPositiveDefiniteError",
-    "NyquistError",
     "ParseError",
     "RangeError",
     "RlsEstimator",
@@ -63,8 +51,6 @@ __all__ = [
     "SingularUpdateError",
     "SyntheticSpec",
     "UpdateTemplate",
-    "WindowError",
-    "WindowTooSmallError",
     "compare_trajectory",
     "direct_weighted_ls",
     "make_harmonic_model",

@@ -31,7 +31,6 @@ from .errors import (
     RangeError,
     SegrlsError,
     SingularUpdateError,
-    WindowTooSmallError,
 )
 from .estimator import RlsEstimator
 from .harmonic import make_harmonic_model
@@ -55,11 +54,7 @@ EXIT_NUMERICAL = 4
 
 _DATA_ERRORS = (OSError, UnicodeError, ParseError, CalendarError, GapError, RangeError)
 
-_NUMERICAL_ERRORS = (
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-    WindowTooSmallError,
-)
+_NUMERICAL_ERRORS = (NotPositiveDefiniteError, SingularUpdateError)
 
 
 def fmt(value) -> str:

@@ -8,7 +8,11 @@ class SegrlsError(Exception):
 
 
 class RangeError(SegrlsError):
-    """A scalar parameter lies outside its admissible range."""
+    """A parameter, a combination of parameters or a sample index is out of range.
+
+    The paper's conditions are among them: the drop lambda^(m+1) < beta^p,
+    nonzero column scales, p + 1 < w, and a harmonic grid below Nyquist.
+    """
 
 
 def _check_count(value, minimum: int, message: str) -> None:
@@ -20,44 +24,17 @@ def _check_count(value, minimum: int, message: str) -> None:
         raise RangeError(message)
 
 
-class DropConditionError(SegrlsError):
-    """Segmented profile has no drop: lambda^(m+1) >= beta^p."""
-
-
-class DegenerateColumnError(SegrlsError):
-    """Profile parameters produce a zero-scale update column."""
-
-
-class WindowError(SegrlsError):
-    """Window length incompatible with the profile segment lengths."""
-
-
-class WindowTooSmallError(SegrlsError):
-    """Window shorter than the regressor dimension."""
-
-
-class NyquistError(SegrlsError):
-    """Requested harmonic grid reaches or exceeds the Nyquist frequency."""
-
-
 class SingularUpdateError(SegrlsError):
-    """A low-rank update's capacitance matrix is singular or ill-conditioned."""
+    """A low-rank update's capacitance matrix, or a chained rank-one
+    denominator, is singular or ill-conditioned."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
 
 
-class IntermediateSingularityError(SegrlsError):
-    """A chained rank-one update hit a near-zero denominator."""
-
-
 class NotPositiveDefiniteError(SegrlsError):
     """Cholesky pivot was non-positive; matrix is not SPD."""
-
-
-class IndexGapError(SegrlsError):
-    """Sample index is not consecutive with the estimator state."""
 
 
 class ParseError(SegrlsError):

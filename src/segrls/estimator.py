@@ -33,13 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import (
-    IndexGapError,
-    RangeError,
-    SingularUpdateError,
-    WindowTooSmallError,
-    _check_count,
-)
+from .errors import RangeError, SingularUpdateError, _check_count
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile, update_template, weights
 
@@ -161,8 +155,8 @@ class RlsEstimator:
         a (count,) array, or a (count, B) array to start a batch of B series
         that share one gain.  The windowed profiles need exactly w values;
         the infinite-memory profile initializes over however many are given
-        (at least the model dimension).  Raises WindowTooSmallError when the
-        window cannot identify the model and NotPositiveDefiniteError when
+        (at least the model dimension).  Raises RangeError when the window
+        is shorter than the model dimension and NotPositiveDefiniteError when
         the initial information matrix is not SPD (insufficient excitation);
         a positive ``diagonal_loading`` adds eps*I to the initial matrix
         instead.  A non-finite value raises the RangeError ``step`` would, a
@@ -179,9 +173,7 @@ class RlsEstimator:
         unbounded = profile.w is None
         window = len(y) if unbounded else profile.w
         if window < model.dim:
-            raise WindowTooSmallError(
-                f"window {window} is smaller than the model dimension {model.dim}"
-            )
+            raise RangeError(f"window {window} is smaller than the model dimension {model.dim}")
         if not unbounded and len(y) != window:
             raise ValueError(
                 f"initialization needs exactly w={window} samples, got {len(y)}"
@@ -254,14 +246,14 @@ class RlsEstimator:
         as B^{-1}.  A batch estimator takes B values per sample, a scalar one
         a number; a value of another shape, or one that is not a real number,
         raises ValueError, a non-finite one RangeError.  An index other than
-        k + 1 raises IndexGapError.  When the step raises, nothing that a
+        k + 1 raises RangeError.  When the step raises, nothing that a
         later step or read-out uses has changed: it may only have started the
         next row block, and written y at k's block position, past the current
         index.
         """
         k = self.k + 1
         if sample[0] != k:
-            raise IndexGapError(f"expected sample index {k}, got {sample[0]}")
+            raise RangeError(f"expected sample index {k}, got {sample[0]}")
         y = self._value(k, sample[1])
 
         i = k - self._first_row

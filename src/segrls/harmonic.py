@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NyquistError, RangeError, _check_count
+from .errors import RangeError, _check_count
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class HarmonicModel:
         # the top frequency is checked before the grid of harmonics is allocated
         top = 2.0 * math.pi * (self.harmonics + 1) / self.period
         if top >= math.pi:
-            raise NyquistError(
+            raise RangeError(
                 f"top frequency {top:.6g} reaches the Nyquist limit pi; "
                 f"reduce harmonics or increase the period"
             )

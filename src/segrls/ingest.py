@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import datetime
 import os
-import re
 import stat
 import sys
 import warnings
@@ -48,7 +47,6 @@ _PLACES = _YEAR_PLACES[2:]
 # line breaks that str.splitlines honours and universal newlines do not
 _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes numpy.loadtxt decompresses
-_INDENTED = re.compile(r"\n[^\S\n]")  # a line that starts with whitespace
 _PREFIX = 4096  # characters split first to find the leading comment and blank lines
 
 
@@ -161,10 +159,6 @@ def parse_csv(source: str | os.PathLike) -> Records:
         raise ParseError(
             f"expected header 'date,value', got {_quote(header)}", line_number=start + 1
         )
-    # a line after the header that starts with whitespace is blank or refused
-    # by the comma reader; either way the data lines alone are read
-    if path is not None and _INDENTED.search(text, offset):
-        path = None
     return _read(text, path, start, offset, convert, "'YYYY-MM-DD,float'", skip=1)
 
 

@@ -33,11 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    IntermediateSingularityError,
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-)
+from .errors import NotPositiveDefiniteError, SingularUpdateError
 
 # Relative tolerance of the update checks: a capacitance condition estimate
 # above 1/PIVOT_RTOL, or a rank-one denominator below PIVOT_RTOL, is singular.
@@ -187,8 +183,8 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
 
     Comparator for round-off accumulation experiments; each step divides by
     1 + s * x^T A^{-1} x and reuses the intermediate inverse.  Raises
-    IntermediateSingularityError when a denominator falls below tolerance or
-    is not finite, and ValueError for arguments batch_inverse_update refuses.
+    SingularUpdateError when a denominator falls below tolerance or is not
+    finite, and ValueError for arguments batch_inverse_update refuses.
     """
     b_inv, q, signs = _checked_update(b_inv, q, signs)
     a_inv = b_inv.copy()
@@ -200,7 +196,7 @@ def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:
         den = 1.0 + s * quad
         # written so that a nan or infinite denominator fails it too
         if not PIVOT_RTOL * max(1.0, abs(quad)) <= abs(den) < math.inf:
-            raise IntermediateSingularityError(
+            raise SingularUpdateError(
                 f"rank-one denominator {den:.3e} below tolerance at column {j}"
             )
         a_inv -= (s / den) * np.outer(u, u)

@@ -18,13 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateColumnError,
-    DropConditionError,
-    RangeError,
-    WindowError,
-    _check_count,
-)
+from .errors import RangeError, _check_count
 
 
 class UpdateTemplate(NamedTuple):
@@ -70,24 +64,19 @@ class SegmentedProfile:
         _check_count(self.p, 1, f"p must be a positive integer, got {self.p!r}")
         _check_count(self.w, 1, f"w must be a positive integer, got {self.w!r}")
         if self.beta == self.lam:
-            raise DegenerateColumnError(
-                "beta == lambda gives zero-scale fast-segment columns"
-            )
+            raise RangeError("beta == lambda gives zero-scale fast-segment columns")
         lam_m = self.lam**self.m
         beta_p = self.beta**self.p
         if lam_m == beta_p:
-            raise DegenerateColumnError(
-                "lambda^m == beta^p gives a zero-scale drop column"
-            )
+            raise RangeError("lambda^m == beta^p gives a zero-scale drop column")
         if lam_m * self.lam >= beta_p:
-            raise DropConditionError(
+            raise RangeError(
                 f"drop condition violated: lambda^(m+1)={lam_m * self.lam:.6g} "
                 f">= beta^p={beta_p:.6g}"
             )
         if self.p + 1 >= self.w:
-            raise WindowError(
-                f"fast segment does not fit the window: p+1={self.p + 1} >= w={self.w}"
-            )
+            raise RangeError(f"fast segment does not fit the window: p+1={self.p + 1} "
+                             f">= w={self.w}")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .errors import (
-    IntermediateSingularityError,
-    NotPositiveDefiniteError,
-    RangeError,
-    _check_count,
-)
+from .errors import NotPositiveDefiniteError, RangeError, SingularUpdateError, _check_count
 from .estimator import RlsEstimator, Sample, _real, _value_array, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile
@@ -475,8 +470,8 @@ def accumulation_experiment(
     window-transition column batch, applies both update paths to the same
     correctly rounded B^{-1}, and measures each against an extended-precision
     direct inverse of B + Q D Q^T.  Intermediate singularities in the chain
-    are counted, not raised; the affected trial records an infinite chain
-    error.
+    (its SingularUpdateError) are counted, not raised; the affected trial
+    records an infinite chain error.  A refused batch update is raised.
     """
     for name, count in (("n", n), ("steps", steps), ("trials", trials)):
         _check_count(count, 1, f"{name} must be an integer >= 1, got {count!r}")
@@ -510,13 +505,14 @@ def accumulation_experiment(
             )
             try:
                 got_chain = linalg.chain_sherman_morrison(b_inv, cols, signs)
+            except SingularUpdateError:
+                incidents += 1
+                chain_errors[t] = math.inf
+            else:
                 chain_errors[t] = (
                     math.sqrt(float(np.sum(((got_chain - reference) ** 2).astype(float))))
                     / scale
                 )
-            except IntermediateSingularityError:
-                incidents += 1
-                chain_errors[t] = math.inf
 
     return AccumulationReport(
         batch_errors=batch_errors,

@@ -280,7 +280,7 @@ def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult
 # A6 / A10: data-driven fit quality and forecast coverage
 
 
-def criterion_a6(values: np.ndarray, label: str = "A6") -> CriterionResult:
+def criterion_a6(values: np.ndarray) -> CriterionResult:
     """Segmented Fig-2 profile must beat the rank-2 exponential baseline."""
     start = time.perf_counter()
     if len(values) < 3000:
@@ -299,13 +299,13 @@ def criterion_a6(values: np.ndarray, label: str = "A6") -> CriterionResult:
     rmse_exp = math.sqrt(float(np.mean(res_exp**2)))
     std_seg = float(np.std(res_seg))
     std_exp = float(np.std(res_exp))
-    return _result(label, start, rmse_seg < rmse_exp and std_seg < std_exp,
+    return _result("A6", start, rmse_seg < rmse_exp and std_seg < std_exp,
                    f"RMSE segmented {rmse_seg:.4f} vs exponential {rmse_exp:.4f} "
                    f"(ratio {rmse_seg / rmse_exp:.3f}); "
                    f"residual std {std_seg:.4f} vs {std_exp:.4f}", budget_s=300.0)
 
 
-def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
+def criterion_a10(values: np.ndarray) -> CriterionResult:
     """30-day-ahead first-harmonic band must cover >= 0.90 of a held-out year."""
     start = time.perf_counter()
     model = standard_model()
@@ -323,7 +323,7 @@ def criterion_a10(values: np.ndarray, label: str = "A10") -> CriterionResult:
             total += 1
             hits += int(band.lower[-1] <= values[target - 1] <= band.upper[-1])
     coverage = hits / total if total else float("nan")
-    return _result(label, start, total > 0 and coverage >= 0.90,
+    return _result("A10", start, total > 0 and coverage >= 0.90,
                    f"coverage {coverage:.3f} over {total} forecasts (threshold 0.90, "
                    f"an operationalization of the qualitative claim)")
 

@@ -99,11 +99,11 @@ def test_a10_forecast_coverage_stockholm():
 
 
 def test_a6_surrogate_fit_quality_ordering():
-    _check(verify.criterion_a6(_surrogate_samples(3400), label="A6-surrogate"))
+    _check(verify.criterion_a6(_surrogate_samples(3400)))
 
 
 def test_a10_surrogate_forecast_coverage():
-    _check(verify.criterion_a10(_surrogate_samples(1600), label="A10-surrogate"))
+    _check(verify.criterion_a10(_surrogate_samples(1600)))
 
 
 # ----------------------------------------------------------------------
@@ -134,12 +134,11 @@ def test_every_criterion_has_its_budget(monkeypatch):
 
     monkeypatch.setattr(verify, "_result", spy)
     verify.run_synthetic_suite(trials=100)
-    verify.criterion_a6(_surrogate_samples(3400), label="A6-surrogate")
-    verify.criterion_a10(_surrogate_samples(1600), label="A10-surrogate")
+    verify.criterion_a6(_surrogate_samples(3400))
+    verify.criterion_a10(_surrogate_samples(1600))
     assert budgets == {
         "A1": 60.0, "A2": 60.0, "A3": 10.0, "A4": math.inf, "A5": math.inf,
-        "A6-surrogate": 300.0, "A7": math.inf, "A8": 30.0, "A9": 300.0,
-        "A10-surrogate": math.inf,
+        "A6": 300.0, "A7": math.inf, "A8": 30.0, "A9": 300.0, "A10": math.inf,
     }
 
 

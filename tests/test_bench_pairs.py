@@ -65,16 +65,72 @@ def test_working_tree_export_holds_the_bench_paths_without_caches(tmp_path):
     root = tmp_path / "root"
     for name in ("src/segrls/cli.py", "src/segrls/__pycache__/cli.pyc", "perfbench/run.py",
                  "perfbench/.perfbench_out/x.json", "perfbench/tests/test_a.py",
-                 "tests/test_cli.py", "README.md"):
+                 "tests/test_cli.py", "tests/.pytest_cache/v/x", "scripts/bench_pairs.py",
+                 "README.md", "BENCH_1.json"):
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(name)
     (root / "BENCHMARK.json").write_text("{}")
+    (root / "pyproject.toml").write_text("[tool.pytest.ini_options]\n")
     bench_pairs.export_working_tree(root, tmp_path / "change")
     copied = sorted(str(p.relative_to(tmp_path / "change"))
                     for p in (tmp_path / "change").rglob("*") if p.is_file())
     assert copied == ["BENCHMARK.json", "perfbench/run.py", "perfbench/tests/test_a.py",
-                      "src/segrls/cli.py"]
+                      "pyproject.toml", "scripts/bench_pairs.py", "src/segrls/cli.py",
+                      "tests/test_cli.py"]
     assert (tmp_path / "change" / "src" / "segrls" / "cli.py").read_text() == "src/segrls/cli.py"
+
+
+# pytest -q --durations=3 output, as a Tier-1 run prints it
+DURATIONS_OUTPUT = """\
+........................................................................ [ 50%]
+.......s.s.............................................................. [100%]
+============================= slowest 3 durations ==============================
+6.71s call     tests/test_acceptance.py::TestVerify::test_pass_is_seed_independent
+2.90s call     tests/test_linalg.py::TestSameBits::test_guard[draws 1-20000]
+0.52s setup    tests/test_cli.py::test_fit
+
+(1 durations < 0.005s hidden.  Use -vv to show these durations.)
+=========================== short test summary info ============================
+SKIPPED [1] tests/test_acceptance.py:96: 1.50s call     not a durations row
+585 passed, 2 skipped in 23.61s
+"""
+
+
+def test_durations_reads_only_the_durations_table():
+    assert bench_pairs.durations(DURATIONS_OUTPUT) == [
+        [6.71, "call", "tests/test_acceptance.py::TestVerify::test_pass_is_seed_independent"],
+        [2.90, "call", "tests/test_linalg.py::TestSameBits::test_guard[draws 1-20000]"],
+        [0.52, "setup", "tests/test_cli.py::test_fit"],
+    ]
+    assert bench_pairs.durations("585 passed in 1.00s\n") == []
+
+
+def tier1_run(wall, returncode=0, slowest=()):
+    return {"wall_s": wall, "returncode": returncode, "summary": "", "slowest": list(slowest)}
+
+
+def test_tier1_summary_gives_wall_spread_failed_runs_and_median_slowest_phases():
+    rows = bench_pairs.durations(DURATIONS_OUTPUT)
+    runs = {
+        "base": [tier1_run(20.0, slowest=rows), tier1_run(22.0, slowest=rows[:1]),
+                 tier1_run(21.0, 1)],
+        "change": [tier1_run(30.0, slowest=[[9.0, "call", "t::a"], *rows[1:]]),
+                   tier1_run(24.0, slowest=[[1.0, "call", "t::a"], [0.1, "call", "t::b"],
+                                            [0.2, "call", "t::c"], [0.3, "call", "t::d"]]),
+                   tier1_run(26.0, slowest=[[2.0, "call", "t::a"]])],
+    }
+    summary = bench_pairs.summarize_tier1(runs)
+    assert summary["base"] == {
+        "median": 21.0, "q1": 20.5, "q3": 21.5, "failed_runs": 1,
+        "slowest": [[6.71, "call", rows[0][2]], [2.90, "call", rows[1][2]],
+                    [0.52, "setup", rows[2][2]]]}
+    change = summary["change"]
+    assert (change["median"], change["q1"], change["q3"]) == (26.0, 25.0, 28.0)
+    assert change["failed_runs"] == 0
+    # each phase at the median of the runs that list it; five at most, slowest first
+    assert change["slowest"] == [[2.90, "call", rows[1][2]], [2.0, "call", "t::a"],
+                                 [0.52, "setup", rows[2][2]], [0.3, "call", "t::d"],
+                                 [0.2, "call", "t::c"]]
 
 
 @pytest.mark.parametrize("argv", [

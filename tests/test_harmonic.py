@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segrls.errors import NyquistError, RangeError
+from segrls.errors import RangeError
 from segrls.estimator import _first_harmonic
 from segrls.harmonic import make_harmonic_model, regressor_matrix
 
@@ -20,7 +20,8 @@ class TestModel:
         assert make_harmonic_model(365.25, 0).dim == 3
 
     def test_nyquist_rejected(self):
-        with pytest.raises(NyquistError):
+        with pytest.raises(RangeError, match=r"^top frequency 4\.71239 reaches the Nyquist "
+                                             r"limit pi; reduce harmonics or increase the period$"):
             make_harmonic_model(4.0, 2)  # q_2 = 2*pi*3/4 > pi
 
     def test_parameter_ranges(self):

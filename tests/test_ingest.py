@@ -616,12 +616,13 @@ class LoadCounter:
 
 @pytest.mark.parametrize("tail", ["  \n", " \t\n\n  \r\n", "\t"], ids=["spaces", "mixed", "no-newline"])
 @pytest.mark.parametrize("fmt", ["csv", "stockholm"])
-def test_whitespace_lines_after_the_data_cost_no_second_pass(monkeypatch, tmp_path, fmt, tail):
-    """An accepted file takes one reader pass, whatever whitespace-only lines end or split it.
+def test_whitespace_lines_among_and_after_the_data(monkeypatch, tmp_path, fmt, tail):
+    """Whitespace-only lines that end or split the data change no record and no error.
 
-    A file with such a line among its CSV data, or after it, goes straight
-    to the data lines: the comma reader would refuse the line, and a refusal
-    costs a second pass.  The observatory reader skips such lines.
+    The observatory reader skips such lines, so its file pass accepts the
+    file.  The comma reader refuses them, so a CSV file's pass is refused
+    and its data lines are read instead: a second pass, on input that no
+    writer of this package produces.
     """
     if fmt == "csv":
         text = "date,value\n2000-01-01,1.5\n2000-01-02,-2\n2000-01-03,0.25\n"
@@ -637,8 +638,12 @@ def test_whitespace_lines_after_the_data_cost_no_second_pass(monkeypatch, tmp_pa
         for source in (variant, write(tmp_path / f"{n}.txt", variant)):
             counter.calls = []
             assert outcome(fmt, source) == want
-            by_path = fmt == "stockholm" and not isinstance(source, str)
-            assert counter.calls == [(by_path, 3)], (variant, source)
+            if isinstance(source, str):
+                assert counter.calls == [(False, 3)], variant
+            elif fmt == "stockholm":
+                assert counter.calls == [(True, 3)], variant
+            else:
+                assert counter.calls == [(True, None), (False, 3)], variant
     # a refused line keeps its number and its message
     err = outcome(fmt, text.replace("-2", "x"))
     assert err[0] is ParseError and err[1].startswith(f"line {3 if fmt == 'csv' else 2}:")
@@ -674,6 +679,39 @@ def test_one_pass_reads_as_the_data_lines_alone(monkeypatch, tmp_path):
     assert accepted_by_path > 200
     assert skipped > 100
     assert refused > 100
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fmt", ["csv", "stockholm"])
+def test_a_line_at_any_position_reads_as_the_data_lines_alone(monkeypatch, tmp_path, fmt,
+                                                                newline):
+    """Whitespace-only, indented, comment and refused lines, inserted before each line or
+    indenting it: a file gives its text's records or error, and the data lines' alone."""
+    if fmt == "csv":
+        lines = ["date,value", "2000-01-01,1.5", "2000-01-02,-2", "2000-01-03,0.25"]
+        refused = "2000-01-04,x"
+    else:
+        lines = ["# observatory", "2000 1 1 1.5 9", "2000 1 2 -2 9", "2000 1 3 0.25 9"]
+        refused = "2000 1 4 x 9"
+    texts = []
+    for i in range(len(lines) + 1):
+        for extra in (" \t ", "\t", "  # indented note", "# note", refused, " " + refused):
+            texts.append(newline.join([*lines[:i], extra, *lines[i:]]) + newline)
+        if i < len(lines):
+            texts.append(newline.join([*lines[:i], "  " + lines[i], *lines[i + 1:]]) + newline)
+    by_path = [outcome(fmt, write(tmp_path / f"{n}.txt", text)) for n, text in enumerate(texts)]
+
+    exact = ingest._parse
+
+    def data_lines_only(text, path, start, offset, convert, expected, skip=0):
+        lines = text.splitlines()
+        return exact(lines, ingest._data_lines(lines), convert, expected, skip)
+
+    monkeypatch.setattr(ingest, "_read", data_lines_only)
+    for n, (text, got) in enumerate(zip(texts, by_path)):
+        assert got == outcome(fmt, text) == outcome(fmt, tmp_path / f"{n}.txt"), repr(text)
+    # both records and refusals are among the outcomes
+    assert {isinstance(got[0], list) for got in by_path} == {True, False}
 
 
 ARCHIVE = "# observatory\n\n1756 1 1 -1.2 1\n1756 1 2 -4.0 2\n1756 1 3 -6.3 3\n"

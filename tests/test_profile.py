@@ -4,12 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from segrls.errors import (
-    DegenerateColumnError,
-    DropConditionError,
-    RangeError,
-    WindowError,
-)
+from segrls.errors import RangeError
 from segrls.profile import (
     ExponentialProfile,
     SegmentedProfile,
@@ -38,21 +33,25 @@ class TestConstruction:
         assert prof.p == 1
 
     def test_equal_factors_rejected(self):
-        with pytest.raises(DegenerateColumnError):
+        with pytest.raises(RangeError,
+                           match=r"^beta == lambda gives zero-scale fast-segment columns$"):
             SegmentedProfile(0.99, 0.99, 10, 1, 100)
 
     def test_zero_drop_column_rejected(self):
         # 0.5**2 == 0.25**1 exactly in binary floating point
-        with pytest.raises(DegenerateColumnError):
+        with pytest.raises(RangeError,
+                           match=r"^lambda\^m == beta\^p gives a zero-scale drop column$"):
             SegmentedProfile(0.25, 0.5, 2, 1, 100)
 
     def test_no_drop_rejected(self):
         # lambda^(m+1) = 0.9801 >= beta^p = 0.5
-        with pytest.raises(DropConditionError):
+        with pytest.raises(RangeError, match=r"^drop condition violated: "
+                                             r"lambda\^\(m\+1\)=0\.9801 >= beta\^p=0\.5$"):
             SegmentedProfile(0.5, 0.99, 1, 1, 100)
 
     def test_fast_segment_must_fit_window(self):
-        with pytest.raises(WindowError):
+        with pytest.raises(RangeError, match=r"^fast segment does not fit the window: "
+                                             r"p\+1=6 >= w=6$"):
             SegmentedProfile(0.89, 0.99, 250, 5, 6)
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segrls import linalg
-from segrls.errors import IntermediateSingularityError, NotPositiveDefiniteError, RangeError
+from segrls.errors import NotPositiveDefiniteError, RangeError, SingularUpdateError
 from segrls.estimator import RlsEstimator, Sample
 from segrls.harmonic import make_harmonic_model, regressor_matrix
 from segrls.profile import ExponentialProfile, SegmentedProfile
@@ -456,7 +456,7 @@ class TestAccumulationExperiment:
             batch.append(error(linalg.batch_inverse_update(b_inv, cols, signs)))
             try:
                 chain.append(error(linalg.chain_sherman_morrison(b_inv, cols, signs)))
-            except IntermediateSingularityError:
+            except SingularUpdateError:
                 incidents += 1
                 chain.append(math.inf)
         assert np.array_equal(report.batch_errors, batch)
@@ -477,3 +477,16 @@ class TestAccumulationExperiment:
     def test_condition_target_validated(self):
         with pytest.raises(RangeError):
             accumulation_experiment(6, 2, 0.5, 3)
+
+    def test_only_the_chain_refusal_is_counted(self, monkeypatch):
+        def refuse(*args):
+            raise SingularUpdateError("refused")
+
+        monkeypatch.setattr(linalg, "chain_sherman_morrison", refuse)
+        report = accumulation_experiment(6, 1, 1.0, 5, seed=3)
+        assert report.singular_incidents == 5 and np.all(np.isinf(report.chain_errors))
+        assert report.median_batch <= 1e-14
+        # the batch update sits outside the counted call: its refusal propagates
+        monkeypatch.setattr(linalg, "batch_inverse_update", refuse)
+        with pytest.raises(SingularUpdateError, match="^refused$"):
+            accumulation_experiment(6, 1, 1.0, 5, seed=3)
