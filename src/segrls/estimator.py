@@ -17,6 +17,9 @@ rows of the next ROW_BLOCK steps, and a block also keeps the rows and values
 of the L samples before it (L the template's largest lag), which the step's
 lagged columns and the windowed ``info_matrix`` read.
 
+A step commits the fitted pair at its index with theta and the gain;
+``fitted`` returns it, and ``run``, a loop of ``step`` calls, copies it.
+
 The gain never depends on the values, only on the profile, the model and the
 sample indices.  So one estimator can carry B value series at once: when
 ``init`` gets a (count, B) value array, theta is (n, B), each step takes B
@@ -209,8 +212,7 @@ class RlsEstimator:
         est._columns = np.zeros((0, len(lags), model.dim))
         # the infinite profile's unloaded A at index _info_k, for info_matrix
         est._info, est._info_k = a, window
-        est._phi = phi[-1]
-        est._yhat1 = _first_harmonic(est.theta, est._phi)
+        est._yhat, est._yhat1 = phi[-1].dot(est.theta), _first_harmonic(est.theta, phi[-1])
         # first-harmonic residuals of the last `window` samples: sample k sits
         # in slot (k - 1) % window
         est._residuals = y - _first_harmonic(est.theta, _by_entry(phi, est.theta))
@@ -276,8 +278,8 @@ class RlsEstimator:
             ) from err
 
         phi = self._rows[i]
-        yhat1 = _first_harmonic(theta, phi)
-        self.gamma, self.theta, self.k, self._phi, self._yhat1 = gamma, theta, k, phi, yhat1
+        yhat, yhat1 = phi.dot(theta), _first_harmonic(theta, phi)
+        self.gamma, self.theta, self.k, self._yhat, self._yhat1 = gamma, theta, k, yhat, yhat1
         self._residuals[(k - 1) % self.window] = y - yhat1
 
     def run(self, values, cond_every: int = 0):
@@ -293,27 +295,15 @@ class RlsEstimator:
         """
         _check_count(cond_every, 0, f"cond_every must be an integer >= 0, got {cond_every!r}")
         values = _value_array(values)
-        shape, n = self._values.shape[1:], len(self._phi)
-        yhat = np.empty((len(values) + 1, *shape))
+        yhat = np.empty((len(values) + 1, *self._values.shape[1:]))
         yhat1 = np.empty_like(yhat)
         cond = [None] * len(yhat)
-        # each row's theta and phi, kept for a block of ROW_BLOCK // B rows (B = 1
-        # for a scalar; at least one row): the block's yhat is one stacked
-        # product, with the bits of fitted()'s phi @ theta per row
-        block = max(1, ROW_BLOCK // self.theta[0].size)
-        thetas = np.empty((block, *self.theta.shape))
-        phis = np.empty((block, n))
-        for start in range(0, len(yhat), block):
-            stop = min(start + block, len(yhat))
-            for i in range(start, stop):
-                if i:
-                    self.step((self.k + 1, values[i - 1]))
-                thetas[i - start], phis[i - start], yhat1[i] = self.theta, self._phi, self._yhat1
-                if cond_every and i % cond_every == 0:
-                    cond[i] = linalg.condition_number(self.info_matrix())
-            rows = stop - start
-            products = phis[:rows, None, :] @ thetas[:rows].reshape(rows, n, -1)
-            yhat[start:stop] = products.reshape(rows, *shape)
+        for i in range(len(yhat)):
+            if i:
+                self.step((self.k + 1, values[i - 1]))
+            yhat[i], yhat1[i] = self._yhat, self._yhat1
+            if cond_every and i % cond_every == 0:
+                cond[i] = linalg.condition_number(self.info_matrix())
         return yhat, yhat1, cond
 
     def _next_block(self) -> None:
@@ -340,10 +330,11 @@ class RlsEstimator:
     def fitted(self) -> tuple[float, float]:
         """(phi_k^T theta, its dc + first-harmonic part) at the current index k.
 
+        The pair the step to k formed, or init for the window's last index.
         Floats, or per-column arrays for a batch; so are the moving variance
         and the forecast band's sigma.  The residual at k is y_k - fitted()[0].
         """
-        return _plain(self._phi @ self.theta), _plain(self._yhat1)
+        return _plain(self._yhat), _plain(self._yhat1)
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""

@@ -7,10 +7,10 @@ without the numpy.linalg.inv wrapper, which costs more than the division.
 What this module adds is the one signed low-rank update the estimator runs
 on, with an explicit conditioning check on its capacitance matrix, and the
 chained rank-one comparator it is measured against.  For r >= 2 the check's
-estimate is computed exactly only when a cheap bound, from the largest
-absolute entry of U^{-1} and W, cannot rule out the limit; the results and
-the error texts are those of the exact check.  The update is one
-private core, ``_woodbury``, behind the public
+estimate, two ``numpy.linalg.norm`` calls, is computed only when a cheap
+bound, from the largest absolute entry of U^{-1} and W, cannot rule out the
+limit; the results and the error texts are those of the exact check.  The
+update is one private core, ``_woodbury``, behind the public
 ``batch_inverse_update``: the public function checks its arguments and builds
 D = diag(signs), then runs the core; the core checks nothing but the
 capacitance conditioning.  The estimator checks its template once at
@@ -151,31 +151,18 @@ def _woodbury(b_inv, q, d, theta, y):
 
 
 def _capacitance_guard(pair) -> float:
-    """A value above 1/PIVOT_RTOL exactly when ``_capacitance_cond(pair)`` is, then equal to it.
+    """||U^{-1}||_1 (1 + ||W||_1) from the (2, r, r) stack of U^{-1} and W, or a bound on it.
 
-    Each 1-norm of the (2, r, r) stack of U^{-1} and W is at most r m, m its
-    largest absolute entry, so r m (1 + r m) is never below the estimate.
-    When that bound is below half the limit, which leaves room for the
-    round-off of both, it stands in for the estimate; otherwise, nan and inf
-    included, the estimate is computed.  One reduction instead of three.
+    Each 1-norm is at most r m, m the largest absolute entry of the stack, so
+    r m (1 + r m) is never below the estimate.  When that bound is below half
+    the limit, which leaves room for the round-off of both, it stands in for
+    the estimate; otherwise, nan and inf included, the two norms are computed.
     """
     rm = pair.shape[1] * float(np.maximum.reduce(np.abs(pair), None))
     bound = rm * (1.0 + rm)
     if bound < 0.5 / PIVOT_RTOL:
         return bound
-    return _capacitance_cond(pair)
-
-
-def _capacitance_cond(pair) -> float:
-    """||U^{-1}||_1 (1 + ||W||_1) from the (2, r, r) stack of U^{-1} and W.
-
-    ||.||_1 is the largest absolute column sum.  Both matrices' column sums
-    come from one reduction over the row axis, row after row as a single
-    matrix's would, so the bits are those of two separate norms; a nan
-    anywhere in either matrix makes the estimate nan.
-    """
-    u_norm, w_norm = np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist()
-    return u_norm * (1.0 + w_norm)
+    return float(np.linalg.norm(pair[0], 1)) * (1.0 + float(np.linalg.norm(pair[1], 1)))
 
 
 def chain_sherman_morrison(b_inv, q, signs) -> np.ndarray:

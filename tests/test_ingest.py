@@ -22,7 +22,8 @@ from segrls.ingest import (
     to_indexed,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the source tree the tests import segrls from, so that a CLI child runs the same code
+SRC = Path(ingest.__file__).resolve().parent.parent
 
 STOCKHOLM_SAMPLE = """\
 # Stockholm daily mean temperatures (sample)

@@ -6,13 +6,14 @@ classes, nor the NamedTuple records ``Sample``, ``ForecastBand`` and
 ``reference.accumulation_experiment``, or an estimator's ``step``, ``run``
 and ``forecast``.  Its arguments are drawn by a ``random.Random`` seeded
 with SEED and the case's name, from floats, negatives, zero, nan and inf,
-numpy integers, wrong shapes and wrong batch widths; ``init``, ``step``,
-``run``, ``compare_trajectory``, ``direct_weighted_ls`` and ``SyntheticSpec``
-also get values that are not real numbers (strings, bytes, complex numbers,
-objects), and ``direct_weighted_ls`` an array value among floats, which they
-must refuse.  ``direct_weighted_ls`` also gets samples with an index missing
-or two swapped: it must refuse a window that holds them, and solve any other
-as the consecutive samples'.  The parsers ``parse_stockholm`` and
+numpy integers, wrong shapes, wrong batch widths and batches of no series
+(B = 0); ``init``, ``step``, ``run``, ``compare_trajectory``,
+``direct_weighted_ls`` and ``SyntheticSpec`` also get values that are not
+real numbers (strings, bytes, complex numbers, objects), and
+``direct_weighted_ls`` an array value among floats, which they must refuse.
+``direct_weighted_ls`` also gets samples with an index missing or two
+swapped: it must refuse a window that holds them, and solve any other as the
+consecutive samples'.  The parsers ``parse_stockholm`` and
 ``parse_csv`` get short texts, some with a byte-order mark or a refused
 line, and odd value columns; ``to_indexed`` gets span bounds that are not
 dates and odd gap policies.  A case
@@ -87,7 +88,7 @@ COUNTS = [0, 1, 2, 3, 5, 7, -1, -3, 2.5, 10.5, 5.0, NAN, INF, -INF,
 REALS = [0.0, -1.0, 1e-9, 0.5, 0.9, 0.97, 1.0, 1.5, 40.0, NAN, INF, -INF,
          np.float32(0.9), np.int64(1), 3]
 VALUE_SHAPES = [(), (0,), (1,), (5,), (20,), (49,), (50,), (60,),
-                (50, 1), (50, 2), (50, 3), (20, 3), (60, 3), (50, 3, 1)]
+                (50, 0), (50, 1), (50, 2), (50, 3), (20, 0), (20, 3), (60, 3), (50, 3, 1)]
 
 
 def values_of(rng, shapes):
@@ -230,8 +231,8 @@ def case_init(rng):
 
 
 def started(rng):
-    """(label, estimator) initialized on a clean window, scalar or a batch of 3."""
-    name, width = rng.choice(sorted(PROFILES)), rng.choice([(), (3,)])
+    """(label, estimator) initialized on a clean window, scalar or a batch of 3 or 0."""
+    name, width = rng.choice(sorted(PROFILES)), rng.choice([(), (3,), (0,)])
     values = np.array([rng.gauss(0.0, 2.0) for _ in range(50 * (width or (1,))[0])])
     est = RlsEstimator.init(PROFILES[name], MODEL, values.reshape(50, *width))
     return f"{name} estimator of batch shape {width}", est
@@ -241,7 +242,7 @@ def case_step(rng):
     label, est = started(rng)
     k = est.k
     index = rng.choice([k + 1, k + 1, k + 1, k + 2, k, k + 1.0, k + 1.5, np.int64(k + 1), NAN, -1])
-    value = rng.choice(REALS + [values_of(rng, [(), (1,), (2,), (3,), (3, 1), (4,)])])
+    value = rng.choice(REALS + [values_of(rng, [(), (0,), (1,), (2,), (3,), (3, 1), (4,)])])
     value, refused = non_real(rng, value)
     if refused and rng.random() < 0.5:
         value = rng.choice(["2.5", b"2.5", 2.5 + 1j, np.str_("2.5")])
@@ -264,7 +265,7 @@ def case_step(rng):
 
 def case_run(rng):
     label, est = started(rng)
-    values = values_of(rng, [(), (0,), (5,), (5, 1), (5, 2), (5, 3), (5, 3, 1)])
+    values = values_of(rng, [(), (0,), (5,), (5, 0), (5, 1), (5, 2), (5, 3), (5, 3, 1)])
     cond_every = rng.choice([0, 0, 1, 2, -1, 2.5, NAN, np.int64(3)])
     values, refused = non_real(rng, values)
     shape = batch(est.theta)
