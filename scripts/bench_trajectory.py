@@ -7,6 +7,9 @@ checkout and prints one row per file, in order of n: for each
 workload, the change's ``wall_s`` median and its ``change_wins/pairs``; then
 ``src_lines`` and ``public_names`` as base->change, and the ``tier1_s``
 medians as base->change, where the file has them ("-" where it does not).
+A ``tier1_s`` cell ends in "?" when the two medians differ by no more than
+the wider of the two sides' interquartile ranges: the runs cannot tell them
+apart.
 The workload columns are those of any file, in the order they first appear.
 The other ``BENCH_*.json`` files, such as ``BENCH_6-a8-vs-rowwise.json``,
 are listed after the table under "also".
@@ -43,6 +46,17 @@ def _sides(sides: dict | None, fmt: str) -> str:
     return f"{sides['base']:{fmt}}->{sides['change']:{fmt}}" if sides else "-"
 
 
+def _tier1(tier1: dict | None) -> str:
+    """The tier1_s medians as 'base->change', with '?' after them when unresolved."""
+    if not tier1:
+        return "-"
+    base, change = tier1["base"], tier1["change"]
+    spread = max(side["q3"] - side["q1"] for side in (base, change))
+    unresolved = abs(change["median"] - base["median"]) <= spread
+    return _sides({"base": base["median"], "change": change["median"]}, ".1f") + (
+        "?" if unresolved else "")
+
+
 def row(report: dict) -> tuple[dict, list[str]]:
     """One PR's cells: 'median wins/pairs' by workload, and the SIZE_COLUMNS."""
     cells = {}
@@ -50,10 +64,8 @@ def row(report: dict) -> tuple[dict, list[str]]:
         metric = workload["metrics"][METRIC]
         cells[name] = (f"{metric['change']['median']:.3f} "
                        f"{metric['change_wins']}/{metric['pairs']}")
-    tier1 = report.get("tier1_s")
-    medians = {side: tier1[side]["median"] for side in ("base", "change")} if tier1 else None
     return cells, [_sides(report.get("src_lines"), "d"),
-                   _sides(report.get("public_names"), "d"), _sides(medians, ".1f")]
+                   _sides(report.get("public_names"), "d"), _tier1(report.get("tier1_s"))]
 
 
 def table(directory: Path) -> str:
@@ -67,7 +79,8 @@ def table(directory: Path) -> str:
     widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
              for line in [header, *body]]
-    lines.append(f"({METRIC}: the change's median and the pairs it won)")
+    lines.append(f"({METRIC}: the change's median and the pairs it won; tier1_s ?: "
+                 f"the medians differ by no more than the wider interquartile range)")
     if also:
         lines.append("also: " + ", ".join(also))
     return "\n".join(lines)

@@ -92,6 +92,17 @@ MUTANTS = [
            "phi.dot(theta)", "phi[:-1].dot(theta[:-1])"),
     Mutant("estimate with the inf-norm of W", "linalg.py",
            "np.linalg.norm(pair[1], 1)", "np.linalg.norm(pair[1], np.inf)"),
+    # the forecast table's cells and coverage
+    Mutant("in_band upper bound strict", "cli.py",
+           "(observed <= band.upper[recorded])", "(observed < band.upper[recorded])"),
+    Mutant("in_band lower bound strict", "cli.py",
+           "(band.lower[recorded] <= observed)", "(band.lower[recorded] < observed)"),
+    Mutant("coverage over the horizon", "cli.py",
+           "fmt(hits / total)", "fmt(hits / args.horizon)"),
+    Mutant("forecast rows from the last fitted index", "cli.py",
+           "series.origin, last + 1, [", "series.origin, last, ["),
+    Mutant("observed cells one day late", "cli.py",
+           "np.arange(last, last + args.horizon)", "np.arange(last + 1, last + args.horizon + 1)"),
 ]
 
 

@@ -33,7 +33,7 @@ from .errors import (
     SingularUpdateError,
 )
 from .estimator import RlsEstimator
-from .harmonic import make_harmonic_model
+from .harmonic import HarmonicModel
 from .ingest import (
     GAP_POLICIES,
     IndexedSeries,
@@ -64,11 +64,15 @@ def fmt(value) -> str:
     return f"{value:.9g}"
 
 
-# Per-step rows of `fit` and `compare` in one expression each: k, the date
-# text, then the floats as fmt renders them ("%.9g" is the same conversion);
-# fit's cond_a column is fmt's text, empty between --cond-every rows.
+# Per-day rows of `fit`, `compare` and `forecast` in one expression each: k,
+# the date text, then the floats as fmt renders them ("%.9g" is the same
+# conversion); fit's cond_a column and forecast's observed column are fmt's
+# text, empty between --cond-every rows and on days with no record, and
+# in_band is 0, 1 or empty.  A histogram row is two bin edges and two counts.
 _FIT_ROW = "%d,%s,%.9g,%.9g,%.9g,%.9g,%s"
 _COMPARE_ROW = "%d,%s,%.9g,%.9g,%.9g"
+_FORECAST_ROW = "%d,%s,%.9g,%.9g,%.9g,%s,%s"
+_HISTOGRAM_ROW = "%.9g,%.9g,%d,%d"
 # Rows rendered per chunk: one date conversion and one % format each.
 _ROW_CHUNK = 4096
 
@@ -90,7 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--harmonics", type=int, default=16,
                        help="number of higher-order harmonics (default 16)")
 
-    def add_profile_flags(p):
+    def add_output_flag(p):
+        p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
+
+    # the three series commands: the same data, model, profile and output
+    # flags, then one flag of their own
+    for name, func, text, flag, extra in (
+        ("fit", cmd_fit, "fit one profile and emit per-step rows", "--cond-every",
+         dict(type=int, default=0,
+              help="emit the information-matrix condition number every N steps")),
+        ("compare", cmd_compare, "segmented vs exponential baseline on the same span",
+         "--baseline-lambda",
+         dict(type=float, default=None,
+              help="forgetting factor of the exponential baseline (default: --lambda)")),
+        ("forecast", cmd_forecast, "multi-week first-harmonic forecast", "--horizon",
+         dict(type=int, default=30)),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True, help="input series file")
+        p.add_argument("--format", choices=("stockholm", "csv"), default="csv")
+        p.add_argument("--value-column", type=int, default=3,
+                       help="zero-based value column for the stockholm format")
+        p.add_argument("--start", default=None, help="first day of the span (ISO date)")
+        p.add_argument("--end", default=None, help="last day of the span (ISO date)")
+        p.add_argument("--gap-policy", choices=GAP_POLICIES, default="fail")
+        add_model_flags(p)
         p.add_argument("--profile", choices=("segmented", "exponential", "infinite"),
                        default="segmented")
         p.add_argument("--beta", type=float, default=0.89,
@@ -103,46 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window length (also the init length for --profile infinite)")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="diagonal loading added to the initial information matrix")
-
-    def add_data_flags(p):
-        p.add_argument("--input", required=True, help="input series file")
-        p.add_argument("--format", choices=("stockholm", "csv"), default="csv")
-        p.add_argument("--value-column", type=int, default=3,
-                       help="zero-based value column for the stockholm format")
-        p.add_argument("--start", default=None, help="first day of the span (ISO date)")
-        p.add_argument("--end", default=None, help="last day of the span (ISO date)")
-        p.add_argument("--gap-policy", choices=GAP_POLICIES, default="fail")
-
-    def add_output_flag(p):
-        p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
-
-    p_fit = sub.add_parser("fit", help="fit one profile and emit per-step rows")
-    add_data_flags(p_fit)
-    add_model_flags(p_fit)
-    add_profile_flags(p_fit)
-    add_output_flag(p_fit)
-    p_fit.add_argument("--cond-every", type=int, default=0,
-                       help="emit the information-matrix condition number every N steps")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_cmp = sub.add_parser("compare",
-                           help="segmented vs exponential baseline on the same span")
-    add_data_flags(p_cmp)
-    add_model_flags(p_cmp)
-    add_profile_flags(p_cmp)
-    add_output_flag(p_cmp)
-    p_cmp.add_argument("--baseline-lambda", type=float, default=None,
-                       help="forgetting factor of the exponential baseline "
-                            "(default: --lambda)")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_fc = sub.add_parser("forecast", help="multi-week first-harmonic forecast")
-    add_data_flags(p_fc)
-    add_model_flags(p_fc)
-    add_profile_flags(p_fc)
-    add_output_flag(p_fc)
-    p_fc.add_argument("--horizon", type=int, default=30)
-    p_fc.set_defaults(func=cmd_forecast)
+        add_output_flag(p)
+        p.add_argument(flag, **extra)
+        p.set_defaults(func=func)
 
     p_ver = sub.add_parser("verify", help="run the self-contained verification suites")
     p_ver.add_argument("--trials", type=int, default=200)
@@ -174,21 +165,10 @@ def main(argv=None) -> int:
 # configuration assembly (all problems aggregated into one message)
 
 
-def _build_model(args, errors):
+def _build(errors, make, *fields):
+    """``make(*fields)``, or None after appending the SegrlsError's text to ``errors``."""
     try:
-        return make_harmonic_model(args.period, args.harmonics)
-    except SegrlsError as err:
-        errors.append(str(err))
-        return None
-
-
-def _build_profile(args, errors):
-    try:
-        if args.profile == "segmented":
-            return SegmentedProfile(args.beta, args.lam, args.m, args.p, args.window)
-        if args.profile == "exponential":
-            return ExponentialProfile(args.lam, args.window)
-        return ExponentialProfile(args.lam)
+        return make(*fields)
     except SegrlsError as err:
         errors.append(str(err))
         return None
@@ -206,8 +186,12 @@ def _parse_date(text, flag, errors):
 
 def _common_config(args):
     errors: list[str] = []
-    model = _build_model(args, errors)
-    profile = _build_profile(args, errors)
+    model = _build(errors, HarmonicModel, args.period, args.harmonics)
+    profile = _build(errors, *{
+        "segmented": (SegmentedProfile, args.beta, args.lam, args.m, args.p, args.window),
+        "exponential": (ExponentialProfile, args.lam, args.window),
+        "infinite": (ExponentialProfile, args.lam),
+    }[args.profile])
     start = _parse_date(args.start, "--start", errors)
     end = _parse_date(args.end, "--end", errors)
     if model is not None and args.window < model.dim:
@@ -265,18 +249,14 @@ class _InputPath:
         return self.path
 
 
-def _load_records(args):
+def _load_series(args, start, end) -> tuple[IndexedSeries, Records]:
     # by path, so a regular file can take the reader's chunked file pass
     source = _InputPath(args.input)
     if args.format == "stockholm":
-        return parse_stockholm(source, value_column=args.value_column)
-    return parse_csv(source)
-
-
-def _load_series(args, start, end) -> tuple[IndexedSeries, Records]:
-    records = _load_records(args)
-    series = to_indexed(records, start=start, end=end, gap_policy=args.gap_policy)
-    return series, records
+        records = parse_stockholm(source, value_column=args.value_column)
+    else:
+        records = parse_csv(source)
+    return to_indexed(records, start=start, end=end, gap_policy=args.gap_policy), records
 
 
 def _write_output(path: str, text: str) -> None:
@@ -323,7 +303,7 @@ def _run_fit(profile, model, series: IndexedSeries, args, cond_every=0):
 
 
 def _render_rows(row_format, origin, first, columns) -> list[str]:
-    """Per-step rows ``row_format % (k, date of k, *values)`` from index ``first`` on.
+    """Per-day rows ``row_format % (k, date of k, *values)`` from index ``first`` on.
 
     ``columns`` holds one list of values per field after the date, index
     ``first`` at position 0.  The rows come back in chunks of _ROW_CHUNK,
@@ -387,11 +367,7 @@ def cmd_fit(args) -> int:
 def cmd_compare(args) -> int:
     errors, model, fitted, start, end = _common_config(args)
     baseline_lam = args.baseline_lambda if args.baseline_lambda is not None else args.lam
-    try:
-        baseline = ExponentialProfile(baseline_lam, args.window)
-    except SegrlsError as err:
-        errors.append(str(err))
-        baseline = None
+    baseline = _build(errors, ExponentialProfile, baseline_lam, args.window)
     if errors:
         return _fail_config(errors)
 
@@ -416,10 +392,8 @@ def cmd_compare(args) -> int:
                             [y.tolist(), res_fit.tolist(), res_base.tolist()]))
     out.append("")
     out.append("bin_left,bin_right,count_fitted,count_baseline")
-    for i in range(41):
-        out.append(
-            f"{fmt(edges[i])},{fmt(edges[i + 1])},{counts_fit[i]},{counts_base[i]}"
-        )
+    bins = np.column_stack((edges[:-1], edges[1:], counts_fit, counts_base))
+    out.append("\n".join([_HISTOGRAM_ROW] * 41) % tuple(bins.ravel().tolist()))
     out.extend(_config_footer(args, model, extra=[
         f"# baseline_lambda={fmt(baseline_lam)}",
         f"# rmse_fitted={fmt(rmse_fit)}",
@@ -452,23 +426,18 @@ def cmd_forecast(args) -> int:
     est, _, _ = _run_fit(profile, model, series, args)
     band = est.forecast(args.horizon)
 
-    indices = range(last + 1, last + args.horizon + 1)
-    days = iso_date_range(series.origin, last + 1, last + args.horizon + 1)
-    pos, recorded = records.find(np.array(days, dtype="datetime64[D]"))
+    # index k falls on origin + k - 1, so the horizon's first day is origin + last
+    pos, recorded = records.find(
+        np.datetime64(series.origin, "D") + np.arange(last, last + args.horizon))
+    observed = records.values[pos[recorded]]
+    inside = (band.lower[recorded] <= observed) & (observed <= band.upper[recorded])
+    hits, total = int(inside.sum()), len(observed)
+    cells = np.full((2, args.horizon), "", dtype=object)
+    cells[0, recorded] = list(map(fmt, observed.tolist()))
+    cells[1, recorded] = inside.astype(int).tolist()
     out = ["k,date,mean,lower,upper,observed,in_band"]
-    hits = 0
-    total = 0
-    bands = np.column_stack((band.mean, band.lower, band.upper)).tolist()
-    for k, day, (mean, lower, upper), i, found in zip(
-            indices, days, bands, pos.tolist(), recorded.tolist()):
-        observed = float(records.values[i]) if found else None
-        in_band = ""
-        if observed is not None:
-            inside = lower <= observed <= upper
-            hits += int(inside)
-            total += 1
-            in_band = str(int(inside))
-        out.append(f"{k},{day},{fmt(mean)},{fmt(lower)},{fmt(upper)},{fmt(observed)},{in_band}")
+    out.extend(_render_rows(_FORECAST_ROW, series.origin, last + 1, [
+        band.mean.tolist(), band.lower.tolist(), band.upper.tolist(), *cells.tolist()]))
     coverage = fmt(hits / total) if total else "na"
     out.extend(_config_footer(args, model, extra=[
         f"# sigma={fmt(band.sigma)}",
@@ -497,9 +466,8 @@ def cmd_verify(args) -> int:
 @_data_command
 def cmd_synth(args) -> int:
     errors: list[str] = []
-    model = _build_model(args, errors)
+    model = _build(errors, HarmonicModel, args.period, args.harmonics)
     origin = _parse_date(args.origin, "--origin", errors)
-    theta = None
     if model is not None:
         try:
             cells = [v.strip() for v in args.theta.split(",")]
@@ -515,9 +483,6 @@ def cmd_synth(args) -> int:
             )
         elif not all(map(math.isfinite, leading)):
             errors.append(f"--theta entries must be finite: {args.theta!r}")
-        else:
-            theta = np.zeros(model.dim)
-            theta[: len(leading)] = leading
     if args.length < 1:
         errors.append("--length must be >= 1")
     if not 0.0 <= args.sigma < math.inf:
@@ -527,17 +492,16 @@ def cmd_synth(args) -> int:
     if errors:
         return _fail_config(errors)
 
-    spec = SyntheticSpec(
-        model=model,
-        theta_star=theta,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-        length=args.length,
-    )
     try:
-        values = synth_generate(spec)
+        theta = np.zeros(model.dim)
+        theta[: len(leading)] = leading
+        values = synth_generate(SyntheticSpec(model, theta, args.sigma, args.seed, args.length))
     except RangeError as err:
         return _fail_config([str(err)])
+    except MemoryError as err:
+        # a model too large to hold: numpy's error names the size it could not allocate
+        return _fail_config([f"--harmonics {args.harmonics} with --length {args.length} "
+                             f"does not fit in memory: {err}"])
     out = []
     out.extend(_config_footer(args, model, extra=[f"# theta_full={','.join(fmt(v) for v in theta)}"]))
     out.append("date,value")

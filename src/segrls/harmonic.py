@@ -12,7 +12,7 @@ phi_k^T theta (``fitted`` and ``forecast``) from these rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +26,23 @@ class HarmonicModel:
 
     period: float
     harmonics: int
-    frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.period < math.inf:
             raise RangeError(f"period must be positive and finite, got {self.period!r}")
         _check_count(self.harmonics, 0, f"harmonics must be >= 0, got {self.harmonics!r}")
-        # the top frequency is checked before the grid of harmonics is allocated
         top = 2.0 * math.pi * (self.harmonics + 1) / self.period
         if top >= math.pi:
             raise RangeError(
                 f"top frequency {top:.6g} reaches the Nyquist limit pi; "
                 f"reduce harmonics or increase the period"
             )
-        freqs = 2.0 * math.pi * np.arange(1, self.harmonics + 2) / self.period
-        object.__setattr__(self, "frequencies", freqs)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """The grid q_0..q_h, built on each use: a model holds no array, so a
+        caller can check ``dim`` before a grid too large to allocate is built."""
+        return 2.0 * math.pi * np.arange(1, self.harmonics + 2) / self.period
 
     @property
     def dim(self) -> int:

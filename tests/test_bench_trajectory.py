@@ -14,6 +14,10 @@ def workload(median, wins, pairs):
                                    "pairs": pairs}}}
 
 
+LEGEND = ("(wall_s: the change's median and the pairs it won; tier1_s ?: "
+          "the medians differ by no more than the wider interquartile range)")
+
+
 def write(path, report):
     path.write_text(json.dumps(report), encoding="utf-8")
 
@@ -35,9 +39,24 @@ def test_one_row_per_numbered_file_in_order_and_the_others_listed_apart(tmp_path
         "pr  verify     fit_long     src_lines   public_names  tier1_s",
         "9   1.438 1/3  -            2596->2536  -             -",
         "10  1.328 3/3  2.853 10/10  2536->2625  33->30        23.6->22.0",
-        "(wall_s: the change's median and the pairs it won)",
+        LEGEND,
         "also: BENCH_6-a8-vs-rowwise.json",
     ]
+
+
+def test_tier1_medians_within_the_wider_quartile_range_are_unresolved(tmp_path):
+    def tier1(base, change):
+        return {"tier1_s": {side: dict(zip(("q1", "median", "q3"), quartiles))
+                            for side, quartiles in (("base", base), ("change", change))}}
+
+    # BENCH_27's figures: the medians 2.9 s apart, the base's quartiles 5.1 s apart
+    write(tmp_path / "BENCH_27.json", tier1((22.36, 22.62, 27.46), (24.66, 25.56, 25.95)))
+    # the change's spread is the wider one, and the medians differ by exactly it
+    write(tmp_path / "BENCH_28.json", tier1((20.0, 20.5, 21.0), (21.0, 22.5, 23.0)))
+    # resolved: 2.0 s apart, the wider spread 1.5 s
+    write(tmp_path / "BENCH_29.json", tier1((20.0, 20.5, 21.0), (22.0, 22.5, 23.5)))
+    assert [line.split()[-1] for line in bench_trajectory.table(tmp_path).splitlines()[1:4]] == [
+        "22.6->25.6?", "20.5->22.5?", "20.5->22.5"]
 
 
 def test_the_files_are_read_from_the_root_of_the_checkout(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,9 @@
 import datetime
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ import pytest
 from segrls import cli, linalg
 from segrls.cli import fmt, main
 from segrls.ingest import iso_date_range
-from segrls.estimator import information_matrix
+from segrls.estimator import ForecastBand, RlsEstimator, information_matrix
 from segrls.harmonic import make_harmonic_model
 from segrls.linalg import condition_number
 from segrls.profile import ExponentialProfile, SegmentedProfile
 
 SMALL_MODEL = ["--period", "40", "--harmonics", "2"]  # n = 7
+# the source tree the tests imported segrls from, for a CLI child
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -386,6 +391,10 @@ class TestRowRendering:
     def test_percent_g_is_fmt(self):
         for value in self.values():
             assert "%.9g" % value == fmt(value), repr(value)
+        # compare stacks np.histogram's int64 counts with the float bin edges,
+        # so its "%d" meets each count as a float64
+        for count in np.array([0, 1, 41, 39_601, 2**31, 2**53 - 1, 2**53], dtype=np.int64):
+            assert "%d" % float(count) == f"{count}", repr(count)
 
     def test_fit_and_compare_rows(self):
         vals = self.values()[:4000]
@@ -395,6 +404,10 @@ class TestRowRendering:
                 f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)},{fmt(c)},")
             assert cli._COMPARE_ROW % (i, "2001-02-03", y, a, b) == (
                 f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)}")
+            assert cli._FORECAST_ROW % (i, "2001-02-03", y, a, b, "", "") == (
+                f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)},,")
+            assert cli._FORECAST_ROW % (i, "2001-02-03", y, a, b, fmt(c), i % 8 // 4) == (
+                f"{i},2001-02-03,{fmt(y)},{fmt(a)},{fmt(b)},{fmt(c)},{i % 8 // 4}")
 
     @pytest.mark.parametrize("chunk", [7, cli._ROW_CHUNK])
     @pytest.mark.parametrize("cond_every", [0, 60], ids=["cond-empty", "cond-filled"])
@@ -419,6 +432,13 @@ class TestRowRendering:
                         for k, *row in zip(ks, y, yhat, res)]
         got = cli._render_rows(cli._COMPARE_ROW, origin, first, [y, yhat, res])
         assert "\n".join(got) == "\n".join(compare_rows)
+        # forecast: the observed and in_band cells are empty where cond is
+        in_band = ["" if c is None else str(i % 2) for i, c in enumerate(cond)]
+        forecast_rows = [f"{k},{iso(k)},{fmt(m)},{fmt(lo)},{fmt(hi)},{fmt(c)},{inside}"
+                         for k, m, lo, hi, c, inside in zip(ks, y, yhat, yhat1, cond, in_band)]
+        got = cli._render_rows(cli._FORECAST_ROW, origin, first, [
+            y, yhat, yhat1, list(map(fmt, cond)), [int(t) if t else "" for t in in_band]])
+        assert "\n".join(got) == "\n".join(forecast_rows)
 
     @pytest.mark.parametrize("origin", [datetime.date(1999, 12, 25), datetime.date(1, 1, 1)])
     def test_iso_dates_are_date_of(self, origin):
@@ -544,6 +564,23 @@ class TestForecast:
         assert _footer_value(out, "observed_horizon_days") == str(total)
         assert _footer_value(out, "coverage") == f"{hits / total:.9g}"
 
+    def test_a_value_on_either_edge_of_the_band_is_inside(self, tmp_path, monkeypatch):
+        data = synth_file(tmp_path)
+        observed = np.array([float(value) for _, value in csv_rows(data)])
+
+        def edge_band(est, horizon):     # lower == upper == the value recorded
+            values = observed[est.k : est.k + horizon]
+            return ForecastBand(values, values, values, 0.0)
+
+        monkeypatch.setattr(RlsEstimator, "forecast", edge_band)
+        out = tmp_path / "fc.csv"
+        assert run(["forecast", "--input", str(data), *FIT_FLAGS, "--end", "2001-06-30",
+                    "--horizon", "20", "--output", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith(("#", "k,"))]
+        assert [row[6] for row in rows] == ["1"] * 20
+        assert _footer_value(out, "coverage") == "1"
+
     def test_bad_horizon_exit_2(self, tmp_path):
         data = synth_file(tmp_path)
         code = run(["forecast", "--input", str(data), *FIT_FLAGS, "--horizon", "0",
@@ -563,3 +600,22 @@ class TestVerify:
             results = run_synthetic_suite(trials=100, seed=seed)
             failed = [r.name for r in results if not r.passed]
             assert not failed, f"seed {seed} failed {failed}"
+
+
+@pytest.mark.parametrize("command", ["synth", "fit"])
+def test_a_model_too_big_to_allocate_is_a_config_error(tmp_path, command):
+    # 8e9 model entries; the child gets 3 GB of address space, so an attempt to
+    # allocate them fails at once instead of taking the machine's memory
+    resource = pytest.importorskip("resource")
+    limit = 3_000_000_000
+    flags = {"synth": ["--length", "1"], "fit": ["--input", str(synth_file(tmp_path))]}
+    argv = [sys.executable, "-m", "segrls.cli", command, *flags[command],
+            "--period", "1e300", "--harmonics", "4000000000",
+            "--output", str(tmp_path / "out.csv")]
+    child = subprocess.run(
+        argv, capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("configuration error: ")
+    assert child.stderr.count("\n") == 1

@@ -242,7 +242,12 @@ def case_step(rng):
     label, est = started(rng)
     k = est.k
     index = rng.choice([k + 1, k + 1, k + 1, k + 2, k, k + 1.0, k + 1.5, np.int64(k + 1), NAN, -1])
-    value = rng.choice(REALS + [values_of(rng, [(), (0,), (1,), (2,), (3,), (3, 1), (4,)])])
+    # half the values are arrays of the estimator's batch shape, so batch steps
+    # (B = 3 and B = 0) return too
+    if rng.random() < 0.5:
+        value = values_of(rng, [batch(est.theta)])
+    else:
+        value = rng.choice(REALS + [values_of(rng, [(), (0,), (1,), (2,), (3,), (3, 1), (4,)])])
     value, refused = non_real(rng, value)
     if refused and rng.random() < 0.5:
         value = rng.choice(["2.5", b"2.5", 2.5 + 1j, np.str_("2.5")])
