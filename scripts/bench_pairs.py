@@ -34,7 +34,12 @@ TIER1_RUNS times, with its ``src/`` on PYTHONPATH, the sides interleaved as
 the pairs are.  ``tier1_s`` gives each side's median and quartiles of the
 wall time, its runs that did not exit 0, and its five slowest test phases,
 each at its median over the runs that list it; each run's wall time, exit
-code and final line are kept.  The file is written at the root of the
+code and final line are kept.  The Tier-1 children may write bytecode
+(a test that starts an interpreter without PYTHONDONTWRITEBYTECODE does), and
+a checkout holding it skips compiling ``src/`` in every later run, which
+``setup_s`` would show; so every ``__pycache__`` under both checkouts is
+deleted after Tier-1, before the first workload, and each side starts its
+workloads as a fresh checkout would.  The file is written at the root of the
 checkout.
 """
 
@@ -81,6 +86,12 @@ def export_working_tree(root: Path, dest: Path) -> None:
             shutil.copytree(root / name, dest / name, ignore=ignore)
         else:
             shutil.copy2(root / name, dest / name)
+
+
+def drop_bytecode(checkout: Path) -> None:
+    """Delete every ``__pycache__`` directory under ``checkout``."""
+    for cache in sorted(checkout.rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def src_lines(checkout: Path) -> int:
@@ -223,6 +234,8 @@ def main(argv=None) -> int:
                 print(f"tier1 run {i}/{TIER1_RUNS} {side}: "
                       f"{tier1[side][-1]['wall_s']:.1f} s, {tier1[side][-1]['summary']}",
                       file=sys.stderr)
+        for path in checkouts.values():
+            drop_bytecode(path)
         report = {
             "pr": args.pr, "base": base_rev,
             "change": f"working tree on {git('rev-parse', 'HEAD')}",

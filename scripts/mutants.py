@@ -103,6 +103,15 @@ MUTANTS = [
            "series.origin, last + 1, [", "series.origin, last, ["),
     Mutant("observed cells one day late", "cli.py",
            "np.arange(last, last + args.horizon)", "np.arange(last + 1, last + args.horizon + 1)"),
+    # start-up registers reference and verify without running them, and A8's median
+    Mutant("reference loaded eagerly", "__init__.py",
+           'reference, verify = map(_register_lazily, ("reference", "verify"))',
+           'from . import reference\nverify = _register_lazily("verify")'),
+    Mutant("verify loaded eagerly", "__init__.py",
+           'reference, verify = map(_register_lazily, ("reference", "verify"))',
+           'reference = _register_lazily("reference")\nfrom . import verify'),
+    Mutant("median middle index off by one", "reference.py",
+           "s[(len(s) - 1) // 2:", "s[len(s) // 2:"),
 ]
 
 

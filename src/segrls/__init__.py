@@ -7,6 +7,9 @@ estimator rapid while the long tail keeps the information matrix well
 conditioned.
 """
 
+import importlib.util
+import sys
+
 from .errors import (
     CalendarError,
     GapError,
@@ -25,13 +28,17 @@ from .profile import (
     update_template,
     weights,
 )
-from .reference import (
-    SyntheticSpec,
-    compare_trajectory,
-    direct_weighted_ls,
-    monte_carlo_bias,
-    synth_generate,
-)
+
+
+def _register_lazily(name):
+    """``segrls.<name>``, in ``sys.modules`` now; its code runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    importlib.util.LazyLoader(spec.loader).exec_module(module)
+    return module
+
+
+reference, verify = map(_register_lazily, ("reference", "verify"))  # only verify, synth use them
 
 __version__ = "0.1.0"
 
@@ -60,3 +67,9 @@ __all__ = [
     "update_template",
     "weights",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:         # the rest of __all__ is reference's, loaded on first use
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(reference, name)

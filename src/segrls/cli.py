@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import reference, verify as verify_mod
 from .errors import (
     CalendarError,
     GapError,
@@ -44,7 +44,6 @@ from .ingest import (
     to_indexed,
 )
 from .profile import ExponentialProfile, SegmentedProfile
-from .reference import SyntheticSpec, synth_generate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the self-contained verification suites")
     p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int)
     p_ver.set_defaults(func=cmd_verify)
 
     p_syn = sub.add_parser("synth", help="write a synthetic harmonic series CSV")
@@ -452,7 +451,8 @@ def cmd_forecast(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 100:
         return _fail_config([f"--trials must be >= 100, got {args.trials}"])
-    results = verify_mod.run_synthetic_suite(trials=args.trials, seed=args.seed)
+    seed = verify_mod.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify_mod.run_synthetic_suite(trials=args.trials, seed=seed)
     for result in results:
         print(result.line())
     failed = [r.name for r in results if not r.passed]
@@ -495,7 +495,8 @@ def cmd_synth(args) -> int:
     try:
         theta = np.zeros(model.dim)
         theta[: len(leading)] = leading
-        values = synth_generate(SyntheticSpec(model, theta, args.sigma, args.seed, args.length))
+        values = reference.synth_generate(
+            reference.SyntheticSpec(model, theta, args.sigma, args.seed, args.length))
     except RangeError as err:
         return _fail_config([str(err)])
     except MemoryError as err:

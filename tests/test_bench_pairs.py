@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,49 @@ def test_bad_arguments_exit_2_before_any_run(argv):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv)
     assert exc.value.code == 2
+
+
+def test_drop_bytecode_deletes_every_pycache_and_nothing_else(tmp_path):
+    for name in ("src/segrls/__pycache__/cli.cpython-311.pyc", "src/segrls/cli.py",
+                 "perfbench/tests/__pycache__/t.pyc", "tests/__pycache__/x.pyc",
+                 "tests/test_cli.py"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(name)
+    bench_pairs.drop_bytecode(tmp_path)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == [
+        "src/segrls/cli.py", "tests/test_cli.py"]
+    assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_workloads_start_without_the_bytecode_tier1_left(tmp_path, monkeypatch):
+    # a throwaway repository with the bench paths; Tier-1 writes bytecode into
+    # each checkout, and no workload may find it there
+    root = tmp_path / "root"
+    for name in ("src/segrls/__init__.py", "perfbench/run.py", "tests/test_a.py",
+                 "scripts/s.py", "pyproject.toml"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("__all__ = []\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    for argv in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "x"]):
+        subprocess.run(["git", *argv], cwd=root, check=True, capture_output=True)
+    events = []
+
+    def fake_tier1(checkout):
+        (checkout / "src" / "segrls" / "__pycache__").mkdir(exist_ok=True)
+        (checkout / "src" / "segrls" / "__pycache__" / "x.pyc").write_bytes(b"\0")
+        events.append("tier1")
+        return tier1_run(1.0)
+
+    def fake_once(checkout, workload, seed, seconds):
+        events.append(sorted(str(p.relative_to(checkout)) for p in checkout.rglob("__pycache__")))
+        return run(1.0, 2.0)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "run_tier1", fake_tier1)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_once)
+    assert bench_pairs.main(["w:2", "--pr", "t", "--base", "HEAD"]) == 0
+    assert events == ["tier1"] * 2 * bench_pairs.TIER1_RUNS + [[]] * 4
+    report = json.loads((root / "BENCH_t.json").read_text())
+    assert report["workloads"]["w"]["metrics"]["wall_s"]["pairs"] == 2

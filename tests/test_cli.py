@@ -1,5 +1,6 @@
 import datetime
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -602,6 +603,48 @@ class TestVerify:
             assert not failed, f"seed {seed} failed {failed}"
 
 
+def fresh(code, *flags):
+    """The stdout and stderr of ``code`` in a fresh interpreter on this checkout's src/."""
+    child = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                           timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return child.stdout, child.stderr
+
+
+class TestStartup:
+    """`reference` and `verify` are registered at import and run on first use."""
+
+    def test_the_parser_runs_neither_reference_nor_verify(self):
+        out, err = fresh("import sys, types, segrls.cli; segrls.cli.build_parser(); "
+                         "print([type(sys.modules['segrls.' + name]) is types.ModuleType "
+                         "for name in ('reference', 'verify')])", "-X", "importtime")
+        imported = {line.rpartition("|")[2].strip() for line in err.splitlines()}
+        assert {"segrls", "segrls.cli", "segrls.estimator"} <= imported
+        assert not imported & {"segrls.reference", "segrls.verify"}
+        assert out == "[False, False]\n"      # still lazy: neither module's code has run
+
+    def test_verify_is_whole_to_a_reader_of_its_namespace(self):
+        # what a tracer that walks vars() of the loaded segrls modules relies on
+        out, _ = fresh("import sys, segrls.cli; "
+                       "print('criterion_a1' in vars(sys.modules['segrls.verify']), "
+                       "'accumulation_experiment' in vars(sys.modules['segrls.reference']))")
+        assert out == "True True\n"
+
+    def test_every_public_name_resolves_and_a_star_import_binds_them_all(self):
+        out, _ = fresh("import segrls; names = {}; exec('from segrls import *', names); "
+                       "print(sorted(set(segrls.__all__) ^ (set(names) - {'__builtins__'})), "
+                       "all(names[n] is getattr(segrls, n) for n in segrls.__all__), "
+                       "segrls.synth_generate is segrls.reference.synth_generate, "
+                       "hasattr(segrls, 'no_such_name'))")
+        assert out == "[] True True False\n"
+
+    def test_verify_without_seed_runs_the_default_seed(self):
+        out, _ = fresh("import segrls.cli, segrls.verify as v; seeds = []; "
+                       "v.run_synthetic_suite = lambda trials, seed: seeds.append(seed) or []; "
+                       "segrls.cli.main(['verify']); segrls.cli.main(['verify', '--seed', '7']); "
+                       "print(seeds == [v.DEFAULT_SEED, 7])")
+        assert out == "True\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "fit"])
 def test_a_model_too_big_to_allocate_is_a_config_error(tmp_path, command):
     # 8e9 model entries; the child gets 3 GB of address space, so an attempt to
@@ -614,7 +657,7 @@ def test_a_model_too_big_to_allocate_is_a_config_error(tmp_path, command):
             "--output", str(tmp_path / "out.csv")]
     child = subprocess.run(
         argv, capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("configuration error: ")

@@ -13,6 +13,7 @@ from segrls.reference import (
     SyntheticSpec,
     _direct_solve,
     _direct_trajectory,
+    _median,
     _window_transition_batch,
     accumulation_experiment,
     compare_trajectory,
@@ -462,6 +463,23 @@ class TestAccumulationExperiment:
         assert np.array_equal(report.batch_errors, batch)
         assert np.array_equal(report.chain_errors, chain)
         assert report.singular_incidents == incidents
+        # an even count: each median is the mean of the two middle errors
+        assert report.median_batch == float(np.median(batch))
+        assert report.median_chain == float(np.median(chain))
+
+    def test_median_has_the_bits_of_np_median(self):
+        # lengths 1-101; plain draws, then signed zeros and infinities, then nans too
+        rng = np.random.default_rng(29)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, np.nan])
+        for length in range(1, 102):
+            for kinds in (0, 6, 7):
+                values = np.round(rng.standard_normal(length), int(rng.integers(0, 3)))
+                mask = rng.random(length) < 0.2
+                if kinds:
+                    values[mask] = rng.choice(specials[:kinds], mask.sum())
+                with np.errstate(all="ignore"):
+                    want = np.float64(np.median(values)).tobytes()
+                    assert np.float64(_median(values)).tobytes() == want, values
 
 
     def test_well_conditioned_single_column_paths_agree(self):
