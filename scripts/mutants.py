@@ -112,6 +112,16 @@ MUTANTS = [
            'reference = _register_lazily("reference")\nfrom . import verify'),
     Mutant("median middle index off by one", "reference.py",
            "s[(len(s) - 1) // 2:", "s[len(s) // 2:"),
+    # the synthetic signal's row blocks, and the bias estimate's refusal and bound
+    Mutant("synth block stride one row short", "reference.py",
+           "range(0, spec.length, ROW_BLOCK)", "range(0, spec.length, ROW_BLOCK - 1)"),
+    Mutant("one-row last block moved one row early", "reference.py",
+           "bounds[-2] -= 4", "bounds[-2] -= 1"),
+    Mutant("bias estimate of the unbounded profile not refused", "reference.py",
+           'raise ValueError("the bias estimate needs a windowed profile, not the unbounded one")',
+           "pass"),
+    Mutant("A9 bound without abs", "verify.py",
+           "np.all(np.abs(bias) <= 4.0 * se)", "np.all(bias <= 4.0 * se)"),
 ]
 
 

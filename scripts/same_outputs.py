@@ -16,7 +16,8 @@ rank-two exponential baseline in one command) and a diagonally loaded fit
 infinite-profile fit with ``--cond-every 60``, an exponential-profile fit
 (39,600 rank-2 steps) and ``compare`` (39,601 rows) on the seed-1
 ``fit_long`` series (40,000 days), an infinite-profile forecast on the
-seed-1 archive, ``synth --origin 0001-01-01``, a forecast
+seed-1 archive, ``synth --origin 0001-01-01``, a wide, long ``synth``
+(100,000 days of a 203-parameter model, every theta entry non-zero), a forecast
 whose horizon ends on 9999-12-31 and one that passes it, two fits of a
 40-day series that fail (exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
@@ -165,6 +166,10 @@ def commands(work: Path) -> list[list[str]]:
         lines.append([*argv[:i], str(copy), *argv[i + 1 : -1], f"archive_{name}.out.csv"])
     lines.append(["synth", "--origin", "0001-01-01", "--length", "2000", "--seed", "5",
                   "--output", "synth.out.csv"])
+    # n = 203 and every theta entry non-zero: the clean signal is a wide matrix-vector product
+    theta = ",".join(str(4 - i % 9 or 0.5) for i in range(203))
+    lines.append(["synth", "--length", "100000", "--period", "1000", "--harmonics", "100",
+                  "--theta", theta, "--output", "synth_wide.out.csv"])
     # a series that ends LATE_HORIZON days before LAST_DAY
     late = work / "late.csv"
     _dated_series(late, LAST_DAY - datetime.timedelta(days=LATE_HORIZON + LATE_DAYS - 1),

@@ -28,10 +28,6 @@ class SingularUpdateError(SegrlsError):
     """A low-rank update's capacitance matrix, or a chained rank-one
     denominator, is singular or ill-conditioned."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class NotPositiveDefiniteError(SegrlsError):
     """Cholesky pivot was non-positive; matrix is not SPD."""

@@ -18,7 +18,8 @@ of the L samples before it (L the template's largest lag), which the step's
 lagged columns and the windowed ``info_matrix`` read.
 
 A step commits the fitted pair at its index with theta and the gain;
-``fitted`` returns it, and ``run``, a loop of ``step`` calls, copies it.
+``run``, a loop of ``step`` calls, copies it, and ``run([])`` reads the
+current index's pair alone.
 
 The gain never depends on the values, only on the profile, the model and the
 sample indices.  So one estimator can carry B value series at once: when
@@ -188,7 +189,7 @@ class RlsEstimator:
 
         est = cls.__new__(cls)
         est.profile, est.model = profile, model
-        est.template = template = update_template(profile)
+        template = update_template(profile)
         lags = template.lags
         est.gamma = linalg.spd_inverse(loaded)
         est.theta = est.gamma @ (wphi.T @ y)
@@ -273,9 +274,7 @@ class RlsEstimator:
                 self.gamma / self._decay, q, self._d, self.theta, y_aug
             )
         except SingularUpdateError as err:
-            raise SingularUpdateError(
-                f"update solve failed at index {k}: {err}", index=k
-            ) from err
+            raise SingularUpdateError(f"update solve failed at index {k}: {err}") from err
 
         phi = self._rows[i]
         yhat, yhat1 = phi.dot(theta), _first_harmonic(theta, phi)
@@ -288,8 +287,10 @@ class RlsEstimator:
         ``values`` holds real numbers, or is a (count, B) array of them for a
         batch; each value is one ``step``.  Returns (yhat, yhat1, cond), each
         with row 0 for the current index and row i after the i-th step: yhat
-        and yhat1 are ``fitted()``'s pair as (count + 1[, B]) arrays, and cond
-        is a list holding cond(``info_matrix()``) on each row i with
+        is phi_k^T theta and yhat1 its dc + first-harmonic part, the pair the
+        step to the row's index formed (or init, for the window's last
+        index), as (count + 1[, B]) arrays; the residual at k is y_k - yhat.
+        cond is a list holding cond(``info_matrix()``) on each row i with
         i % cond_every == 0 and None on every other row, and on every row when
         cond_every is 0.
         """
@@ -326,15 +327,6 @@ class RlsEstimator:
 
     # ------------------------------------------------------------------
     # residuals and diagnostics
-
-    def fitted(self) -> tuple[float, float]:
-        """(phi_k^T theta, its dc + first-harmonic part) at the current index k.
-
-        The pair the step to k formed, or init for the window's last index.
-        Floats, or per-column arrays for a batch; so are the moving variance
-        and the forecast band's sigma.  The residual at k is y_k - fitted()[0].
-        """
-        return _plain(self._yhat), _plain(self._yhat1)
 
     def moving_variance(self) -> float:
         """Mean squared first-harmonic residual over the buffered window."""

@@ -6,7 +6,7 @@ ordered [dc, a_0, b_0, ..., a_h, b_h].  ``regressor_matrix`` is the only
 place the package takes these cosines and sines.  Angles are computed
 directly from k (no incremental rotation), so a row built again, alone or in
 a block, is the same to the bit.  The estimator forms the predictions
-phi_k^T theta (``fitted`` and ``forecast``) from these rows.
+phi_k^T theta (``run`` and ``forecast``) from these rows.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .errors import NotPositiveDefiniteError, RangeError, SingularUpdateError, _check_count
-from .estimator import RlsEstimator, Sample, _real, _value_array, _weighted_gram
+from .estimator import ROW_BLOCK, RlsEstimator, Sample, _real, _value_array, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile
 
@@ -114,8 +114,15 @@ def synth_generate(spec: SyntheticSpec) -> np.ndarray:
 def _synth_values(spec: SyntheticSpec, seeds: Sequence[int]) -> np.ndarray:
     """(length, len(seeds)) values of spec's series, one column per noise seed."""
     values = np.empty((spec.length, len(seeds)))
+    # ROW_BLOCK rows at a time: one block's memory, and the whole product's bits.
+    # numpy forms a one-row product as a dot, with other bits, so a one-row last
+    # block starts four rows early: each row keeps its place in BLAS's 4-row groups.
+    bounds = [*range(0, spec.length, ROW_BLOCK), spec.length]
+    if len(bounds) > 2 and spec.length % ROW_BLOCK == 1:
+        bounds[-2] -= 4
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = regressor_matrix(spec.model, np.arange(1, spec.length + 1)) @ spec.theta_star
+        clean = np.concatenate([regressor_matrix(spec.model, np.arange(a + 1, b + 1))
+                                @ spec.theta_star for a, b in zip(bounds, bounds[1:])])
         for col, seed in enumerate(seeds):
             if spec.noise_sigma > 0.0:
                 values[:, col] = clean + spec.noise_sigma * random_normals(seed, spec.length)
@@ -194,16 +201,6 @@ def _direct_solve(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarr
 # recursion vs direct trajectory comparison
 
 
-def _init_window(profile: ForgettingProfile, init_count: int | None) -> int:
-    """The batch-initialization length: w, or ``init_count`` for the unbounded profile."""
-    if profile.w is not None:
-        return profile.w
-    if init_count is None:
-        raise ValueError("init_count is required for the unbounded profile")
-    _check_count(init_count, 1, f"init_count must be an integer >= 1, got {init_count!r}")
-    return init_count
-
-
 # windows per stacked direct solve: eight amortize numpy's per-call cost;
 # a Fig-2 stack's weighted rows take 0.9 MB
 _WINDOW_GROUP = 8
@@ -211,7 +208,7 @@ _WINDOW_GROUP = 8
 
 def _direct_trajectory(profile: ForgettingProfile, rows: np.ndarray, values: np.ndarray,
                        first: int):
-    """(A, theta, A^{-1}) of the direct solve at each index from ``first`` to len(values).
+    """(theta, A^{-1}) of the direct solve at each index from ``first`` to len(values).
 
     ``rows`` and ``values`` are the series' regressor rows and values, index k
     at position k - 1.  A windowed profile's windows are sliding-window views
@@ -223,7 +220,7 @@ def _direct_trajectory(profile: ForgettingProfile, rows: np.ndarray, values: np.
     if profile.w is None:
         for k in range(first, end + 1):
             a, theta = _direct_solve(profile, rows[:k], values[:k], k)
-            yield a, theta, np.linalg.inv(a)
+            yield theta, np.linalg.inv(a)
         return
     w = profile.w
     # window j (index j + w) holds positions j..j + w - 1: (windows, w, n) and (windows, w, B)
@@ -238,14 +235,13 @@ def _direct_trajectory(profile: ForgettingProfile, rows: np.ndarray, values: np.
             a, theta = _direct_solve(profile, row_windows[stack], value_windows[stack], ks)
         gamma = np.linalg.inv(a)
         for i in range(len(ks)):
-            yield a[i], theta[i].reshape(-1, *values.shape[1:]), gamma[i]
+            yield theta[i].reshape(-1, *values.shape[1:]), gamma[i]
 
 
 @dataclass
 class TrajectoryReport:
     theta_dev_max: float
     gamma_dev_max: float
-    steps: int
 
 
 def compare_trajectory(
@@ -262,7 +258,12 @@ def compare_trajectory(
     profile (windowed profiles always initialize over w samples).
     """
     values = _value_array(values)
-    window = _init_window(profile, init_count)
+    window = profile.w
+    if window is None:
+        if init_count is None:
+            raise ValueError("init_count is required for the unbounded profile")
+        _check_count(init_count, 1, f"init_count must be an integer >= 1, got {init_count!r}")
+        window = init_count
     if len(values) < window + 1:
         raise ValueError("need at least one step beyond the initial window")
 
@@ -276,21 +277,13 @@ def compare_trajectory(
     for k in range(window + 1, len(values) + 1):
         # the step refuses a non-finite value before any solve reads it
         est.step((k, values[k - 1]))
-        _, theta_direct, gamma_direct = next(direct)
-        theta_dev = float(
-            np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)
-        )
-        gamma_dev = float(
-            np.linalg.norm(est.gamma - gamma_direct) / np.linalg.norm(gamma_direct)
-        )
-        theta_dev_max = max(theta_dev_max, theta_dev)
-        gamma_dev_max = max(gamma_dev_max, gamma_dev)
+        theta_direct, gamma_direct = next(direct)
+        theta_dev_max = max(theta_dev_max, float(
+            np.linalg.norm(est.theta - theta_direct) / np.linalg.norm(theta_direct)))
+        gamma_dev_max = max(gamma_dev_max, float(
+            np.linalg.norm(est.gamma - gamma_direct) / np.linalg.norm(gamma_direct)))
 
-    return TrajectoryReport(
-        theta_dev_max=theta_dev_max,
-        gamma_dev_max=gamma_dev_max,
-        steps=len(values) - window,
-    )
+    return TrajectoryReport(theta_dev_max=theta_dev_max, gamma_dev_max=gamma_dev_max)
 
 
 # ----------------------------------------------------------------------
@@ -307,27 +300,25 @@ class BiasReport:
     bias: np.ndarray
     standard_error: np.ndarray
 
-    def within(self, n_sigmas: float) -> bool:
-        return bool(np.all(np.abs(self.bias) <= n_sigmas * self.standard_error))
-
 
 def monte_carlo_bias(
     profile: ForgettingProfile,
     spec: SyntheticSpec,
     trials: int,
     k: int,
-    *,
-    init_count: int | None = None,
 ) -> BiasReport:
     """Componentwise mean(theta_k) - theta_star over independent realizations.
 
-    Trial t is spec's series with seed ``derive_seed(spec.seed, t)``.  The
-    gain does not depend on the values, so the trials run as the columns of
-    batch estimators, ``_MC_GROUP`` at a time.
+    Trial t is spec's series with seed ``derive_seed(spec.seed, t)``; each
+    initializes over the profile's window, so the unbounded profile is
+    refused with a ValueError.  The gain does not depend on the values, so
+    the trials run as the columns of batch estimators, ``_MC_GROUP`` at a time.
     """
     _check_count(trials, 100, "at least 100 trials are required for the bias estimate")
     _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
-    window = _init_window(profile, init_count)
+    window = profile.w
+    if window is None:
+        raise ValueError("the bias estimate needs a windowed profile, not the unbounded one")
     if not window < k <= spec.length:
         raise ValueError(f"index k={k} must lie in ({window}, {spec.length}]")
 
@@ -350,8 +341,6 @@ def monte_carlo_bias(
 
 @dataclass
 class AccumulationReport:
-    batch_errors: np.ndarray
-    chain_errors: np.ndarray
     median_batch: float
     median_chain: float
     singular_incidents: int
@@ -521,8 +510,6 @@ def accumulation_experiment(
                 )
 
     return AccumulationReport(
-        batch_errors=batch_errors,
-        chain_errors=chain_errors,
         median_batch=_median(batch_errors),
         median_chain=_median(chain_errors),
         singular_incidents=incidents,

@@ -17,7 +17,7 @@ import pytest
 from segrls import verify
 from segrls.cli import main
 from segrls.ingest import parse_stockholm, to_indexed
-from segrls.reference import SyntheticSpec, synth_generate
+from segrls.reference import BiasReport, SyntheticSpec, synth_generate
 
 SEED = verify.DEFAULT_SEED
 
@@ -57,6 +57,18 @@ def test_a8_error_accumulation_batch_vs_chain():
 
 def test_a9_monte_carlo_unbiasedness():
     _check(verify.criterion_a9(SEED, trials=200))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_a9_limits_the_bias_to_four_standard_errors_of_either_sign(monkeypatch, sign):
+    se = np.full(verify.standard_model().dim, 0.1)
+    bias = np.zeros_like(se)
+    monkeypatch.setattr(verify, "monte_carlo_bias", lambda *args: BiasReport(bias, se))
+    bias[3] = sign * 4.5 * se[3]
+    result = verify.criterion_a9(SEED)
+    assert not result.passed and "worst |bias|/SE 4.50 (limit 4)" in result.detail
+    bias[3] = sign * 4.0 * se[3]
+    assert verify.criterion_a9(SEED).passed
 
 
 # ----------------------------------------------------------------------
