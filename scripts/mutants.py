@@ -122,6 +122,19 @@ MUTANTS = [
            "pass"),
     Mutant("A9 bound without abs", "verify.py",
            "np.all(np.abs(bias) <= 4.0 * se)", "np.all(bias <= 4.0 * se)"),
+    # the line numbers ParseError texts carry, the data-line rule's one filter, and
+    # the one residual-statistics function
+    Mutant("header refusal names the line before it", "ingest.py",
+           'f"line {start + 1}: expected header', 'f"line {start}: expected header'),
+    Mutant("non-finite refusal names the next line", "ingest.py",
+           'f"line {line_no}: non-finite value', 'f"line {line_no + 1}: non-finite value'),
+    Mutant("token refusal names the next line", "ingest.py",
+           'f"line {line_no}: expected {expected}', 'f"line {line_no + 1}: expected {expected}'),
+    Mutant("leading block counts every non-data line of the prefix", "ingest.py",
+           "count = pieces.index(data[0])", "count = len(pieces) - len(data)"),
+    Mutant("residual std is the mean", "estimator.py",
+           "float(np.mean(residuals)), float(np.std(residuals))",
+           "float(np.mean(residuals)), float(np.mean(residuals))"),
 ]
 
 

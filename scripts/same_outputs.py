@@ -16,10 +16,16 @@ rank-two exponential baseline in one command) and a diagonally loaded fit
 infinite-profile fit with ``--cond-every 60``, an exponential-profile fit
 (39,600 rank-2 steps) and ``compare`` (39,601 rows) on the seed-1
 ``fit_long`` series (40,000 days), an infinite-profile forecast on the
-seed-1 archive, ``synth --origin 0001-01-01``, a wide, long ``synth``
-(100,000 days of a 203-parameter model, every theta entry non-zero), a forecast
-whose horizon ends on 9999-12-31 and one that passes it, two fits of a
-40-day series that fail (exit 3: the
+seed-1 archive, and that forecast again on five edited copies of the
+archive (a '#' line after the data, CRLF line breaks and a form-feed line
+break, which must give the same forecast; a refused value and an
+off-calendar date, exit 3), three fits of edited copies of the seed-1
+``fit_long`` CSV, each exit 3 naming its line (a refused header after a
+comment line, a refused value and a non-finite value), ``synth --origin
+0001-01-01``, a wide, long ``synth`` (100,000 days of a 203-parameter
+model, every theta entry non-zero), a forecast whose horizon ends on
+9999-12-31 and one that passes it, two fits of a 40-day series that fail
+(exit 3: the
 span is shorter than the Fig-2 window; exit 4: n=35 over an exponential
 window of 35, which is rank deficient), four fits refused as configuration
 errors (exit 2: beta == lambda, lambda^m == beta^p, the drop condition with
@@ -120,6 +126,23 @@ def _archive_copies(text: str) -> dict[str, str]:
     }
 
 
+def _csv_copies(text: str) -> dict[str, str]:
+    """Edited copies of a ``date,value`` CSV that starts with its header, by name.
+
+    Each must fail with exit 3, naming the line: a refused header, put after
+    a comment line, and a refused value and a non-finite value at the middle line.
+    """
+    lines = text.split("\n")
+    middle = len(lines) // 2
+    before, after = "\n".join(lines[:middle]), "\n".join(lines[middle + 1 :])
+    date = lines[middle].split(",")[0]
+    return {
+        "header": "# a note before the header\nday," + text.split(",", 1)[1],
+        "refused": f"{before}\n{date},x\n{after}",
+        "nonfinite": f"{before}\n{date},nan\n{after}",
+    }
+
+
 def commands(work: Path) -> list[list[str]]:
     """Every command line, with its inputs built under ``work``."""
     sys.path.insert(0, str(ROOT))
@@ -164,6 +187,13 @@ def commands(work: Path) -> list[list[str]]:
         copy = work / f"archive_{name}.txt"
         copy.write_bytes(text.encode("utf-8"))
         lines.append([*argv[:i], str(copy), *argv[i + 1 : -1], f"archive_{name}.out.csv"])
+    # fits of edited copies of the seed-1 fit_long CSV, each refused naming its line
+    series = work / "fit_long-1" / "fit_long.csv"
+    for name, text in _csv_copies(series.read_text(encoding="utf-8")).items():
+        copy = work / f"csv_{name}.csv"
+        copy.write_bytes(text.encode("utf-8"))
+        lines.append(["fit", "--input", str(copy), *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+                      "--output", f"csv_{name}.out.csv"])
     lines.append(["synth", "--origin", "0001-01-01", "--length", "2000", "--seed", "5",
                   "--output", "synth.out.csv"])
     # n = 203 and every theta entry non-zero: the clean signal is a wide matrix-vector product

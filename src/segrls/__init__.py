@@ -19,8 +19,8 @@ from .errors import (
     SegrlsError,
     SingularUpdateError,
 )
-from .estimator import ForecastBand, RlsEstimator, Sample
-from .harmonic import HarmonicModel, make_harmonic_model, regressor_matrix
+from .estimator import ForecastBand, RlsEstimator
+from .harmonic import HarmonicModel, regressor_matrix
 from .profile import (
     ExponentialProfile,
     SegmentedProfile,
@@ -52,7 +52,6 @@ __all__ = [
     "ParseError",
     "RangeError",
     "RlsEstimator",
-    "Sample",
     "SegmentedProfile",
     "SegrlsError",
     "SingularUpdateError",
@@ -60,7 +59,6 @@ __all__ = [
     "UpdateTemplate",
     "compare_trajectory",
     "direct_weighted_ls",
-    "make_harmonic_model",
     "monte_carlo_bias",
     "regressor_matrix",
     "synth_generate",

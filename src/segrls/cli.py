@@ -32,7 +32,7 @@ from .errors import (
     SegrlsError,
     SingularUpdateError,
 )
-from .estimator import RlsEstimator
+from .estimator import RlsEstimator, residual_stats
 from .harmonic import HarmonicModel
 from .ingest import (
     GAP_POLICIES,
@@ -323,11 +323,6 @@ def _render_rows(row_format, origin, first, columns) -> list[str]:
     return chunks
 
 
-def _residual_stats(residuals):
-    rmse = math.sqrt(float(np.mean(residuals**2)))
-    return rmse, float(np.mean(residuals)), float(np.std(residuals))
-
-
 # ----------------------------------------------------------------------
 # commands
 
@@ -343,7 +338,7 @@ def cmd_fit(args) -> int:
     )
     y = series.values[window - 1 :]
     residuals = y - yhat
-    rmse, res_mean, res_std = _residual_stats(residuals)
+    rmse, res_mean, res_std = residual_stats(residuals)
     steps = len(y) - 1
 
     out = ["k,date,y,yhat_full,yhat_first_harmonic,residual,cond_a"]
@@ -376,8 +371,8 @@ def cmd_compare(args) -> int:
     y = series.values[window - 1 :]
     res_fit, res_base = y - yhat_fit, y - yhat_base
 
-    rmse_fit, _, std_fit = _residual_stats(res_fit)
-    rmse_base, _, std_base = _residual_stats(res_base)
+    rmse_fit, _, std_fit = residual_stats(res_fit)
+    rmse_base, _, std_base = residual_stats(res_base)
     ratio = rmse_fit / rmse_base if rmse_base else float("nan")
 
     # shared equal-width bins across both residual sets, per-profile counts

@@ -34,13 +34,7 @@ class NotPositiveDefiniteError(SegrlsError):
 
 
 class ParseError(SegrlsError):
-    """Malformed input line."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+    """Malformed input line; the text begins "line N: " when it names one."""
 
 
 class CalendarError(SegrlsError):

@@ -45,6 +45,7 @@ from .profile import ForgettingProfile, update_template, weights
 ROW_BLOCK = 256
 
 
+# perfbench's oracle gates build their samples with it; the library reads (k, y) by position
 class Sample(NamedTuple):
     """One measurement at integer time index k.
 
@@ -129,6 +130,12 @@ def _non_finite(k, y) -> RangeError:
     return RangeError(f"non-finite value {float(y[col])!r} in column {col} at index {k}")
 
 
+def residual_stats(residuals: np.ndarray) -> tuple[float, float, float]:
+    """RMSE, mean and standard deviation of a residual array."""
+    rmse = math.sqrt(float(np.mean(residuals**2)))
+    return rmse, float(np.mean(residuals)), float(np.std(residuals))
+
+
 def _plain(x):
     """A scalar result as a float; a batch's per-column array as it is."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
@@ -198,7 +205,6 @@ class RlsEstimator:
         # scales are shaped (r,) or (r, 1) to scale (r,) or (r, B) values
         est._scales = np.array(template.scales).reshape(-1, *[1] * (y.ndim - 1))
         est._d = np.diag(np.array(template.signs, dtype=float))
-        est._decay = profile.lam
         # the block of regressor rows and values: index k sits at position
         # k - est._first_row.  It holds the L indices before the step that
         # started it and the ROW_BLOCK from it on.  The first block holds the
@@ -245,7 +251,7 @@ class RlsEstimator:
     def step(self, sample: Sample) -> None:
         """Consume the next sample (index state.k + 1) and update theta, gamma.
 
-        A_k = decay * A_{k-1} + Q D Q^T, so the kernel receives gamma / decay
+        A_k = lam * A_{k-1} + Q D Q^T, so the kernel receives gamma / lam
         as B^{-1}.  A batch estimator takes B values per sample, a scalar one
         a number; a value of another shape, or one that is not a real number,
         raises ValueError, a non-finite one RangeError.  An index other than
@@ -271,7 +277,7 @@ class RlsEstimator:
         y_aug = self._scales * self._values[self._slots[j]]     # (r,) or (r, B)
         try:
             gamma, theta = linalg._woodbury(
-                self.gamma / self._decay, q, self._d, self.theta, y_aug
+                self.gamma / self.profile.lam, q, self._d, self.theta, y_aug
             )
         except SingularUpdateError as err:
             raise SingularUpdateError(f"update solve failed at index {k}: {err}") from err
@@ -359,7 +365,7 @@ class RlsEstimator:
             k0 = self._info_k
             if k0 < self.k:
                 rows = regressor_matrix(self.model, np.arange(k0 + 1, self.k + 1))
-                self._info = (self._decay ** (self.k - k0) * self._info
+                self._info = (self.profile.lam ** (self.k - k0) * self._info
                               + _weighted_gram(self.profile, rows)[0])
                 self._info_k = self.k
             return self._info.copy()

@@ -49,6 +49,7 @@ class HarmonicModel:
         return 2 * (self.harmonics + 1) + 1
 
 
+# perfbench's workloads build their model with it; the package builds HarmonicModel
 def make_harmonic_model(period: float, harmonics: int) -> HarmonicModel:
     return HarmonicModel(period=period, harmonics=harmonics)
 

@@ -156,9 +156,7 @@ def parse_csv(source: str | os.PathLike) -> Records:
     if header is None:
         raise ParseError("empty input; expected a 'date,value' header")
     if [cell.strip().lower() for cell in header.split(",")] != ["date", "value"]:
-        raise ParseError(
-            f"expected header 'date,value', got {_quote(header)}", line_number=start + 1
-        )
+        raise ParseError(f"line {start + 1}: expected header 'date,value', got {_quote(header)}")
     return _read(text, path, start, offset, convert, "'YYYY-MM-DD,float'", skip=1)
 
 
@@ -206,19 +204,14 @@ def _leading_block(text: str) -> tuple[int, int, str | None]:
         pieces = text[:size].splitlines(keepends=True)
         if size < len(text):
             pieces.pop()  # it may be cut, its break too
-        offset = 0
-        for count, piece in enumerate(pieces):
-            if _data_lines([piece]):
-                return count, offset, piece.splitlines()[0]
-            offset += len(piece)
+        data = _data_lines(pieces)
+        if data:
+            # the pieces before it are blank or comments, so none is equal to it
+            count = pieces.index(data[0])
+            return count, sum(map(len, pieces[:count])), data[0].splitlines()[0]
         if size >= len(text):
-            return len(pieces), offset, None
+            return len(pieces), len(text), None
         size *= 2
-
-
-def _numbered_data_lines(lines: list[str]):
-    """(line number, line) of each data line, lazily: a header read stops at the header."""
-    return ((no, raw) for no, raw in enumerate(lines, start=1) if _data_lines([raw]))
 
 
 def _past_int64(token: str) -> bool:
@@ -321,7 +314,10 @@ def _parse(lines, rows, convert, expected, skip=0) -> Records:
         return convert(rows[skip:])
     except ValueError:
         pass
-    numbered = list(_numbered_data_lines(lines))[skip:]
+    # between two data rows stand only blank and comment lines, none equal to a
+    # row, so each row's line is the next line equal to it
+    after = enumerate(lines, start=1)
+    numbered = [(next(no for no, line in after if line == raw), raw) for raw in rows][skip:]
     lo, hi = 0, len(numbered)
     while hi - lo > 1:  # the first refused line is in numbered[lo:hi]
         mid = (lo + hi) // 2
@@ -336,9 +332,9 @@ def _parse(lines, rows, convert, expected, skip=0) -> Records:
     except _OffCalendar:
         raise CalendarError(f"line {line_no}: date off the calendar: {_quote(raw)}") from None
     except _NotFinite:
-        raise ParseError(f"non-finite value: {_quote(raw)}", line_number=line_no) from None
+        raise ParseError(f"line {line_no}: non-finite value: {_quote(raw)}") from None
     except ValueError:
-        raise ParseError(f"expected {expected}, got {_quote(raw)}", line_number=line_no) from None
+        raise ParseError(f"line {line_no}: expected {expected}, got {_quote(raw)}") from None
     raise ParseError("refused as a whole, but no line is refused on its own")
 
 

@@ -12,7 +12,7 @@ values, so they run as the columns of batch estimators (a (count, B) value
 array given to ``RlsEstimator.init``) that share one gain trajectory.
 
 A series is a float array whose index k is ``values[k - 1]``; only
-``direct_weighted_ls`` takes ``estimator.Sample`` tuples.
+``direct_weighted_ls`` takes samples, (k, y) pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .errors import NotPositiveDefiniteError, RangeError, SingularUpdateError, _check_count
-from .estimator import ROW_BLOCK, RlsEstimator, Sample, _real, _value_array, _weighted_gram
+from .estimator import ROW_BLOCK, RlsEstimator, _real, _value_array, _weighted_gram
 from .harmonic import HarmonicModel, regressor_matrix
 from .profile import ForgettingProfile
 
@@ -140,36 +140,37 @@ def _synth_values(spec: SyntheticSpec, seeds: Sequence[int]) -> np.ndarray:
 def direct_weighted_ls(
     profile: ForgettingProfile,
     model: HarmonicModel,
-    samples: Sequence[Sample],
+    samples: Sequence[tuple[int, float]],
     k: int,
 ):
     """Explicitly assembled weighted normal equations at index k.
 
     Returns (A_k, theta_k) with A_k = sum_j f(j) phi phi^T over the window
     (or the whole available history for the unbounded profile).  No
-    recursion anywhere.  The samples are consecutive: the window's hold its
-    indices in order, each value one real number.  Raises ValueError for an
-    empty ``samples``, a k outside their index range, a window sample out of
-    place, and a value that is an array or not a real number.
+    recursion anywhere.  The samples are (k, y) pairs, read by position,
+    and consecutive: the window's hold its indices in order, each value one
+    real number.  Raises ValueError for an empty ``samples``, a k outside
+    their index range, a window sample out of place, and a value that is an
+    array or not a real number.
     """
     _check_count(k, -math.inf, f"k must be an integer, got {k!r}")
     if len(samples) == 0:
         raise ValueError(f"index {k} outside the sample range: no samples")
-    first = samples[0].k
-    if not first <= k <= samples[-1].k:
-        raise ValueError(f"index {k} outside the sample range {first}..{samples[-1].k}")
+    first = samples[0][0]
+    if not first <= k <= samples[-1][0]:
+        raise ValueError(f"index {k} outside the sample range {first}..{samples[-1][0]}")
     available = k - first + 1
     count = available if profile.w is None else min(available, profile.w)
 
     window = samples[available - count : available]
     # a sample short of the window stands as None, so a short window is refused too
     for want, sample in zip(range(k - count + 1, k + 1), [*window, None]):
-        if sample is None or sample.k != want:
-            got = "no sample" if sample is None else f"index {sample.k}"
+        if sample is None or sample[0] != want:
+            got = "no sample" if sample is None else f"index {sample[0]}"
             raise ValueError(f"expected index {want} in the window of index {k}, got {got}")
-        if type(sample.y) is not float and np.ndim(sample.y):
-            raise ValueError(f"expected one value at index {want}, got shape {np.shape(sample.y)}")
-    values = _real([s.y for s in window])
+        if type(sample[1]) is not float and np.ndim(sample[1]):
+            raise ValueError(f"expected one value at index {want}, got shape {np.shape(sample[1])}")
+    values = _real([sample[1] for sample in window])
     indices = np.arange(k - count + 1, k + 1, dtype=float)
     return _direct_solve(profile, regressor_matrix(model, indices), values, k)
 

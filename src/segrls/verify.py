@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .estimator import RlsEstimator, information_matrix
-from .harmonic import HarmonicModel, make_harmonic_model
+from .estimator import RlsEstimator, information_matrix, residual_stats
+from .harmonic import HarmonicModel
 from .profile import (
     ExponentialProfile,
     SegmentedProfile,
@@ -73,7 +73,7 @@ def _result(name, start, passed, detail, budget_s=math.inf) -> CriterionResult:
 
 
 def standard_model() -> HarmonicModel:
-    return make_harmonic_model(STANDARD_PERIOD, STANDARD_HARMONICS)
+    return HarmonicModel(STANDARD_PERIOD, STANDARD_HARMONICS)
 
 
 def standard_theta(model: HarmonicModel) -> np.ndarray:
@@ -93,16 +93,15 @@ def fig2_profile() -> SegmentedProfile:
     return SegmentedProfile(FIG2_BETA, FIG2_LAMBDA, FIG2_M, FIG2_P, FIG2_W)
 
 
-def _standard_series(seed: int, noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
+def _standard_spec(seed: int, noise_sigma: float, length: int) -> SyntheticSpec:
     model = standard_model()
-    spec = SyntheticSpec(
+    return SyntheticSpec(
         model=model,
         theta_star=standard_theta(model),
         noise_sigma=noise_sigma,
         seed=seed,
-        length=SERIES_LENGTH,
+        length=length,
     )
-    return synth_generate(spec)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +111,7 @@ def _standard_series(seed: int, noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
 def criterion_a1(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     model = standard_model()
-    series = _standard_series(seed)
+    series = synth_generate(_standard_spec(seed, NOISE_SIGMA, SERIES_LENGTH))
     report = compare_trajectory(fig2_profile(), model, series)
     return _result("A1", start, report.theta_dev_max <= 1e-6 and report.gamma_dev_max <= 1e-6,
                    f"segmented: max theta dev {report.theta_dev_max:.2e}, "
@@ -123,7 +122,7 @@ def criterion_a1(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     model = standard_model()
-    series = _standard_series(seed)
+    series = synth_generate(_standard_spec(seed, NOISE_SIGMA, SERIES_LENGTH))
     rep_fin = compare_trajectory(ExponentialProfile(FIG2_LAMBDA, FIG2_W), model, series)
     rep_inf = compare_trajectory(
         ExponentialProfile(FIG2_LAMBDA), model, series, init_count=FIG2_W
@@ -202,7 +201,7 @@ def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     model = standard_model()
     theta_star = standard_theta(model)
-    series = _standard_series(seed, noise_sigma=0.0)[: FIG2_W + A5_STEPS]
+    series = synth_generate(_standard_spec(seed, 0.0, SERIES_LENGTH))[: FIG2_W + A5_STEPS]
     norm = np.linalg.norm(theta_star)
     worst = 0.0
     # every profile starts from the first FIG2_W values: the window, or the infinite's init
@@ -260,16 +259,8 @@ def criterion_a8(seed: int = DEFAULT_SEED, trials: int = 100) -> CriterionResult
 
 def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult:
     start = time.perf_counter()
-    model = standard_model()
     k = FIG2_W + 30
-    spec = SyntheticSpec(
-        model=model,
-        theta_star=standard_theta(model),
-        noise_sigma=NOISE_SIGMA,
-        seed=seed,
-        length=k,
-    )
-    report = monte_carlo_bias(fig2_profile(), spec, trials, k)
+    report = monte_carlo_bias(fig2_profile(), _standard_spec(seed, NOISE_SIGMA, k), trials, k)
     bias, se = report.bias, report.standard_error
     ratio = float(np.max(np.abs(bias) / se))
     return _result("A9", start, bool(np.all(np.abs(bias) <= 4.0 * se)),
@@ -296,10 +287,8 @@ def criterion_a6(values: np.ndarray) -> CriterionResult:
 
     res_seg = residuals(fig2_profile())
     res_exp = residuals(ExponentialProfile(FIG2_LAMBDA, FIG2_W))
-    rmse_seg = math.sqrt(float(np.mean(res_seg**2)))
-    rmse_exp = math.sqrt(float(np.mean(res_exp**2)))
-    std_seg = float(np.std(res_seg))
-    std_exp = float(np.std(res_exp))
+    rmse_seg, _, std_seg = residual_stats(res_seg)
+    rmse_exp, _, std_exp = residual_stats(res_exp)
     return _result("A6", start, rmse_seg < rmse_exp and std_seg < std_exp,
                    f"RMSE segmented {rmse_seg:.4f} vs exponential {rmse_exp:.4f} "
                    f"(ratio {rmse_seg / rmse_exp:.3f}); "

@@ -630,12 +630,18 @@ class TestStartup:
         assert out == "True True\n"
 
     def test_every_public_name_resolves_and_a_star_import_binds_them_all(self):
+        # Sample and make_harmonic_model are not public, but perfbench imports them
+        # from their modules
         out, _ = fresh("import segrls; names = {}; exec('from segrls import *', names); "
                        "print(sorted(set(segrls.__all__) ^ (set(names) - {'__builtins__'})), "
                        "all(names[n] is getattr(segrls, n) for n in segrls.__all__), "
                        "segrls.synth_generate is segrls.reference.synth_generate, "
-                       "hasattr(segrls, 'no_such_name'))")
-        assert out == "[] True True False\n"
+                       "hasattr(segrls, 'no_such_name'), "
+                       "[hasattr(segrls, n) for n in ('Sample', 'make_harmonic_model')]); "
+                       "from segrls.estimator import Sample; "
+                       "from segrls.harmonic import make_harmonic_model; "
+                       "print(Sample(1, 2.0) == (1, 2.0), make_harmonic_model(40.0, 2).dim)")
+        assert out == "[] True True False [False, False]\nTrue 7\n"
 
     def test_verify_without_seed_runs_the_default_seed(self):
         out, _ = fresh("import segrls.cli, segrls.verify as v; seeds = []; "

@@ -1,8 +1,8 @@
 """Seeded fuzz loop over the library's public callables.
 
 Each case calls one of the callables in ``segrls.__all__`` (not the exception
-classes, nor the NamedTuple records ``Sample``, ``ForecastBand`` and
-``UpdateTemplate``, which check nothing), ``estimator.information_matrix``,
+classes, nor the NamedTuple records ``ForecastBand`` and ``UpdateTemplate``,
+which check nothing), ``estimator.information_matrix``,
 ``reference.accumulation_experiment``, or an estimator's ``step``, ``run``
 and ``forecast``.  Its arguments are drawn by a ``random.Random`` seeded
 with SEED and the case's name, from floats, negatives, zero, nan and inf,
@@ -38,20 +38,19 @@ from segrls import (
     ExponentialProfile,
     HarmonicModel,
     RlsEstimator,
-    Sample,
     SegmentedProfile,
     SegrlsError,
     SyntheticSpec,
     compare_trajectory,
     direct_weighted_ls,
-    make_harmonic_model,
     monte_carlo_bias,
     regressor_matrix,
     synth_generate,
     update_template,
     weights,
 )
-from segrls.estimator import information_matrix
+from segrls.estimator import Sample, information_matrix
+from segrls.harmonic import make_harmonic_model
 from segrls.ingest import GAP_POLICIES, Records, parse_csv, parse_stockholm, to_indexed
 from segrls.reference import accumulation_experiment
 
@@ -490,9 +489,9 @@ LEAST_RETURNED = {"case_direct": 5}
 def test_cases_cover_the_public_callables():
     covered = {"RlsEstimator", "ExponentialProfile", "SegmentedProfile", "HarmonicModel",
                "SyntheticSpec", "compare_trajectory", "direct_weighted_ls",
-               "make_harmonic_model", "monte_carlo_bias", "regressor_matrix",
-               "synth_generate", "update_template", "weights"}
-    records = {"Sample", "ForecastBand", "UpdateTemplate"}
+               "monte_carlo_bias", "regressor_matrix", "synth_generate",
+               "update_template", "weights"}
+    records = {"ForecastBand", "UpdateTemplate"}
     callables = {name for name in segrls.__all__
                  if callable(getattr(segrls, name))
                  and not (isinstance(getattr(segrls, name), type)

@@ -1,5 +1,10 @@
+import functools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +83,30 @@ class TestGenerators:
         assert np.allclose(got @ a, np.eye(6), atol=1e-12)
 
 
+SYNTH_LENGTHS = (1, 255, 256, 257, 258, 769, 5000)
+
+
+@functools.cache
+def whole_products_on_one_blas_thread(theta_bytes):
+    """Per length of SYNTH_LENGTHS, the standard model's rows 1..length times theta as one
+    matrix-vector product, formed in a child interpreter whose OpenBLAS runs one thread.
+
+    A long product's bits depend on OpenBLAS's thread count; the blocked signal
+    promises those of one thread.  The child imports the segrls this test runs.
+    """
+    code = ("import sys, numpy as np; from segrls.harmonic import regressor_matrix; "
+            "from segrls.verify import standard_model; "
+            "theta = np.frombuffer(sys.stdin.buffer.read()); model = standard_model(); "
+            f"rows = [regressor_matrix(model, np.arange(1, n + 1)) for n in {SYNTH_LENGTHS}]; "
+            "sys.stdout.buffer.write(np.concatenate([r @ theta for r in rows]).tobytes())")
+    src = str(Path(reference.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code], input=theta_bytes, capture_output=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    products = np.split(np.frombuffer(child.stdout), np.cumsum(SYNTH_LENGTHS)[:-1])
+    return dict(zip(SYNTH_LENGTHS, products))
+
+
 class TestSynthGenerate:
     def test_noiseless_is_exact_signal(self):
         series = synth_generate(spec(0.0))
@@ -119,7 +148,7 @@ class TestSynthGenerate:
         assert np.array_equal(made.theta_star, THETA_STAR)
         assert np.array_equal(synth_generate(made), before)
 
-    @pytest.mark.parametrize("length", [1, 255, 256, 257, 258, 769, 5000])
+    @pytest.mark.parametrize("length", SYNTH_LENGTHS)
     def test_signal_is_built_in_row_blocks_with_the_whole_products_bits(
             self, monkeypatch, length):
         model = standard_model()                        # n = 35
@@ -138,7 +167,7 @@ class TestSynthGenerate:
         if full and last == 1:
             blocks[-2:] = [ROW_BLOCK - 4, 5]
         assert asked == blocks
-        assert same_bits(got, regressor_matrix(model, np.arange(1, length + 1)) @ theta)
+        assert same_bits(got, whole_products_on_one_blas_thread(theta.tobytes())[length])
 
 
 class TestDirectWeightedLs:
@@ -248,9 +277,11 @@ class TestDirectWeightedLsSamples:
     def test_a_zero_dimensional_value_is_one_number(self):
         profile = ExponentialProfile(0.97, 20)
         want = direct_weighted_ls(profile, MODEL5, SERIES5, 50)
-        samples = [Sample(s.k, np.array(s.y)) for s in SERIES5]
-        got = direct_weighted_ls(profile, MODEL5, samples, 50)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # a 0-d array value, and a plain (k, y) tuple in place of a Sample, solve the same
+        for samples in ([Sample(s.k, np.array(s.y)) for s in SERIES5],
+                        [(s.k, s.y) for s in SERIES5]):
+            got = direct_weighted_ls(profile, MODEL5, samples, 50)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # the windowed profiles start at w samples, the infinite one at init_count = 50

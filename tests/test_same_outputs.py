@@ -70,3 +70,18 @@ def test_archive_copies_take_each_route_and_error():
     for name, error in (("refused", ParseError), ("offcalendar", CalendarError)):
         with pytest.raises(error, match=f"line {middle}:"):
             parse_stockholm(copies[name])
+
+
+def test_csv_copies_each_fail_naming_their_line():
+    from segrls.errors import ParseError
+    from segrls.ingest import parse_csv
+
+    text = "date,value\n" + "".join(f"1800-01-{d:02d},{d}.5\n" for d in range(1, 11))
+    assert len(parse_csv(text)) == 10
+    copies = same_outputs._csv_copies(text)
+    middle = len(text.split("\n")) // 2 + 1
+    for name, words in (("header", "line 2: expected header 'date,value', got 'day,value'"),
+                        ("refused", f"line {middle}: expected 'YYYY-MM-DD,float', got "),
+                        ("nonfinite", f"line {middle}: non-finite value: ")):
+        with pytest.raises(ParseError, match=f"^{words}"):
+            parse_csv(copies[name])
