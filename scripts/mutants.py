@@ -51,7 +51,8 @@ MUTANTS = [
     Mutant("first harmonic sine on the cosine row", "estimator.py",
            "theta[2] * phi[2]", "theta[2] * phi[1]"),
     Mutant("residual one slot late", "estimator.py",
-           "self._residuals[(k - 1) % self.window]", "self._residuals[k % self.window]"),
+           "self._residuals[(k - 1) % len(self._residuals)]",
+           "self._residuals[k % len(self._residuals)]"),
     Mutant("drop scale without lambda", "profile.py",
            "math.sqrt(abs(lam_m - beta_p) * lam)", "math.sqrt(abs(lam_m - beta_p))"),
     Mutant("capacitance limit doubled", "linalg.py",
@@ -135,6 +136,19 @@ MUTANTS = [
     Mutant("residual std is the mean", "estimator.py",
            "float(np.mean(residuals)), float(np.std(residuals))",
            "float(np.mean(residuals)), float(np.mean(residuals))"),
+    # the experiments' result tuples, A8's one relative error, and the Fig-2 configuration's home
+    Mutant("trajectory deviations swapped", "reference.py",
+           "return theta_dev_max, gamma_dev_max", "return gamma_dev_max, theta_dev_max"),
+    Mutant("chain median first", "reference.py",
+           "return _median(errors[0]), _median(errors[1]), incidents",
+           "return _median(errors[1]), _median(errors[0]), incidents"),
+    Mutant("relative error without its scale", "reference.py",
+           "astype(float)))) / scale)", "astype(float)))))"),
+    Mutant("Fig-2 beta 0.9", "profile.py",
+           "FIG2 = SegmentedProfile(0.89,", "FIG2 = SegmentedProfile(0.9,"),
+    Mutant("standard model with 15 harmonics", "harmonic.py",
+           "STANDARD_MODEL = HarmonicModel(365.25, 16)",
+           "STANDARD_MODEL = HarmonicModel(365.25, 15)"),
 ]
 
 

@@ -21,7 +21,10 @@ archive (a '#' line after the data, CRLF line breaks and a form-feed line
 break, which must give the same forecast; a refused value and an
 off-calendar date, exit 3), three fits of edited copies of the seed-1
 ``fit_long`` CSV, each exit 3 naming its line (a refused header after a
-comment line, a refused value and a non-finite value), ``synth --origin
+comment line, a refused value and a non-finite value), three fits over a
+span of a copy of the seed-1 archive less its two middle days (with
+``--gap-policy interpolate``, with ``previous``, and with the default
+``fail``, exit 3 naming the first missing day), ``synth --origin
 0001-01-01``, a wide, long ``synth`` (100,000 days of a 203-parameter
 model, every theta entry non-zero), a forecast whose horizon ends on
 9999-12-31 and one that passes it, two fits of a 40-day series that fail
@@ -32,8 +35,9 @@ errors (exit 2: beta == lambda, lambda^m == beta^p, the drop condition with
 a grid past Nyquist, and p+1 >= w with a window below the model
 dimension), and ``verify --trials 100`` with
 the default seed and with ``--seed`` 20250802, 20250803, 20250804 and
-20250805; the perfbench ``verify`` workload runs the first three for its
-seeds 1-3.
+20250805 (the perfbench ``verify`` workload runs the first three for its
+seeds 1-3); last, the seed-1 ``fit_long`` fit with ``--input /dev/stdin``,
+a pipe fed from that CSV, so that the parser's text pass reads it.
 
 Each command runs as ``python -m segrls.cli`` in a fresh interpreter, with
 the side's ``src/`` first on PYTHONPATH and ``--output`` pointing into a directory
@@ -66,6 +70,9 @@ LATE_DAYS = 700
 LATE_HORIZON = 90
 # a series longer than the model dimension (35) and shorter than the Fig-2 window
 SHORT_DAYS = 40
+# a span of GAP_DAYS days whose day GAP_BEFORE + 1 is the first missing one, past the window
+GAP_BEFORE = 500
+GAP_DAYS = 800
 
 
 def mask(text: str) -> str:
@@ -83,8 +90,11 @@ def sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def run_command(src: Path, argv: list[str], outdir: Path) -> dict:
-    """One segrls command on the checkout whose package is under ``src``."""
+def run_command(src: Path, argv: list[str], outdir: Path, stdin: Path | None = None) -> dict:
+    """One segrls command on the checkout whose package is under ``src``.
+
+    The text of the file ``stdin``, when given, goes to the command through a pipe.
+    """
     argv = list(argv)
     output = None
     if "--output" in argv:
@@ -92,8 +102,9 @@ def run_command(src: Path, argv: list[str], outdir: Path) -> dict:
         output = outdir / Path(argv[i]).name
         argv[i] = str(output)
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    feed = None if stdin is None else stdin.read_text(encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "segrls.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, input=feed, env={**os.environ, "PYTHONPATH": path})
     return {"rc": proc.returncode, "stdout": mask(proc.stdout), "stderr": mask(proc.stderr),
             "output": sha256(output) if output else None}
 
@@ -143,8 +154,16 @@ def _csv_copies(text: str) -> dict[str, str]:
     }
 
 
-def commands(work: Path) -> list[list[str]]:
-    """Every command line, with its inputs built under ``work``."""
+def _gap_copy(text: str) -> tuple[str, datetime.date]:
+    """An observatory archive less the data lines of its two middle days, and the first of them."""
+    lines = text.split("\n")
+    middle = len(lines) // 2
+    year, month, day = map(int, lines[middle].split()[:3])
+    return "\n".join(lines[:middle] + lines[middle + 2 :]), datetime.date(year, month, day)
+
+
+def commands(work: Path) -> list[tuple[list[str], Path | None]]:
+    """(command line, file piped to its stdin or None) pairs, with inputs built under ``work``."""
     sys.path.insert(0, str(ROOT))
     from perfbench import workloads
 
@@ -194,6 +213,17 @@ def commands(work: Path) -> list[list[str]]:
         copy.write_bytes(text.encode("utf-8"))
         lines.append(["fit", "--input", str(copy), *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
                       "--output", f"csv_{name}.out.csv"])
+    # fits over a span of the seed-1 archive that holds a two-day gap, under each gap policy
+    text, missing = _gap_copy(archive.read_text(encoding="utf-8"))
+    gap = work / "archive_gap.txt"
+    gap.write_bytes(text.encode("utf-8"))
+    first = missing - datetime.timedelta(days=GAP_BEFORE)
+    span = ["--start", str(first), "--end", str(first + datetime.timedelta(days=GAP_DAYS - 1))]
+    for policy in ("interpolate", "previous", "fail"):
+        flags = ["--gap-policy", policy] if policy != "fail" else []
+        lines.append(["fit", "--input", str(gap), "--format", "stockholm", *span, *flags,
+                      *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+                      "--output", f"gap_{policy}.out.csv"])
     lines.append(["synth", "--origin", "0001-01-01", "--length", "2000", "--seed", "5",
                   "--output", "synth.out.csv"])
     # n = 203 and every theta entry non-zero: the clean signal is a wide matrix-vector product
@@ -227,7 +257,10 @@ def commands(work: Path) -> list[list[str]]:
     for seed in (*SEEDS, 4):
         lines.append(["verify", "--trials", "100", "--seed",
                       str(workloads.VERIFY_BASE_SEED + seed % 10)])
-    return lines
+    # the seed-1 fit_long fit through a pipe: a text, not a path, so the text pass parses it
+    piped = ["fit", "--input", "/dev/stdin", *workloads.MODEL_FLAGS, *workloads.FIG2_FLAGS,
+             "--output", "stdin.out.csv"]
+    return [(line, None) for line in lines] + [(piped, series)]
 
 
 def main(argv=None) -> int:
@@ -248,12 +281,12 @@ def main(argv=None) -> int:
         work = tmp / "work"
         lines = commands(work)
         changed = 0
-        for n, line in enumerate(lines):
+        for n, (line, stdin) in enumerate(lines):
             results = {}
             for side in SIDES:
                 outdir = tmp / "out" / side / str(n)
                 outdir.mkdir(parents=True)
-                results[side] = run_command(srcs[side], line, outdir)
+                results[side] = run_command(srcs[side], line, outdir, stdin)
             diff = differences(results["base"], results["change"])
             changed += bool(diff)
             status = "DIFFERENT" if diff else "identical"

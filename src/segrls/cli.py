@@ -33,7 +33,7 @@ from .errors import (
     SingularUpdateError,
 )
 from .estimator import RlsEstimator, residual_stats
-from .harmonic import HarmonicModel
+from .harmonic import STANDARD_MODEL, HarmonicModel
 from .ingest import (
     GAP_POLICIES,
     IndexedSeries,
@@ -43,7 +43,7 @@ from .ingest import (
     parse_stockholm,
     to_indexed,
 )
-from .profile import ExponentialProfile, SegmentedProfile
+from .profile import FIG2, ExponentialProfile, SegmentedProfile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -88,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--period", type=float, default=365.25,
-                       help="fundamental period in samples (default 365.25)")
-        p.add_argument("--harmonics", type=int, default=16,
-                       help="number of higher-order harmonics (default 16)")
+        p.add_argument("--period", type=float, default=STANDARD_MODEL.period,
+                       help=f"fundamental period in samples (default {STANDARD_MODEL.period})")
+        p.add_argument("--harmonics", type=int, default=STANDARD_MODEL.harmonics,
+                       help=f"number of higher-order harmonics (default {STANDARD_MODEL.harmonics})")
 
     def add_output_flag(p):
         p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
@@ -120,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         add_model_flags(p)
         p.add_argument("--profile", choices=("segmented", "exponential", "infinite"),
                        default="segmented")
-        p.add_argument("--beta", type=float, default=0.89,
+        p.add_argument("--beta", type=float, default=FIG2.beta,
                        help="fast forgetting factor of the segmented profile")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.99,
+        p.add_argument("--lambda", dest="lam", type=float, default=FIG2.lam,
                        help="slow forgetting factor")
-        p.add_argument("--m", type=int, default=250, help="drop magnitude exponent")
-        p.add_argument("--p", type=int, default=1, help="fast segment length")
-        p.add_argument("--window", type=int, default=400,
+        p.add_argument("--m", type=int, default=FIG2.m, help="drop magnitude exponent")
+        p.add_argument("--p", type=int, default=FIG2.p, help="fast segment length")
+        p.add_argument("--window", type=int, default=FIG2.w,
                        help="window length (also the init length for --profile infinite)")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="diagonal loading added to the initial information matrix")

@@ -200,7 +200,7 @@ class RlsEstimator:
         lags = template.lags
         est.gamma = linalg.spd_inverse(loaded)
         est.theta = est.gamma @ (wphi.T @ y)
-        est.k = est.window = window
+        est.k = window
         # template unpacked once; columns are scale_i * phi_{k - lag_i}; the
         # scales are shaped (r,) or (r, 1) to scale (r,) or (r, B) values
         est._scales = np.array(template.scales).reshape(-1, *[1] * (y.ndim - 1))
@@ -285,7 +285,7 @@ class RlsEstimator:
         phi = self._rows[i]
         yhat, yhat1 = phi.dot(theta), _first_harmonic(theta, phi)
         self.gamma, self.theta, self.k, self._yhat, self._yhat1 = gamma, theta, k, yhat, yhat1
-        self._residuals[(k - 1) % self.window] = y - yhat1
+        self._residuals[(k - 1) % len(self._residuals)] = y - yhat1
 
     def run(self, values, cond_every: int = 0):
         """Step over the values of the indices after k; the fitted values from k on.
@@ -370,4 +370,4 @@ class RlsEstimator:
                 self._info_k = self.k
             return self._info.copy()
         end = self.k + 1 - self._first_row
-        return _weighted_gram(self.profile, self._rows[end - self.window : end])[0]
+        return _weighted_gram(self.profile, self._rows[end - self.profile.w : end])[0]

@@ -49,6 +49,10 @@ class HarmonicModel:
         return 2 * (self.harmonics + 1) + 1
 
 
+# annual cycle of daily data (n = 35): the CLI's default model, and the one the criteria measure
+STANDARD_MODEL = HarmonicModel(365.25, 16)
+
+
 # perfbench's workloads build their model with it; the package builds HarmonicModel
 def make_harmonic_model(period: float, harmonics: int) -> HarmonicModel:
     return HarmonicModel(period=period, harmonics=harmonics)

@@ -94,6 +94,9 @@ class ExponentialProfile:
 
 ForgettingProfile = Union[SegmentedProfile, ExponentialProfile]
 
+# the paper's Fig-2 law: the CLI's default profile, and the one the criteria measure
+FIG2 = SegmentedProfile(0.89, 0.99, 250, 1, 400)
+
 
 def weights(profile: ForgettingProfile, count: int) -> np.ndarray:
     """Weights f(0..count-1), newest lag first; zero from the window edge on.

@@ -239,24 +239,20 @@ def _direct_trajectory(profile: ForgettingProfile, rows: np.ndarray, values: np.
             yield theta[i].reshape(-1, *values.shape[1:]), gamma[i]
 
 
-@dataclass
-class TrajectoryReport:
-    theta_dev_max: float
-    gamma_dev_max: float
-
-
 def compare_trajectory(
     profile: ForgettingProfile,
     model: HarmonicModel,
     values: np.ndarray,
     *,
     init_count: int | None = None,
-) -> TrajectoryReport:
+) -> tuple[float, float]:
     """Run the recursion and the direct solve side by side over a series.
 
     ``values`` holds the series, index k at ``values[k - 1]``.
     ``init_count`` sets the batch-initialization length for the unbounded
-    profile (windowed profiles always initialize over w samples).
+    profile (windowed profiles always initialize over w samples).  Returns
+    the largest relative deviations (theta_dev_max, gamma_dev_max) of the
+    recursion's theta and gain from the direct solve's, over every step.
     """
     values = _value_array(values)
     window = profile.w
@@ -284,7 +280,7 @@ def compare_trajectory(
         gamma_dev_max = max(gamma_dev_max, float(
             np.linalg.norm(est.gamma - gamma_direct) / np.linalg.norm(gamma_direct)))
 
-    return TrajectoryReport(theta_dev_max=theta_dev_max, gamma_dev_max=gamma_dev_max)
+    return theta_dev_max, gamma_dev_max
 
 
 # ----------------------------------------------------------------------
@@ -296,19 +292,14 @@ def compare_trajectory(
 _MC_GROUP = 25
 
 
-@dataclass
-class BiasReport:
-    bias: np.ndarray
-    standard_error: np.ndarray
-
-
 def monte_carlo_bias(
     profile: ForgettingProfile,
     spec: SyntheticSpec,
     trials: int,
     k: int,
-) -> BiasReport:
-    """Componentwise mean(theta_k) - theta_star over independent realizations.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bias, standard_error): componentwise mean(theta_k) - theta_star over
+    independent realizations, and the standard error of that mean.
 
     Trial t is spec's series with seed ``derive_seed(spec.seed, t)``; each
     initializes over the profile's window, so the unbounded profile is
@@ -333,18 +324,11 @@ def monte_carlo_bias(
 
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
-    return BiasReport(bias=mean - spec.theta_star, standard_error=se)
+    return mean - spec.theta_star, se
 
 
 # ----------------------------------------------------------------------
 # round-off accumulation: one-pass batch vs chained rank-one updates
-
-
-@dataclass
-class AccumulationReport:
-    median_batch: float
-    median_chain: float
-    singular_incidents: int
 
 
 # trials per stacked long-double inverse: a stack amortizes numpy's per-call
@@ -459,7 +443,7 @@ def accumulation_experiment(
     trials: int,
     *,
     seed: int = 0,
-) -> AccumulationReport:
+) -> tuple[float, float, int]:
     """Round-off of the one-pass batch update vs the chained rank-one path.
 
     Each trial draws an SPD matrix B near the target condition number and a
@@ -468,11 +452,12 @@ def accumulation_experiment(
     direct inverse of B + Q D Q^T.  Intermediate singularities in the chain
     (its SingularUpdateError) are counted, not raised; the affected trial
     records an infinite chain error.  A refused batch update is raised.
+    Returns (median_batch, median_chain, singular_incidents): the median
+    relative errors of the two paths and the count of chain singularities.
     """
     for name, count in (("n", n), ("steps", steps), ("trials", trials)):
         _check_count(count, 1, f"{name} must be an integer >= 1, got {count!r}")
-    batch_errors = np.empty(trials)
-    chain_errors = np.empty(trials)
+    errors = np.full((2, trials), math.inf)     # row 0 the batch path's, row 1 the chain's
     incidents = 0
 
     for first in range(0, trials, _GJ_GROUP):
@@ -494,24 +479,15 @@ def accumulation_experiment(
         references = gauss_jordan_inverse(a_ld)
 
         for t, b_inv, (cols, signs), reference in zip(group, b_invs, batches, references):
-            scale = math.sqrt(float(np.sum((reference * reference).astype(float))))
-            got = linalg.batch_inverse_update(b_inv, cols, signs)
-            batch_errors[t] = (
-                math.sqrt(float(np.sum(((got - reference) ** 2).astype(float)))) / scale
-            )
+            paths = [linalg.batch_inverse_update(b_inv, cols, signs)]
             try:
-                got_chain = linalg.chain_sherman_morrison(b_inv, cols, signs)
+                paths.append(linalg.chain_sherman_morrison(b_inv, cols, signs))
             except SingularUpdateError:
-                incidents += 1
-                chain_errors[t] = math.inf
-            else:
-                chain_errors[t] = (
-                    math.sqrt(float(np.sum(((got_chain - reference) ** 2).astype(float))))
-                    / scale
-                )
+                incidents += 1                  # the chain's error stays infinite
+            # relative Frobenius errors, the long-double squares summed as floats
+            scale = math.sqrt(float(np.sum((reference * reference).astype(float))))
+            for row, got in enumerate(paths):
+                errors[row, t] = (
+                    math.sqrt(float(np.sum(((got - reference) ** 2).astype(float)))) / scale)
 
-    return AccumulationReport(
-        median_batch=_median(batch_errors),
-        median_chain=_median(chain_errors),
-        singular_incidents=incidents,
-    )
+    return _median(errors[0]), _median(errors[1]), incidents

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import linalg
 from .estimator import RlsEstimator, information_matrix, residual_stats
-from .harmonic import HarmonicModel
+from .harmonic import STANDARD_MODEL, HarmonicModel
 from .profile import (
+    FIG2,
     ExponentialProfile,
     SegmentedProfile,
     update_template,
@@ -39,10 +40,7 @@ from .reference import (
 
 DEFAULT_SEED = 20250801
 
-# Fig-2 style setup: annual cycle of daily data, sixteen higher harmonics.
-STANDARD_PERIOD = 365.25
-STANDARD_HARMONICS = 16
-FIG2_BETA, FIG2_LAMBDA, FIG2_M, FIG2_P, FIG2_W = 0.89, 0.99, 250, 1, 400
+# A7's Fig-1 laws; every other criterion measures profile.FIG2 on harmonic.STANDARD_MODEL
 FIG1_BETA, FIG1_LAMBDA, FIG1_M, FIG1_P, FIG1_W = 0.92, 0.96, 60, 1, 400
 
 NOISE_SIGMA = 2.0
@@ -72,10 +70,6 @@ def _result(name, start, passed, detail, budget_s=math.inf) -> CriterionResult:
     return CriterionResult(name, passed and elapsed <= budget_s, detail, elapsed)
 
 
-def standard_model() -> HarmonicModel:
-    return HarmonicModel(STANDARD_PERIOD, STANDARD_HARMONICS)
-
-
 def standard_theta(model: HarmonicModel) -> np.ndarray:
     """Deterministic temperature-like parameter vector: strong annual cycle,
     higher harmonics decaying as 1/(i+1)."""
@@ -89,15 +83,10 @@ def standard_theta(model: HarmonicModel) -> np.ndarray:
     return theta
 
 
-def fig2_profile() -> SegmentedProfile:
-    return SegmentedProfile(FIG2_BETA, FIG2_LAMBDA, FIG2_M, FIG2_P, FIG2_W)
-
-
 def _standard_spec(seed: int, noise_sigma: float, length: int) -> SyntheticSpec:
-    model = standard_model()
     return SyntheticSpec(
-        model=model,
-        theta_star=standard_theta(model),
+        model=STANDARD_MODEL,
+        theta_star=standard_theta(STANDARD_MODEL),
         noise_sigma=noise_sigma,
         seed=seed,
         length=length,
@@ -110,25 +99,22 @@ def _standard_spec(seed: int, noise_sigma: float, length: int) -> SyntheticSpec:
 
 def criterion_a1(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
-    model = standard_model()
     series = synth_generate(_standard_spec(seed, NOISE_SIGMA, SERIES_LENGTH))
-    report = compare_trajectory(fig2_profile(), model, series)
-    return _result("A1", start, report.theta_dev_max <= 1e-6 and report.gamma_dev_max <= 1e-6,
-                   f"segmented: max theta dev {report.theta_dev_max:.2e}, "
-                   f"max gamma dev {report.gamma_dev_max:.2e} over {len(series) - FIG2_W} steps "
+    theta_dev, gamma_dev = compare_trajectory(FIG2, STANDARD_MODEL, series)
+    return _result("A1", start, theta_dev <= 1e-6 and gamma_dev <= 1e-6,
+                   f"segmented: max theta dev {theta_dev:.2e}, "
+                   f"max gamma dev {gamma_dev:.2e} over {len(series) - FIG2.w} steps "
                    f"(tol 1e-6)", budget_s=60.0)
 
 
 def criterion_a2(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
-    model = standard_model()
     series = synth_generate(_standard_spec(seed, NOISE_SIGMA, SERIES_LENGTH))
-    rep_fin = compare_trajectory(ExponentialProfile(FIG2_LAMBDA, FIG2_W), model, series)
-    rep_inf = compare_trajectory(
-        ExponentialProfile(FIG2_LAMBDA), model, series, init_count=FIG2_W
+    finite = compare_trajectory(ExponentialProfile(FIG2.lam, FIG2.w), STANDARD_MODEL, series)
+    infinite = compare_trajectory(
+        ExponentialProfile(FIG2.lam), STANDARD_MODEL, series, init_count=FIG2.w
     )
-    worst_theta = max(rep_fin.theta_dev_max, rep_inf.theta_dev_max)
-    worst_gamma = max(rep_fin.gamma_dev_max, rep_inf.gamma_dev_max)
+    worst_theta, worst_gamma = map(max, finite, infinite)
     return _result("A2", start, worst_theta <= 1e-6 and worst_gamma <= 1e-6,
                    f"rank-2 and rank-1 profiles: max theta dev {worst_theta:.2e}, "
                    f"max gamma dev {worst_gamma:.2e} (tol 1e-6)", budget_s=60.0)
@@ -183,11 +169,10 @@ def criterion_a3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_a4() -> CriterionResult:
     start = time.perf_counter()
-    prof = fig2_profile()
-    tail = weights(prof, prof.w)[prof.p + 1 :]
-    worst = float(np.max(np.abs(tail[1:] - prof.lam * tail[:-1]) / tail[1:]))
-    template = update_template(prof)
-    shape_ok = template.rank == prof.p + 3 and template.signs == (1, -1, -1, -1)
+    tail = weights(FIG2, FIG2.w)[FIG2.p + 1 :]
+    worst = float(np.max(np.abs(tail[1:] - FIG2.lam * tail[:-1]) / tail[1:]))
+    template = update_template(FIG2)
+    shape_ok = template.rank == FIG2.p + 3 and template.signs == (1, -1, -1, -1)
     return _result("A4", start, worst <= 1e-12 and shape_ok,
                    f"telescoping max rel {worst:.2e} (tol 1e-12); rank {template.rank} "
                    f"signs {list(template.signs)}")
@@ -199,20 +184,19 @@ def criterion_a4() -> CriterionResult:
 
 def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
-    model = standard_model()
-    theta_star = standard_theta(model)
-    series = synth_generate(_standard_spec(seed, 0.0, SERIES_LENGTH))[: FIG2_W + A5_STEPS]
+    theta_star = standard_theta(STANDARD_MODEL)
+    series = synth_generate(_standard_spec(seed, 0.0, SERIES_LENGTH))[: FIG2.w + A5_STEPS]
     norm = np.linalg.norm(theta_star)
     worst = 0.0
-    # every profile starts from the first FIG2_W values: the window, or the infinite's init
+    # every profile starts from the first FIG2.w values: the window, or the infinite's init
     for prof in (
-        fig2_profile(),
-        ExponentialProfile(FIG2_LAMBDA, FIG2_W),
-        ExponentialProfile(FIG2_LAMBDA),
+        FIG2,
+        ExponentialProfile(FIG2.lam, FIG2.w),
+        ExponentialProfile(FIG2.lam),
     ):
-        est = RlsEstimator.init(prof, model, series[:FIG2_W])
+        est = RlsEstimator.init(prof, STANDARD_MODEL, series[:FIG2.w])
         worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
-        for k in range(FIG2_W + 1, len(series) + 1):
+        for k in range(FIG2.w + 1, len(series) + 1):
             est.step((k, series[k - 1]))
             worst = max(worst, np.linalg.norm(est.theta - theta_star) / norm)
     return _result("A5", start, worst <= 1e-8,
@@ -226,9 +210,8 @@ def criterion_a5(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_a7() -> CriterionResult:
     """cond(A) under the pure-fast, segmented and pure-slow Fig-1 laws, same span."""
     start = time.perf_counter()
-    model = standard_model()
     cond_fast, cond_seg, cond_slow = (
-        linalg.condition_number(information_matrix(prof, model, FIG1_W, FIG1_W))
+        linalg.condition_number(information_matrix(prof, STANDARD_MODEL, FIG1_W, FIG1_W))
         for prof in (
             ExponentialProfile(FIG1_BETA, FIG1_W),
             SegmentedProfile(FIG1_BETA, FIG1_LAMBDA, FIG1_M, FIG1_P, FIG1_W),
@@ -246,11 +229,11 @@ def criterion_a7() -> CriterionResult:
 
 def criterion_a8(seed: int = DEFAULT_SEED, trials: int = 100) -> CriterionResult:
     start = time.perf_counter()
-    report = accumulation_experiment(35, 8, 1e8, trials, seed=seed)
-    return _result("A8", start, report.median_batch <= report.median_chain,
-                   f"median error batch {report.median_batch:.2e} <= chain "
-                   f"{report.median_chain:.2e} over {trials} trials "
-                   f"({report.singular_incidents} chain singularities)", budget_s=30.0)
+    batch, chain, incidents = accumulation_experiment(35, 8, 1e8, trials, seed=seed)
+    return _result("A8", start, batch <= chain,
+                   f"median error batch {batch:.2e} <= chain "
+                   f"{chain:.2e} over {trials} trials "
+                   f"({incidents} chain singularities)", budget_s=30.0)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +242,8 @@ def criterion_a8(seed: int = DEFAULT_SEED, trials: int = 100) -> CriterionResult
 
 def criterion_a9(seed: int = DEFAULT_SEED, trials: int = 200) -> CriterionResult:
     start = time.perf_counter()
-    k = FIG2_W + 30
-    report = monte_carlo_bias(fig2_profile(), _standard_spec(seed, NOISE_SIGMA, k), trials, k)
-    bias, se = report.bias, report.standard_error
+    k = FIG2.w + 30
+    bias, se = monte_carlo_bias(FIG2, _standard_spec(seed, NOISE_SIGMA, k), trials, k)
     ratio = float(np.max(np.abs(bias) / se))
     return _result("A9", start, bool(np.all(np.abs(bias) <= 4.0 * se)),
                    f"{trials} trials at k={k}: worst |bias|/SE {ratio:.2f} (limit 4)",
@@ -277,16 +259,15 @@ def criterion_a6(values: np.ndarray) -> CriterionResult:
     start = time.perf_counter()
     if len(values) < 3000:
         raise ValueError("criterion needs a span of at least 3000 days")
-    model = standard_model()
-    rest = values[FIG2_W:]
+    rest = values[FIG2.w:]
 
     def residuals(profile):
         """y - phi^T theta after each step past the window."""
-        yhat, _, _ = RlsEstimator.init(profile, model, values[:FIG2_W]).run(rest)
+        yhat, _, _ = RlsEstimator.init(profile, STANDARD_MODEL, values[:FIG2.w]).run(rest)
         return rest - yhat[1:]
 
-    res_seg = residuals(fig2_profile())
-    res_exp = residuals(ExponentialProfile(FIG2_LAMBDA, FIG2_W))
+    res_seg = residuals(FIG2)
+    res_exp = residuals(ExponentialProfile(FIG2.lam, FIG2.w))
     rmse_seg, _, std_seg = residual_stats(res_seg)
     rmse_exp, _, std_exp = residual_stats(res_exp)
     return _result("A6", start, rmse_seg < rmse_exp and std_seg < std_exp,
@@ -298,14 +279,13 @@ def criterion_a6(values: np.ndarray) -> CriterionResult:
 def criterion_a10(values: np.ndarray) -> CriterionResult:
     """30-day-ahead first-harmonic band must cover >= 0.90 of a held-out year."""
     start = time.perf_counter()
-    model = standard_model()
     cutoff = len(values) - A10_HOLDOUT_DAYS
-    if cutoff <= FIG2_W + A10_HORIZON:
+    if cutoff <= FIG2.w + A10_HORIZON:
         raise ValueError("series too short for the held-out span")
-    est = RlsEstimator.init(fig2_profile(), model, values[:FIG2_W])
+    est = RlsEstimator.init(FIG2, STANDARD_MODEL, values[:FIG2.w])
     hits = 0
     total = 0
-    for k in range(FIG2_W + 1, len(values) + 1):
+    for k in range(FIG2.w + 1, len(values) + 1):
         est.step((k, values[k - 1]))
         target = k + A10_HORIZON
         if cutoff < target <= len(values):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 import os
@@ -13,9 +14,9 @@ from segrls import cli, linalg
 from segrls.cli import fmt, main
 from segrls.ingest import iso_date_range
 from segrls.estimator import ForecastBand, RlsEstimator, information_matrix
-from segrls.harmonic import make_harmonic_model
+from segrls.harmonic import STANDARD_MODEL, make_harmonic_model
 from segrls.linalg import condition_number
-from segrls.profile import ExponentialProfile, SegmentedProfile
+from segrls.profile import FIG2, ExponentialProfile, SegmentedProfile
 
 SMALL_MODEL = ["--period", "40", "--harmonics", "2"]  # n = 7
 # the source tree the tests imported segrls from, for a CLI child
@@ -668,3 +669,16 @@ def test_a_model_too_big_to_allocate_is_a_config_error(tmp_path, command):
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("configuration error: ")
     assert child.stderr.count("\n") == 1
+
+
+def test_the_parser_defaults_are_the_fig2_configuration():
+    # one home for the paper's Fig-2 values: the criteria measure what the CLI runs by default
+    assert dataclasses.astuple(FIG2) == (0.89, 0.99, 250, 1, 400)
+    assert dataclasses.astuple(STANDARD_MODEL) == (365.25, 16)
+    parser = cli.build_parser()
+    for command in ("fit", "compare", "forecast", "synth"):
+        args = parser.parse_args([command] + ["--input", "in.csv"] * (command != "synth"))
+        assert (args.period, args.harmonics) == dataclasses.astuple(STANDARD_MODEL), command
+        if command != "synth":
+            profile = (args.beta, args.lam, args.m, args.p, args.window)
+            assert profile == dataclasses.astuple(FIG2), command

@@ -13,8 +13,9 @@ from segrls.estimator import (
     _first_harmonic,
     information_matrix,
 )
-from segrls.harmonic import make_harmonic_model, regressor_matrix
+from segrls.harmonic import STANDARD_MODEL, make_harmonic_model, regressor_matrix
 from segrls.profile import (
+    FIG2,
     ExponentialProfile,
     SegmentedProfile,
     update_template,
@@ -28,7 +29,7 @@ from segrls.reference import (
     monte_carlo_bias,
     synth_generate,
 )
-from segrls.verify import fig2_profile, standard_model, standard_theta
+from segrls.verify import standard_theta
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
 THETA_STAR = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
@@ -172,7 +173,7 @@ class TestInit:
     def test_unbounded_profile_uses_given_length(self):
         series = make_series(0.0)[:80]
         est = RlsEstimator.init(ExponentialProfile(0.97), MODEL, series)
-        assert est.window == 80
+        assert len(est._residuals) == 80        # the residual buffer spans the init length
         assert est.k == 80
 
     def test_the_constructor_builds_nothing(self):
@@ -335,13 +336,13 @@ class TestBatch:
 
     @pytest.mark.parametrize(
         "profile",
-        [fig2_profile(), ExponentialProfile(0.99, 400), ExponentialProfile(0.99)],
+        [FIG2, ExponentialProfile(0.99, 400), ExponentialProfile(0.99)],
         ids=["segmented", "exponential", "infinite"],
     )
     def test_columns_follow_scalar_estimators(self, profile):
         # Fig-2 model and window; the steps run through five row blocks
-        model, window, batch = standard_model(), 400, 5
-        steps = 3 * (max(update_template(fig2_profile()).lags) + 1)
+        model, window, batch = STANDARD_MODEL, 400, 5
+        steps = 3 * (max(update_template(FIG2).lags) + 1)
         series = [
             synth_generate(SyntheticSpec(model, standard_theta(model), 2.0, seed, window + steps))
             for seed in range(batch)
@@ -934,8 +935,8 @@ def rotation(model, j):
     [
         (MODEL, PROFILE),
         (MODEL, ExponentialProfile(0.97, 50)),
-        (standard_model(), fig2_profile()),
-        (standard_model(), ExponentialProfile(0.99, 400)),
+        (STANDARD_MODEL, FIG2),
+        (STANDARD_MODEL, ExponentialProfile(0.99, 400)),
     ],
     ids=["n7-segmented", "n7-exponential", "n35-fig2", "n35-exponential"],
 )
@@ -979,11 +980,11 @@ def filter_fit(profile, model, y):
 
 
 @pytest.mark.parametrize(
-    "profile", [fig2_profile(), ExponentialProfile(0.99, 400)], ids=["fig2", "exponential"]
+    "profile", [FIG2, ExponentialProfile(0.99, 400)], ids=["fig2", "exponential"]
 )
 def test_run_matches_the_fir_filter_on_every_row(profile):
     # every fitted value of a 4k-day series, not a sample of rows
-    model = standard_model()
+    model = STANDARD_MODEL
     y = synth_generate(SyntheticSpec(model, standard_theta(model), 1.0, 5, 4000))
     est = RlsEstimator.init(profile, model, y[: profile.w])
     yhat, yhat1, _ = est.run(y[profile.w :])
@@ -996,9 +997,9 @@ class TestProfileEffects:
     """How segmentation shapes the information matrix on the daily harmonic setup."""
 
     def setup_method(self):
-        from segrls.verify import information_matrix, standard_model
+        from segrls.verify import information_matrix
 
-        self.model = standard_model()
+        self.model = STANDARD_MODEL
         self.w = 400
         self.info = lambda prof: information_matrix(prof, self.model, self.w, self.w)
 

@@ -350,11 +350,12 @@ def case_trajectory(rng):
     init_count = rng.choice(COUNTS + [None, 20, 20, 60])
     values, refused = non_real(rng, values)
 
-    def check(report):
+    def check(deviations):
         assert not refused, f"accepted {values.dtype} values"
         window = PROFILES[name].w or init_count
         assert len(values) - window >= 1, "reported a trajectory of no steps"
-        assert report.theta_dev_max >= 0.0 and report.gamma_dev_max >= 0.0
+        theta_dev, gamma_dev = deviations
+        assert theta_dev >= 0.0 and gamma_dev >= 0.0
 
     return (f"compare_trajectory({name}, MODEL, <{values.dtype} shape {values.shape}>, "
             f"init_count={init_count!r})",
@@ -366,8 +367,9 @@ def case_bias(rng):
     trials = rng.choice([100, 100, np.int64(100), 100.5, 99, -1, NAN])
     k = rng.choice([60, 60, 51, 50, 91, 60.5, np.int64(60), NAN])
 
-    def check(report):
-        assert report.bias.shape == report.standard_error.shape == (MODEL.dim,)
+    def check(result):
+        bias, standard_error = result
+        assert bias.shape == standard_error.shape == (MODEL.dim,)
 
     return (f"monte_carlo_bias({name}, SPEC, {trials!r}, {k!r})",
             lambda: monte_carlo_bias(PROFILES[name], SPEC, trials, k), check)
@@ -378,9 +380,10 @@ def case_accumulation(rng):
     steps = rng.choice([1, 2, 4, 0, -1, 2.5, np.int32(2)])
     cond, trials = rng.choice([1.0, 10.0, 1e4, 0.5]), rng.choice([1, 2, 0, 2.5, np.int64(2)])
 
-    def check(report):
-        assert type(report.median_batch) is float and type(report.median_chain) is float
-        assert 0 <= report.singular_incidents <= trials
+    def check(result):
+        median_batch, median_chain, incidents = result
+        assert type(median_batch) is float and type(median_chain) is float
+        assert 0 <= incidents <= trials
 
     return (f"accumulation_experiment({n!r}, {steps!r}, {cond!r}, {trials!r})",
             lambda: accumulation_experiment(n, steps, cond, trials), check)

@@ -7,8 +7,7 @@ import pytest
 
 from segrls import linalg
 from segrls.errors import NotPositiveDefiniteError, SingularUpdateError
-from segrls.profile import ExponentialProfile, update_template
-from segrls.verify import fig2_profile
+from segrls.profile import FIG2, ExponentialProfile, update_template
 
 HILBERT4_INVERSE = np.array(
     [
@@ -179,7 +178,7 @@ class TestSameBits:
     @pytest.mark.parametrize("layout", ["step-view", "contiguous"])
     def test_update_with_theta_is_the_matmul_form_on_fig2_operands(self, width, layout):
         rng = np.random.default_rng(23)
-        signs = np.array(update_template(fig2_profile()).signs, dtype=float)   # r = 4
+        signs = np.array(update_template(FIG2).signs, dtype=float)   # r = 4
         n, r = 35, len(signs)
         for _ in range(20):
             b_inv = linalg.spd_inverse(random_spd(rng, n)) / 0.99
@@ -325,7 +324,7 @@ class TestSameBits:
     @pytest.mark.parametrize("width", [(), (3,)], ids=["scalar", "batch3"])
     def test_update_leaves_its_arguments_alone(self, width):
         rng = np.random.default_rng(37)
-        signs = np.array(update_template(fig2_profile()).signs, dtype=float)
+        signs = np.array(update_template(FIG2).signs, dtype=float)
         b_inv = linalg.spd_inverse(random_spd(rng, 35)) / 0.99
         q = rng.standard_normal((len(signs), 35)).T
         theta, y = rng.standard_normal((35, *width)), rng.standard_normal((len(signs), *width))

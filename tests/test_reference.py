@@ -12,8 +12,8 @@ import pytest
 from segrls import linalg, reference
 from segrls.errors import NotPositiveDefiniteError, RangeError, SingularUpdateError
 from segrls.estimator import ROW_BLOCK, RlsEstimator, Sample
-from segrls.harmonic import make_harmonic_model, regressor_matrix
-from segrls.profile import ExponentialProfile, SegmentedProfile
+from segrls.harmonic import STANDARD_MODEL, make_harmonic_model, regressor_matrix
+from segrls.profile import FIG2, ExponentialProfile, SegmentedProfile
 from segrls.reference import (
     SyntheticSpec,
     _direct_solve,
@@ -31,7 +31,7 @@ from segrls.reference import (
     random_uniforms,
     synth_generate,
 )
-from segrls.verify import fig2_profile, standard_model, standard_theta
+from segrls.verify import standard_theta
 
 MODEL = make_harmonic_model(40.0, 2)  # n = 7
 THETA_STAR = np.array([2.0, 4.0, -1.0, 0.5, 0.3, -0.2, 0.1])
@@ -95,8 +95,8 @@ def whole_products_on_one_blas_thread(theta_bytes):
     promises those of one thread.  The child imports the segrls this test runs.
     """
     code = ("import sys, numpy as np; from segrls.harmonic import regressor_matrix; "
-            "from segrls.verify import standard_model; "
-            "theta = np.frombuffer(sys.stdin.buffer.read()); model = standard_model(); "
+            "from segrls.harmonic import STANDARD_MODEL as model; "
+            "theta = np.frombuffer(sys.stdin.buffer.read()); "
             f"rows = [regressor_matrix(model, np.arange(1, n + 1)) for n in {SYNTH_LENGTHS}]; "
             "sys.stdout.buffer.write(np.concatenate([r @ theta for r in rows]).tobytes())")
     src = str(Path(reference.__file__).resolve().parents[1])
@@ -151,7 +151,7 @@ class TestSynthGenerate:
     @pytest.mark.parametrize("length", SYNTH_LENGTHS)
     def test_signal_is_built_in_row_blocks_with_the_whole_products_bits(
             self, monkeypatch, length):
-        model = standard_model()                        # n = 35
+        model = STANDARD_MODEL                        # n = 35
         theta = np.linspace(-3.0, 3.0, model.dim)
         asked = []
 
@@ -305,13 +305,13 @@ class TestCompareTrajectory:
             assert np.array_equal(a, a_ref) and np.array_equal(theta, theta_ref), k
 
     @pytest.mark.parametrize("profile, k", [
-        pytest.param(fig2_profile(), 700, id="segmented"),
+        pytest.param(FIG2, 700, id="segmented"),
         pytest.param(ExponentialProfile(0.99), 700, id="infinite"),
     ])
     def test_sample_oracle_equals_the_array_solve_on_the_fig2_model(self, profile, k):
         # perfbench's gates build Sample(k, float(y)) from index 1 and call
         # direct_weighted_ls on this model: it must stay the array solve, bit for bit
-        model = standard_model()
+        model = STANDARD_MODEL
         values = synth_generate(SyntheticSpec(model, standard_theta(model), 2.0, 3, 900))
         samples = samples_of(values)
         start = 0 if profile.w is None else k - profile.w
@@ -324,7 +324,7 @@ class TestCompareTrajectory:
     def test_deviations_equal_a_per_step_direct_solve(self, profile, window):
         series = synth_generate(spec(1.0, length=240))
         samples = samples_of(series)
-        report = compare_trajectory(profile, MODEL, series, init_count=window)
+        deviations = compare_trajectory(profile, MODEL, series, init_count=window)
         est = RlsEstimator.init(profile, MODEL, series[:window])
         theta_dev_max = gamma_dev_max = 0.0
         for sample in samples[window:]:
@@ -335,12 +335,11 @@ class TestCompareTrajectory:
                 np.linalg.norm(est.theta - theta) / np.linalg.norm(theta)))
             gamma_dev_max = max(gamma_dev_max, float(
                 np.linalg.norm(est.gamma - gamma) / np.linalg.norm(gamma)))
-        assert report.theta_dev_max == theta_dev_max
-        assert report.gamma_dev_max == gamma_dev_max
+        assert deviations == (theta_dev_max, gamma_dev_max)
 
     @pytest.mark.parametrize("profile, model, steps, width", [
         # 630 steps: 78 full stacks of windows and a part-filled one
-        pytest.param(fig2_profile(), standard_model(), 630, (), id="fig2"),
+        pytest.param(FIG2, STANDARD_MODEL, 630, (), id="fig2"),
         pytest.param(SegmentedProfile(0.85, 0.97, 5, 1, 10), make_harmonic_model(40.0, 3),
                      300, (), id="n9-w10-segmented"),
         pytest.param(ExponentialProfile(0.95, 10), make_harmonic_model(40.0, 3),
@@ -362,7 +361,7 @@ class TestCompareTrajectory:
             assert same_bits(gamma, np.linalg.inv(a_ref)), k
 
     def test_a_stack_names_its_rank_deficient_window(self):
-        profile, model = fig2_profile(), standard_model()
+        profile, model = FIG2, STANDARD_MODEL
         rows = regressor_matrix(model, np.arange(1, 405))
         stack = np.stack([rows[j : j + 400] for j in range(4)])  # indices 401..404
         stack[2] = stack[2, :1]                                  # one row repeated: rank 1
@@ -372,9 +371,9 @@ class TestCompareTrajectory:
 
     def test_zero_noise_deviations_negligible(self):
         series = synth_generate(spec(0.0, length=80))
-        report = compare_trajectory(PROFILE, MODEL, series)
-        assert report.theta_dev_max <= 1e-10
-        assert report.gamma_dev_max <= 1e-10
+        theta_dev, gamma_dev = compare_trajectory(PROFILE, MODEL, series)
+        assert theta_dev <= 1e-10
+        assert gamma_dev <= 1e-10
 
     def test_unbounded_needs_init_count(self):
         series = synth_generate(spec(1.0, length=70))
@@ -384,22 +383,22 @@ class TestCompareTrajectory:
 
 class TestMonteCarloBias:
     def test_noiseless_bias_is_solver_noise(self):
-        report = monte_carlo_bias(PROFILE, spec(0.0, length=60), 100, 55)
-        assert np.max(np.abs(report.bias)) <= 1e-9
+        bias, _ = monte_carlo_bias(PROFILE, spec(0.0, length=60), 100, 55)
+        assert np.max(np.abs(bias)) <= 1e-9
 
     def test_minimum_trial_count_enforced(self):
         with pytest.raises(RangeError):
             monte_carlo_bias(PROFILE, spec(1.0, length=60), 99, 55)
 
     def test_standard_error_shrinks_with_sqrt_trials(self):
-        se_100 = monte_carlo_bias(PROFILE, spec(1.0, length=60), 100, 55).standard_error
-        se_400 = monte_carlo_bias(PROFILE, spec(1.0, length=60), 400, 55).standard_error
+        _, se_100 = monte_carlo_bias(PROFILE, spec(1.0, length=60), 100, 55)
+        _, se_400 = monte_carlo_bias(PROFILE, spec(1.0, length=60), 400, 55)
         ratio = float(np.mean(se_100) / np.mean(se_400))
         assert ratio == pytest.approx(2.0, rel=0.25)
 
     def test_seeded_bias_within_confidence(self):
-        report = monte_carlo_bias(PROFILE, spec(1.0, length=60), 120, 55)
-        assert np.all(np.abs(report.bias) <= 4.0 * report.standard_error)
+        bias, se = monte_carlo_bias(PROFILE, spec(1.0, length=60), 120, 55)
+        assert np.all(np.abs(bias) <= 4.0 * se)
 
     def test_unbounded_profile_refused(self):
         with pytest.raises(ValueError, match="^the bias estimate needs a windowed profile, "
@@ -415,7 +414,7 @@ class TestMonteCarloBias:
     )
     def test_shared_gain_equals_a_per_trial_loop(self, profile, window, trials):
         base, k = spec(1.0, length=90), 80
-        report = monte_carlo_bias(profile, base, trials, k)
+        bias, standard_error = monte_carlo_bias(profile, base, trials, k)
         estimates = []
         for t in range(trials):
             series = synth_generate(spec(1.0, seed=derive_seed(base.seed, t), length=90))
@@ -425,9 +424,9 @@ class TestMonteCarloBias:
             estimates.append(est.theta)
         estimates = np.array(estimates)
         se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
-        np.testing.assert_allclose(report.bias, estimates.mean(axis=0) - THETA_STAR,
+        np.testing.assert_allclose(bias, estimates.mean(axis=0) - THETA_STAR,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.standard_error, se, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(standard_error, se, rtol=1e-12, atol=0)
 
 
 def row_by_row_gauss_jordan(a):
@@ -513,10 +512,8 @@ class TestAccumulationExperiment:
             except SingularUpdateError:
                 incidents += 1
                 chain.append(math.inf)
-        assert report.singular_incidents == incidents
         # an even count: each median is the mean of the two middle errors
-        assert report.median_batch == float(np.median(batch))
-        assert report.median_chain == float(np.median(chain))
+        assert report == (float(np.median(batch)), float(np.median(chain)), incidents)
 
     def test_median_has_the_bits_of_np_median(self):
         # lengths 1-101; plain draws, then signed zeros and infinities, then nans too
@@ -534,14 +531,14 @@ class TestAccumulationExperiment:
 
 
     def test_well_conditioned_single_column_paths_agree(self):
-        report = accumulation_experiment(6, 1, 1.0, 5, seed=3)
-        assert report.median_batch <= 1e-14
-        assert report.median_chain <= 1e-14
-        assert report.singular_incidents == 0
+        median_batch, median_chain, incidents = accumulation_experiment(6, 1, 1.0, 5, seed=3)
+        assert median_batch <= 1e-14
+        assert median_chain <= 1e-14
+        assert incidents == 0
 
     def test_ill_conditioned_batch_beats_chain(self):
-        report = accumulation_experiment(12, 6, 1e8, 20, seed=1)
-        assert report.median_batch <= report.median_chain
+        median_batch, median_chain, _ = accumulation_experiment(12, 6, 1e8, 20, seed=1)
+        assert median_batch <= median_chain
 
     def test_condition_target_validated(self):
         with pytest.raises(RangeError):
@@ -552,9 +549,9 @@ class TestAccumulationExperiment:
             raise SingularUpdateError("refused")
 
         monkeypatch.setattr(linalg, "chain_sherman_morrison", refuse)
-        report = accumulation_experiment(6, 1, 1.0, 5, seed=3)
-        assert report.singular_incidents == 5 and report.median_chain == math.inf
-        assert report.median_batch <= 1e-14
+        median_batch, median_chain, incidents = accumulation_experiment(6, 1, 1.0, 5, seed=3)
+        assert incidents == 5 and median_chain == math.inf
+        assert median_batch <= 1e-14
         # the batch update sits outside the counted call: its refusal propagates
         monkeypatch.setattr(linalg, "batch_inverse_update", refuse)
         with pytest.raises(SingularUpdateError, match="^refused$"):

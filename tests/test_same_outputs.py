@@ -1,3 +1,4 @@
+import datetime
 import importlib.util
 from pathlib import Path
 
@@ -53,6 +54,33 @@ def test_a_command_writes_its_output_into_the_given_directory(tmp_path):
     assert (got["rc"], got["stdout"], got["stderr"]) == (0, "", "synth: wrote 5 samples\n")
     assert got["output"] == same_outputs.sha256(tmp_path / "s.csv") is not None
     assert not (tmp_path / "elsewhere").exists()
+
+
+def test_a_command_reads_the_given_file_through_a_pipe(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    series = tmp_path / "series.csv"
+    assert same_outputs.run_command(src, ["synth", "--length", "80", "--output", str(series)],
+                                    tmp_path)["rc"] == 0
+    argv = ["fit", "--input", "/dev/stdin", "--period", "40", "--harmonics", "2", "--beta",
+            "0.85", "--lambda", "0.97", "--m", "30", "--window", "50", "--output", "fit.csv"]
+    got = same_outputs.run_command(src, argv, tmp_path, stdin=series)
+    assert (got["rc"], got["stderr"].split(",")[0]) == (0, "fit: 30 steps")
+    assert "# input=/dev/stdin\n" in (tmp_path / "fit.csv").read_text()
+
+
+def test_the_gap_copy_lacks_exactly_its_two_middle_days():
+    from segrls.errors import GapError
+    from segrls.ingest import parse_stockholm, to_indexed
+
+    text = "# archive\n" + "".join(f"1800 1 {d} {d}.5 {d}.25 0\n" for d in range(1, 11))
+    copy, missing = same_outputs._gap_copy(text)
+    kept = parse_stockholm(copy).dates.tolist()
+    assert missing == datetime.date(1800, 1, 6)
+    assert sorted(set(parse_stockholm(text).dates.tolist()) - set(kept)) == [
+        missing, missing + datetime.timedelta(days=1)]
+    assert len(kept) == 8
+    with pytest.raises(GapError, match=f"^missing day {missing.isoformat()} "):
+        to_indexed(parse_stockholm(copy))
 
 
 def test_archive_copies_take_each_route_and_error():
